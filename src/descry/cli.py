@@ -459,6 +459,8 @@ def _expand_config(argv):
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     raw = _read_json(argv[at + 1])
     if "config" in raw and "command" in raw:           # a run manifest
         command, flags = raw["command"], raw["config"]

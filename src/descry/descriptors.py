@@ -28,7 +28,6 @@ from .errors import (
 from .models import (
     LossFunction,
     epe,
-    feature_ranges,
     gower_distances,
     pointwise_loss,
     subset_model,
@@ -158,20 +157,15 @@ def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND)
     instance, plotted only where the spliced point stays on support."""
     checker = _require_on_support(d_eval, instance, "ice")
     j = grid.feature_index if hasattr(grid, "feature_index") else int(feature)
-    rows, kept, off_support = [], [], []
-    for point in grid.points:
-        spliced = list(instance)
-        spliced[j] = point
-        if checker.check(spliced):
-            kept.append(point)
-            rows.append(spliced)
-        else:
-            off_support.append(point)
-    if not rows:
+    spliced = np.array([list(instance)] * len(grid.points), dtype=d_eval.rows.dtype)
+    spliced[:, j] = grid.points
+    on_support = checker.check_rows(spliced)
+    kept = [point for point, ok in zip(grid.points, on_support) if ok]
+    off_support = [point for point, ok in zip(grid.points, on_support) if not ok]
+    if not kept:
         raise AllGroupsEmpty("no grid point is on support for this instance",
                              operation="ice")
-    has_cat = any(f.kind == "categorical" for f in d_eval.features)
-    preds = h.predict_batch(np.array(rows, dtype=object if has_cat else float))
+    preds = h.predict_batch(spliced[on_support])
     curve = [(point, float(pred), 1) for point, pred in zip(kept, preds)]
     spec = DescriptorSpec(question="ice", feature=j, instance=list(instance))
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
@@ -362,12 +356,11 @@ def relevant_value_global(h, d_eval, y_rel):
 
     checker = get_support_checker(d_eval, SUPPORT_QUANTILE_BAND)
     top = np.argsort(objective, kind="stable")[:PERTURB_TOP_ROWS]
-    candidates = [c for c in _perturbations(d_eval, [d_eval.rows[i] for i in top])
-                  if checker.check(c)]
+    perturbed = _perturbations(d_eval, [d_eval.rows[i] for i in top])
+    candidates = [c for c, ok in zip(perturbed, checker.check_rows(perturbed)) if ok]
     perturbed_used = False
     if candidates:
-        has_cat = any(f.kind == "categorical" for f in d_eval.features)
-        cand_preds = h.predict_batch(np.array(candidates, dtype=object if has_cat else float))
+        cand_preds = h.predict_batch(np.array(candidates, dtype=d_eval.rows.dtype))
         cand_obj = np.abs(cand_preds - float(y_rel))
         ci = int(np.argmin(cand_obj))
         if float(cand_obj[ci]) < best_obj:
@@ -389,7 +382,6 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam,
     checker = _require_on_support(d_eval, instance, "counterfactual_local")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    ranges = feature_ranges(d_eval.rows, d_eval.features)
 
     candidates = [list(instance)]
     candidates.extend(list(r) for r in d_eval.rows)
@@ -398,22 +390,23 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam,
     top = np.argsort(gap, kind="stable")[:PERTURB_TOP_ROWS]
     candidates.extend(_perturbations(d_eval, [candidates[i] for i in top]))
 
-    supported = [c for c in candidates if checker.check(c)]
-    if not supported:
+    matrix = np.array(candidates, dtype=d_eval.rows.dtype)
+    on_support = np.flatnonzero(checker.check_rows(matrix))
+    if not on_support.size:
         raise NoSupportedCandidate("no candidate passes the support check",
                                    operation="counterfactual_local")
-    supported_matrix = np.array(supported, dtype=d_eval.rows.dtype)
-    preds = h.predict_batch(supported_matrix)
+    supported = matrix[on_support]
+    preds = h.predict_batch(supported)
     gaps = np.abs(preds - float(y_rel))
-    dists = gower_distances(supported_matrix, list(instance), d_eval.features, ranges)
+    dists = gower_distances(supported, list(instance), d_eval.features, checker.ranges)
     objectives = gaps + lam * dists
     best = int(np.argmin(objectives))
 
     spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
                           y_rel=float(y_rel), lam=float(lam))
     return DescriptorResult(spec=spec, point={
-        "x": list(supported[best]),
+        "x": list(candidates[on_support[best]]),
         "objective": float(objectives[best]),
         "prediction_gap": float(gaps[best]),
         "gower_distance": float(dists[best]),
-    }, diagnostics={"candidates_scanned": len(supported)})
+    }, diagnostics={"candidates_scanned": len(on_support)})

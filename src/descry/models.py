@@ -16,6 +16,9 @@ from .data import FeatureSpec, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
 from ._util import derive_seed
 
+# Cap on queries x reference cells per distance block; bounds its temporaries.
+DISTANCE_BLOCK_CELLS = 1 << 16
+
 
 class LossFunction(str, Enum):
     MSE = "mse"
@@ -109,32 +112,58 @@ def encode(rows, encoder):
 
 
 def feature_ranges(rows, features):
-    """Per-feature value ranges (numeric) used by the Gower metric."""
-    ranges = []
+    """Per-feature value ranges used by the Gower metric; 0 for categorical."""
+    spans = np.ptp(gower_encode(rows, features), axis=0)
+    return [0.0 if f.kind == "categorical" else float(r) for f, r in zip(features, spans)]
+
+
+def gower_encode(rows, features):
+    """Rows as the float matrix the Gower metric compares: numeric values as
+    they are, a category as its schema index (-1 if undeclared); with range
+    0, a categorical column then scores its 0/1 mismatch."""
+    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    rows = rows.reshape(len(rows), len(features))
+    out = np.empty(rows.shape)
     for j, spec in enumerate(features):
         if spec.kind == "categorical":
-            ranges.append(0.0)
+            index = {c: i for i, c in enumerate(spec.categories)}
+            out[:, j] = [index.get(v, -1) for v in rows[:, j]]
         else:
-            col = np.asarray(rows[:, j], dtype=float)
-            ranges.append(float(col.max() - col.min()))
-    return ranges
+            out[:, j] = rows[:, j]
+    return out
+
+
+def _distances(queries, reference, ranges=None):
+    """(q, k) distances from each encoded query to every encoded reference
+    row: Gower (range-normalized absolute difference, averaged over
+    features) when `ranges` is given, otherwise Euclidean."""
+    if ranges is None:
+        return np.sqrt(((reference - queries[:, None, :]) ** 2).sum(axis=2))
+    acc = np.zeros((len(queries), len(reference)))
+    for j, r in enumerate(ranges):
+        diff = np.abs(reference[:, j] - queries[:, j, None])
+        acc += diff / r if r > 0 else (diff > 0).astype(float)
+    return acc / max(len(ranges), 1)
+
+
+def nearest(queries, reference, count, ranges=None):
+    """Row indices and distances of the `count` reference rows nearest to
+    each query, nearest first; ties go to the lowest row index."""
+    index = np.empty((len(queries), count), dtype=np.intp)
+    dist = np.empty((len(queries), count))
+    step = max(1, DISTANCE_BLOCK_CELLS // max(reference.size, 1))
+    for start in range(0, len(queries), step):
+        block = _distances(queries[start:start + step], reference, ranges)
+        order = np.argsort(block, axis=1, kind="stable")[:, :count]
+        index[start:start + step] = order
+        dist[start:start + step] = np.take_along_axis(block, order, axis=1)
+    return index, dist
 
 
 def gower_distances(rows, x, features, ranges):
     """Gower distance of every row to x: range-normalized absolute difference
     for numeric features, 0/1 mismatch for categorical; averaged."""
-    rows = np.asarray(rows)
-    k = rows.shape[0]
-    acc = np.zeros(k)
-    for j, spec in enumerate(features):
-        if spec.kind == "categorical":
-            acc += np.array([0.0 if v == x[j] else 1.0 for v in rows[:, j]])
-        else:
-            col = np.asarray(rows[:, j], dtype=float)
-            r = ranges[j]
-            diff = np.abs(col - float(x[j]))
-            acc += diff / r if r > 0 else (diff > 0).astype(float)
-    return acc / max(len(features), 1)
+    return _distances(gower_encode([x], features), gower_encode(rows, features), ranges)[0]
 
 
 # -- predictor handle --------------------------------------------------------
@@ -217,31 +246,28 @@ def _eval_mlp(params, rows):
 
 
 def _eval_knn(params, rows):
-    train = np.asarray(params["train_matrix"], dtype=object if params["distance"] == "gower" else float)
-    targets = np.asarray(params["train_targets"], dtype=float)
-    k = int(params["k"])
-    out = np.empty(rows.shape[0])
     if params["distance"] == "gower":
         features = [FeatureSpec.from_dict(f) for f in params["features"]]
-        for i in range(rows.shape[0]):
-            dist = gower_distances(train, rows[i], features, params["ranges"])
-            nearest = np.argsort(dist, kind="stable")[:k]
-            out[i] = _knn_aggregate(targets[nearest], params["agg"])
+        queries = gower_encode(rows, features)
+        reference = gower_encode(params["train_matrix"], features)
+        ranges = params["ranges"]
     else:
-        encoded = encode(rows, params["encoder"])
-        train_enc = np.asarray(params["train_encoded"], dtype=float)
-        for i in range(rows.shape[0]):
-            dist = np.sqrt(((train_enc - encoded[i]) ** 2).sum(axis=1))
-            nearest = np.argsort(dist, kind="stable")[:k]
-            out[i] = _knn_aggregate(targets[nearest], params["agg"])
-    return out
+        queries = encode(rows, params["encoder"])
+        reference = np.asarray(params["train_encoded"], dtype=float)
+        ranges = None
+    index, _ = nearest(queries, reference, int(params["k"]), ranges)
+    values = np.asarray(params["train_targets"], dtype=float)[index]
+    return _knn_aggregate(values, params["agg"])
 
 
 def _knn_aggregate(values, agg):
-    if agg == "mode":
-        levels, counts = np.unique(values, return_counts=True)
-        return levels[np.argmax(counts)]
-    return float(np.mean(values))
+    """Per row of neighbour targets: the mean, or the most frequent value
+    with ties to the smallest."""
+    if agg != "mode":
+        return values.mean(axis=1)
+    values = np.sort(values, axis=1)
+    counts = sum((values == values[:, [i]]).astype(int) for i in range(values.shape[1]))
+    return values[np.arange(len(values)), np.argmax(counts, axis=1)]
 
 
 def _eval_poly_response(params, rows):
@@ -425,15 +451,14 @@ def _train_knn(config, d, loss):
         raise ValueError(f"knn_k={config.knn_k} exceeds training size {d.k}")
     agg = "mode" if loss == LossFunction.ZERO_ONE else "mean"
     params = {"k": config.knn_k, "distance": config.distance, "agg": agg,
-              "train_matrix": [list(r) for r in d.rows],
-              "train_targets": d.targets.tolist(),
+              "train_matrix": d.rows, "train_targets": d.targets,
               "features": [f.to_dict() for f in d.features]}
     if config.distance == "gower":
         params["ranges"] = feature_ranges(d.rows, d.features)
     else:
         encoder = build_encoder(d.features, d.rows, standardize=True)
         params["encoder"] = encoder
-        params["train_encoded"] = encode(d.rows, encoder).tolist()
+        params["train_encoded"] = encode(d.rows, encoder)
     meta = {"learner": "knn", "seed": config.seed, "k": config.knn_k,
             "distance": config.distance}
     return PredictorHandle(input_schema=list(d.features), output_kind="scalar",

@@ -2,9 +2,9 @@
 
 Everything a descriptor knows about P(X_rest | X_p) comes from here: grid
 construction over a feature, grouping of evaluation rows by grid point,
-kNN-based conditional sampling, and a support check that keeps every query
-on-distribution. Samplers never fabricate feature combinations: sampled
-X_rest vectors are always taken from observed rows.
+conditional sampling from matching rows, and a support check that keeps
+every query on-distribution. Samplers never fabricate feature combinations:
+sampled X_rest vectors are always taken from observed rows.
 """
 
 import threading
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNeighborhood, UnknownFeature
-from .models import gower_distances, feature_ranges
+from .models import feature_ranges, gower_encode, nearest
 from ._util import derive_seed
 
 MIN_GROUP_SIZE = 5
@@ -131,15 +131,6 @@ class ConditionalSampler:
     """Finite-data surrogate for P(X_rest | X_p)."""
 
     source: object
-    method: str = "grouping"
-    knn_k: int = 50
-    distance: str = "euclidean_standardized"
-
-    def __post_init__(self):
-        if self.method not in ("grouping", "knn"):
-            raise ValueError(f"unknown sampler method {self.method!r}")
-        if self.method == "knn" and not (1 <= self.knn_k <= self.source.k):
-            raise ValueError("knn_k must be in [1, source size]")
 
 
 def _grouping_band(d, j):
@@ -153,11 +144,9 @@ def _grouping_band(d, j):
 
 
 def conditional_sample(s, fixed, count, seed):
-    """Draw `count` full feature vectors with the fixed coordinate pinned.
-
-    grouping: resample X_rest from rows whose conditioned feature matches.
-    knn: resample X_rest from the knn_k rows nearest in the conditioned
-    feature. Queries outside the observed support raise EmptyNeighborhood.
+    """Draw `count` full feature vectors with the fixed coordinate pinned,
+    resampling X_rest from source rows whose conditioned feature matches.
+    Queries outside the observed support raise EmptyNeighborhood.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -169,16 +158,9 @@ def conditional_sample(s, fixed, count, seed):
     else:
         col = d.numeric_column(j)
         value = float(value)
-        if s.method == "grouping":
-            band = _grouping_band(d, j)
-            pool = np.flatnonzero(np.abs(col - value) <= band) if band > 0 \
-                else np.flatnonzero(col == value)
-        else:
-            if value < col.min() or value > col.max():
-                pool = np.array([], dtype=int)
-            else:
-                order = np.argsort(np.abs(col - value), kind="stable")
-                pool = order[:s.knn_k]
+        band = _grouping_band(d, j)
+        pool = np.flatnonzero(np.abs(col - value) <= band) if band > 0 \
+            else np.flatnonzero(col == value)
     if pool.size == 0:
         raise EmptyNeighborhood(
             f"no source rows support {d.features[j].name} = {value!r}",
@@ -203,14 +185,12 @@ class SupportChecker:
         self.d = d
         self.quantile_band = float(quantile_band)
         self.ranges = feature_ranges(d.rows, d.features)
-        self.bounds = []
-        for idx, spec in enumerate(d.features):
-            if spec.kind == "categorical":
-                self.bounds.append(set(d.column(idx)))
-            else:
-                col = d.numeric_column(idx)
-                lo, hi = np.quantile(col, [self.quantile_band, 1.0 - self.quantile_band])
-                self.bounds.append((float(lo), float(hi)))
+        self.encoded = gower_encode(d.rows, d.features)
+        # the [q, 1-q] quantile band of a numeric feature; None for a
+        # categorical one, whose observed values are its support
+        levels = [self.quantile_band, 1.0 - self.quantile_band]
+        self.bounds = [None if f.kind == "categorical" else np.quantile(self.encoded[:, j], levels)
+                       for j, f in enumerate(d.features)]
         self.nn_threshold = self._self_distance_percentile()
 
     def _self_distance_percentile(self):
@@ -220,25 +200,24 @@ class SupportChecker:
         rng = np.random.default_rng(derive_seed(0, "support-self", self.d.fingerprint))
         queries = np.arange(k) if k <= SELF_DISTANCE_SAMPLE \
             else np.sort(rng.choice(k, size=SELF_DISTANCE_SAMPLE, replace=False))
-        nearest = np.empty(len(queries))
-        for qi, row_idx in enumerate(queries):
-            dist = gower_distances(self.d.rows, self.d.rows[row_idx],
-                                   self.d.features, self.ranges)
-            dist[row_idx] = np.inf
-            nearest[qi] = dist.min()
-        return float(np.quantile(nearest, 0.99))
+        # the nearest row other than the query itself is one of the two nearest
+        index, dist = nearest(self.encoded[queries], self.encoded, 2, self.ranges)
+        others = np.where(index[:, 0] == queries, dist[:, 1], dist[:, 0])
+        return float(np.quantile(others, 0.99))
+
+    def check_rows(self, rows):
+        """The support check of each row, as a bool array."""
+        x = gower_encode(rows, self.d.features)
+        ok = np.ones(len(x), dtype=bool)
+        for j, bound in enumerate(self.bounds):
+            ok &= np.isin(x[:, j], self.encoded[:, j]) if bound is None \
+                else (bound[0] <= x[:, j]) & (x[:, j] <= bound[1])
+        _, dist = nearest(x[ok], self.encoded, 1, self.ranges)
+        ok[ok] = dist[:, 0] <= self.nn_threshold
+        return ok
 
     def check(self, x):
-        for idx, spec in enumerate(self.d.features):
-            if spec.kind == "categorical":
-                if x[idx] not in self.bounds[idx]:
-                    return False
-            else:
-                lo, hi = self.bounds[idx]
-                if not (lo <= float(x[idx]) <= hi):
-                    return False
-        dist = gower_distances(self.d.rows, x, self.d.features, self.ranges)
-        return bool(dist.min() <= self.nn_threshold)
+        return bool(self.check_rows([x])[0])
 
 
 _checker_cache = {}

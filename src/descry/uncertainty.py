@@ -277,7 +277,8 @@ def ci_combined(config, d, spec, cfg):
     _check_replicates(cfg.me_replicates, "ci_combined")
     grid = _resolve_grid(spec, d)
 
-    full_model = train(config, d, spec.loss) if spec.question == "cpdp" else None
+    # cpfi refits its own subset models; every other question needs the model
+    full_model = train(config, d, spec.loss) if spec.question != "cpfi" else None
     point = _descriptor_vector(spec, grid, handle=full_model, config=config,
                                d_train=d, d_eval=d)
 
@@ -292,7 +293,7 @@ def ci_combined(config, d, spec, cfg):
                                  fraction=cfg.resample_plan.fraction,
                                  replicates=cfg.ee_replicates,
                                  seed=derive_seed(cfg.resample_plan.seed, "ci-me-eval", r))
-        handle_r = train(config, d_train_r, spec.loss) if spec.question == "cpdp" else None
+        handle_r = train(config, d_train_r, spec.loss) if spec.question != "cpfi" else None
         return np.stack([
             _descriptor_vector(spec, grid, handle=handle_r, config=config,
                                d_train=d_train_r, d_eval=resample(d, eval_plan, e))

@@ -59,6 +59,24 @@ class TestSimulate:
         assert file_hashes(out) == first
 
 
+class TestTrain:
+    def test_knn_on_mixed_types(self, tmp_path):
+        data_path = tmp_path / "mixed.json"
+        data_path.write_text(json.dumps({
+            "schema": {"features": [{"name": "x", "kind": "numeric"},
+                                    {"name": "c", "kind": "categorical",
+                                     "categories": ["a", "b"]}],
+                       "target": {"name": "y", "kind": "numeric"}},
+            "provenance": "observed", "seed": None,
+            "rows": [[float(i), "ab"[i % 2]] for i in range(12)],
+            "targets": [float(i % 3) for i in range(12)]}))
+        out = str(tmp_path / "knn")
+        assert main(["train", "--data", str(data_path), "--learner", "knn",
+                     "--out", out]) == 0
+        training = json.load(open(os.path.join(out, "training.json")))
+        assert training["train_epe"] >= 0.0
+
+
 class TestDescribe:
     def test_cpdp_outputs(self, tmp_path, simulated, trained):
         out = str(tmp_path / "cpdp")
@@ -211,6 +229,12 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "--k", "60"]) == 0
         data = json.load(open(os.path.join(out, "dataset.json")))
         assert len(data["rows"]) == 60
+
+    def test_config_without_path_is_runtime_error(self, capsys):
+        assert main(["--config"]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["operation"] == "config"
+        assert error["error"] == "ValueError"
 
 
 class TestErrorHandling:

@@ -1,0 +1,172 @@
+"""The blocked distance kernel against the per-query code it replaced.
+
+The reference functions below are the former per-query implementations of
+the Gower distance, the knn evaluator and the support check. Every value
+the kernel produces must equal theirs exactly, including the tie order of
+nearest neighbours on integer-valued data.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, train
+from descry import models
+from descry.models import (
+    build_encoder, encode, feature_ranges, gower_distances, gower_encode, nearest,
+)
+from descry.samplers import SupportChecker
+
+CATEGORIES = ("a", "b", "c", "d")
+UNDECLARED = "zz"
+
+
+def reference_gower_distances(rows, x, features, ranges):
+    rows = np.asarray(rows)
+    acc = np.zeros(rows.shape[0])
+    for j, spec in enumerate(features):
+        if spec.kind == "categorical":
+            acc += np.array([0.0 if v == x[j] else 1.0 for v in rows[:, j]])
+        else:
+            col = np.asarray(rows[:, j], dtype=float)
+            r = ranges[j]
+            diff = np.abs(col - float(x[j]))
+            acc += diff / r if r > 0 else (diff > 0).astype(float)
+    return acc / max(len(features), 1)
+
+
+def reference_eval_knn(params, rows):
+    gower = params["distance"] == "gower"
+    targets = np.asarray(params["train_targets"], dtype=float)
+    k = int(params["k"])
+    out = np.empty(rows.shape[0])
+    if gower:
+        train_rows = np.asarray(params["train_matrix"], dtype=object)
+        features = [FeatureSpec.from_dict(f) for f in params["features"]]
+    else:
+        encoded = encode(rows, params["encoder"])
+        train_enc = np.asarray(params["train_encoded"], dtype=float)
+    for i in range(rows.shape[0]):
+        if gower:
+            dist = reference_gower_distances(train_rows, rows[i], features, params["ranges"])
+        else:
+            dist = np.sqrt(((train_enc - encoded[i]) ** 2).sum(axis=1))
+        values = targets[np.argsort(dist, kind="stable")[:k]]
+        if params["agg"] == "mode":
+            levels, counts = np.unique(values, return_counts=True)
+            out[i] = levels[np.argmax(counts)]
+        else:
+            out[i] = float(np.mean(values))
+    return out
+
+
+def reference_threshold(d, ranges):
+    nearest_other = np.empty(d.k)
+    for row_idx in range(d.k):
+        dist = reference_gower_distances(d.rows, d.rows[row_idx], d.features, ranges)
+        dist[row_idx] = np.inf
+        nearest_other[row_idx] = dist.min()
+    return float(np.quantile(nearest_other, 0.99))
+
+
+def reference_check(d, x, quantile_band, ranges, threshold):
+    for idx, spec in enumerate(d.features):
+        if spec.kind == "categorical":
+            if x[idx] not in set(d.column(idx)):
+                return False
+        else:
+            lo, hi = np.quantile(d.numeric_column(idx), [quantile_band, 1.0 - quantile_band])
+            if not (lo <= float(x[idx]) <= hi):
+                return False
+    dist = reference_gower_distances(d.rows, x, d.features, ranges)
+    return bool(dist.min() <= threshold)
+
+
+@st.composite
+def mixed_problem(draw):
+    """Integer-valued numeric columns (many ties), one of them possibly
+    constant, a categorical column, and queries that may step outside the
+    data or carry an undeclared category. At least 8 one-hot encoded columns."""
+    n_numeric = draw(st.integers(4, 6))
+    k = draw(st.integers(5, 40))
+    constant = draw(st.booleans())
+    features = [FeatureSpec(name=f"x{j}", kind="integer" if j % 2 else "numeric")
+                for j in range(n_numeric)]
+    features.append(FeatureSpec(name="c", kind="categorical", categories=CATEGORIES))
+    numeric = st.integers(0, 3).map(float)
+
+    def row(values, categories, pin):
+        r = [draw(values) for _ in range(n_numeric)] + [draw(st.sampled_from(categories))]
+        if pin:
+            r[0] = 2.0
+        return r
+
+    observed = CATEGORIES[:draw(st.integers(1, len(CATEGORIES)))]
+    rows = [row(numeric, observed, constant) for _ in range(k)]
+    q = draw(st.integers(1, 30))
+    queries = [row(st.integers(-1, 4).map(float), CATEGORIES + (UNDECLARED,),
+                   draw(st.booleans())) for _ in range(q)]
+    # some queries are copies of data rows, so they sit on support
+    queries += [list(rows[i]) for i in draw(st.lists(st.integers(0, k - 1), max_size=10))]
+    targets = [draw(st.integers(0, 2)) / 7 for _ in range(k)]
+    block_cells = draw(st.sampled_from([1, 37, 500, models.DISTANCE_BLOCK_CELLS]))
+    d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                rows=rows, targets=targets, provenance="observed")
+    return d, np.array(queries, dtype=object), block_cells
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mixed_problem(), st.integers(1, 5))
+def test_kernel_matches_per_query_reference(problem, count):
+    d, queries, block_cells = problem
+    ranges = feature_ranges(d.rows, d.features)
+    encoder = build_encoder(d.features, d.rows, standardize=True)
+    assert encode(d.rows, encoder).shape[1] >= 8
+    with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        gower_index, gower_dist = nearest(gower_encode(queries, d.features),
+                                          gower_encode(d.rows, d.features), count, ranges)
+        euclid_index, euclid_dist = nearest(encode(queries, encoder),
+                                            encode(d.rows, encoder), count)
+    train_enc = encode(d.rows, encoder)
+    for i, x in enumerate(queries):
+        expected = reference_gower_distances(d.rows, x, d.features, ranges)
+        assert np.array_equal(gower_distances(d.rows, x, d.features, ranges), expected)
+        order = np.argsort(expected, kind="stable")[:count]
+        assert gower_index[i].tolist() == order.tolist()
+        assert gower_dist[i].tolist() == expected[order].tolist()
+        query = encode(queries[i:i + 1], encoder)[0]
+        expected = np.sqrt(((train_enc - query) ** 2).sum(axis=1))
+        order = np.argsort(expected, kind="stable")[:count]
+        assert euclid_index[i].tolist() == order.tolist()
+        assert euclid_dist[i].tolist() == expected[order].tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mixed_problem())
+def test_support_check_matches_per_query_reference(problem):
+    d, queries, block_cells = problem
+    with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        checker = SupportChecker(d)
+        batched = checker.check_rows(queries)
+        single = [checker.check(list(x)) for x in queries]
+    ranges = feature_ranges(d.rows, d.features)
+    threshold = reference_threshold(d, ranges)
+    assert checker.nn_threshold == threshold
+    expected = [reference_check(d, list(x), checker.quantile_band, ranges, threshold)
+                for x in queries]
+    assert batched.tolist() == expected
+    assert single == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(mixed_problem(), st.integers(1, 12),
+       st.sampled_from(["euclidean_standardized", "gower"]),
+       st.sampled_from([LossFunction.MSE, LossFunction.ZERO_ONE]))
+def test_knn_matches_per_query_reference(problem, knn_k, distance, loss):
+    d, queries, block_cells = problem
+    h = train(LearnerConfig(learner="knn", knn_k=min(knn_k, d.k), distance=distance), d, loss)
+    with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        predicted = h.predict_batch(queries)
+    expected = reference_eval_knn(h.to_dict()["params"], queries)
+    assert predicted.tolist() == expected.tolist()

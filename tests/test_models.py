@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from descry import (
     subset_model, train, true_epe,
 )
 from descry.errors import IncompatibleLoss, SchemaMismatch
-from descry.models import build_encoder, clear_subset_cache, encode
+from descry.models import PredictorHandle, build_encoder, clear_subset_cache, encode
+from descry._util import canonical_json
 
 MSE, MAE = LossFunction.MSE, LossFunction.MAE
 ZO, KL = LossFunction.ZERO_ONE, LossFunction.KL
@@ -21,6 +24,14 @@ def linear_dataset(k=100, slope=3.0, seed=0):
     return Dataset(features=[FeatureSpec(name="x", kind="numeric")],
                    target=FeatureSpec(name="y", kind="numeric"),
                    rows=x[:, None], targets=slope * x, provenance="synthetic")
+
+
+def mixed_dataset():
+    features = [FeatureSpec(name="num", kind="numeric"),
+                FeatureSpec(name="cat", kind="categorical", categories=("a", "b"))]
+    rows = [[0.0, "a"], [1.0, "a"], [10.0, "b"], [11.0, "b"]]
+    return Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                   rows=rows, targets=[0.0, 0.0, 1.0, 1.0], provenance="observed")
 
 
 class TestOls:
@@ -68,14 +79,33 @@ class TestKnn:
         assert np.array_equal(h.predict_batch(d.rows), d.targets)
 
     def test_gower_handles_mixed_types(self):
-        features = [FeatureSpec(name="num", kind="numeric"),
-                    FeatureSpec(name="cat", kind="categorical", categories=("a", "b"))]
-        rows = [[0.0, "a"], [1.0, "a"], [10.0, "b"], [11.0, "b"]]
-        d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
-                    rows=rows, targets=[0.0, 0.0, 1.0, 1.0], provenance="observed")
-        h = train(LearnerConfig(learner="knn", knn_k=2, distance="gower"), d, MSE)
+        h = train(LearnerConfig(learner="knn", knn_k=2, distance="gower"),
+                  mixed_dataset(), MSE)
         assert h.predict([0.5, "a"]) == 0.0
         assert h.predict([10.5, "b"]) == 1.0
+
+    def test_default_distance_handles_mixed_types(self):
+        h = train(LearnerConfig(learner="knn", knn_k=2), mixed_dataset(), MSE)
+        assert h.predict([0.5, "a"]) == 0.0
+        assert h.predict([10.5, "b"]) == 1.0
+
+    @pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
+    def test_arrays_in_memory_lists_in_json(self, distance):
+        d = mixed_dataset()
+        h = train(LearnerConfig(learner="knn", knn_k=2, distance=distance), d, MSE)
+        assert isinstance(h.params["train_matrix"], np.ndarray)
+        assert isinstance(h.params["train_targets"], np.ndarray)
+        listed = dict(h.params, train_matrix=[list(r) for r in d.rows],
+                      train_targets=d.targets.tolist())
+        if distance == "euclidean_standardized":
+            assert isinstance(h.params["train_encoded"], np.ndarray)
+            listed["train_encoded"] = h.params["train_encoded"].tolist()
+        from_lists = PredictorHandle(input_schema=h.input_schema, output_kind="scalar",
+                                     kind="knn", params=listed, metadata=h.metadata)
+        assert canonical_json(h.to_dict()) == canonical_json(from_lists.to_dict())
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"]], dtype=object)
+        clone = PredictorHandle.from_dict(json.loads(canonical_json(h.to_dict())))
+        assert np.array_equal(clone.predict_batch(queries), h.predict_batch(queries))
 
     def test_mode_for_zero_one(self):
         d = Dataset(features=[FeatureSpec(name="x", kind="numeric")],

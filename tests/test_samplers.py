@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from descry import (
-    ConditionalSampler, Dataset, FeatureSpec, Phenomenon, build_grid,
+    ConditionalSampler, Dataset, FeatureSpec, build_grid,
     conditional_groups, conditional_sample, sample, support_check,
 )
 from descry.errors import EmptyNeighborhood
@@ -93,32 +93,20 @@ class TestConditionalSample:
                     target=FeatureSpec(name="y", kind="numeric"),
                     rows=np.column_stack([values, values]), targets=values,
                     provenance="observed")
-        s = ConditionalSampler(source=d, method="grouping")
+        s = ConditionalSampler(source=d)
         out = conditional_sample(s, (0, 5.0), count=20, seed=1)
         assert np.all(out[:, 0] == 5.0)
         assert np.all(out[:, 1] == 5.0)
 
-    def test_independent_features_mean(self):
-        p = Phenomenon(kind="nonlinear_independent",
-                       marginals=[{"family": "normal", "mu": 0.0, "sd": 1.0},
-                                  {"family": "normal", "mu": 2.0, "sd": 1.0}],
-                       terms=[{"coef": 1.0, "powers": {0: 1}}], noise_sd=0.1)
-        d = sample(p, 20000, seed=3)
-        s = ConditionalSampler(source=d, method="knn", knn_k=500)
-        out = conditional_sample(s, (0, 0.0), count=10**4, seed=4)
-        se = out[:, 1].std(ddof=1) / np.sqrt(out.shape[0])
-        assert abs(out[:, 1].mean() - 2.0) < 4 * se
-
     def test_off_support_query(self):
         d = integer_grade_dataset()
-        for method in ("grouping", "knn"):
-            s = ConditionalSampler(source=d, method=method, knn_k=10)
-            with pytest.raises(EmptyNeighborhood):
-                conditional_sample(s, (0, 1000.0), count=5, seed=0)
+        s = ConditionalSampler(source=d)
+        with pytest.raises(EmptyNeighborhood):
+            conditional_sample(s, (0, 1000.0), count=5, seed=0)
 
     def test_rest_vectors_are_observed_rows(self):
         d = integer_grade_dataset()
-        s = ConditionalSampler(source=d, method="grouping")
+        s = ConditionalSampler(source=d)
         out = conditional_sample(s, (0, 7.0), count=50, seed=5)
         observed_rest = set(d.numeric_column(1)[d.numeric_column(0) == 7.0])
         assert set(out[:, 1]).issubset(observed_rest)

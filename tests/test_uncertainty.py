@@ -258,3 +258,13 @@ class TestCiCombined:
         assert report.point_estimates.shape == (1,)
         lo, hi = report.ci_me_ee[0]
         assert lo <= 3.0 <= hi   # population cpfi value on this benchmark
+
+    def test_scalar_question_relevant_value_global(self, setup):
+        p, _, _, _, _ = setup
+        d = sample(p, 300, seed=905)
+        spec = DescriptorSpec(question="relevant_value_global", y_rel=1.0, loss=MSE)
+        report = ci_combined(OLS, d, spec, self._config())
+        assert report.grid is None
+        (point,), ((lo, hi),) = report.point_estimates, report.ci_me_ee
+        assert np.all(np.isfinite([point, lo, hi]))
+        assert lo <= point <= hi
