@@ -1,9 +1,8 @@
-"""Internal helpers: seed derivation, deterministic parallel map, formatting."""
+"""Internal helpers: seed derivation, a bounded cache, formatting."""
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -11,8 +10,7 @@ import numpy as np
 def derive_seed(seed, *parts):
     """Stable 63-bit seed derived by hashing (seed, *parts).
 
-    Guarantees identical per-task seeds regardless of execution order or
-    parallelism degree.
+    Guarantees identical per-task seeds regardless of execution order.
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(repr(int(seed)).encode())
@@ -22,37 +20,28 @@ def derive_seed(seed, *parts):
     return int.from_bytes(h.digest(), "big") & (2**63 - 1)
 
 
-def rng_for(seed, *parts):
-    return np.random.default_rng(derive_seed(seed, *parts))
-
-
 def thread_cap():
-    """Parallelism cap from DESCRY_THREADS (default 1: sequential)."""
-    raw = os.environ.get("DESCRY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Always 1, as descry runs in one thread; perfbench/run.py reads it."""
+    return 1
 
 
-def parallel_map(fn, items):
-    """Map fn over items, optionally threaded, with order-stable results.
+_lru_lock = threading.Lock()
 
-    Results are written by index, so the output is independent of the
-    parallelism degree. Workers must be pure given their item.
-    """
-    items = list(items)
-    cap = min(thread_cap(), len(items)) if items else 1
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    out = [None] * len(items)
 
-    def run(i):
-        out[i] = fn(items[i])
-
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        list(ex.map(run, range(len(items))))
-    return out
+def lru_get_or_build(cache, size, key, build):
+    """cache[key], built on a miss, in an OrderedDict kept to its `size` most
+    recently used entries; threads racing on one key all get the first stored."""
+    with _lru_lock:
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+    value = build()
+    with _lru_lock:
+        value = cache.setdefault(key, value)
+        cache.move_to_end(key)
+        while len(cache) > size:
+            cache.popitem(last=False)
+    return value
 
 
 def fmt_number(x):

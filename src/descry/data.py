@@ -348,19 +348,21 @@ def split(d, train_fraction, seed):
     return d.take(perm[:n_train]), d.take(perm[n_train:])
 
 
-def resample(d, plan, replicate_index):
-    """Draw one resampled replicate; a pure function of (d, plan, index)."""
+def resample_indices(k, plan, replicate_index):
+    """The row indices `resample` draws from k rows; pure in (k, plan, index)."""
     if not (0 <= replicate_index < plan.replicates):
         raise IndexOutOfRange(
             f"replicate_index {replicate_index} outside [0, {plan.replicates})",
             operation="resample")
     rng = np.random.default_rng(derive_seed(plan.seed, "resample", replicate_index))
     if plan.method == "bootstrap":
-        idx = rng.integers(0, d.k, size=d.k)
-    else:
-        size = int(np.floor(plan.fraction * d.k))
-        idx = rng.permutation(d.k)[:size]
-    return d.take(idx)
+        return rng.integers(0, k, size=k)
+    return rng.permutation(k)[:int(np.floor(plan.fraction * k))]
+
+
+def resample(d, plan, replicate_index):
+    """Draw one resampled replicate as a Dataset copy."""
+    return d.take(resample_indices(d.k, plan, replicate_index))
 
 
 def select_features(d, indices):

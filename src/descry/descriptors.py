@@ -30,6 +30,7 @@ from .models import (
     epe,
     gower_distances,
     pointwise_loss,
+    row_losses,
     subset_model,
 )
 from .samplers import build_grid, conditional_groups, get_support_checker
@@ -142,8 +143,8 @@ def cpdp(h, d_eval, feature, grid=None, band=None):
     preds = h.predict_batch(d_eval.rows)
     curve, stderr = [], []
     for g in groups:
-        member_preds = preds[list(g.member_row_indices)]
-        curve.append((g.grid_point, float(member_preds.mean()), len(g.member_row_indices)))
+        member_preds = preds[g.member_row_indices]
+        curve.append((g.grid_point, float(member_preds.mean()), member_preds.size))
         stderr.append(float(member_preds.std(ddof=1) / np.sqrt(member_preds.size))
                       if member_preds.size > 1 else 0.0)
     spec = DescriptorSpec(question="cpdp", feature=grid.feature_index, band=band)
@@ -175,17 +176,24 @@ def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND)
 # -- conditional contributions ------------------------------------------------
 
 
-def cpfi(config, d_train, d_eval, feature, loss):
-    """Conditional feature importance, refit form: how much worse the
-    optimally reduced model predicts without the feature."""
+def cpfi_row_losses(config, d_train, d_eval, feature, loss):
+    """Per-row losses on d_eval of the full refit and of the refit without
+    the feature: the two arrays whose means cpfi subtracts."""
     if d_train.n < 2:
         raise ValueError("cpfi needs at least two features")
     full_set = tuple(range(d_train.n))
     reduced_set = tuple(j for j in full_set if j != feature)
     full = subset_model(config, d_train, loss, full_set)
     reduced = subset_model(config, d_train, loss, reduced_set)
-    full_epe = epe(full, d_eval, loss)
-    reduced_epe = epe(reduced, select_features(d_eval, reduced_set), loss)
+    return (row_losses(full, d_eval, loss),
+            row_losses(reduced, select_features(d_eval, reduced_set), loss))
+
+
+def cpfi(config, d_train, d_eval, feature, loss):
+    """Conditional feature importance, refit form: how much worse the
+    optimally reduced model predicts without the feature."""
+    full, reduced = cpfi_row_losses(config, d_train, d_eval, feature, loss)
+    full_epe, reduced_epe = float(np.mean(full)), float(np.mean(reduced))
     spec = DescriptorSpec(question="cpfi", feature=feature, loss=loss)
     return DescriptorResult(spec=spec, scalar=reduced_epe - full_epe, diagnostics={
         "epe_full": full_epe, "epe_reduced": reduced_epe,

@@ -6,7 +6,7 @@ analytic simulator produces oracle handles of the same shape. Subset refits
 are cached because fair-contribution scores enumerate up to 2^n of them.
 """
 
-import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import FeatureSpec, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
-from ._util import derive_seed
+from ._util import derive_seed, lru_get_or_build
 
 # Cap on queries x reference cells per distance block; bounds its temporaries.
 DISTANCE_BLOCK_CELLS = 1 << 16
@@ -353,14 +353,18 @@ def predict(handle, x):
     return handle.predict(x)
 
 
-def epe(handle, d, loss):
-    """Empirical expected prediction error: mean loss over the rows of d."""
+def row_losses(handle, d, loss):
+    """The loss of the handle's prediction at each row of d."""
     if d.k == 0:
         raise ValueError("dataset is empty")
     _check_output_compat(handle, loss, "epe")
     preds = handle.predict_batch(d.rows)
-    levels = handle.params.get("y_levels")
-    return float(np.mean(pointwise_loss(loss, d.targets, preds, y_levels=levels)))
+    return pointwise_loss(loss, d.targets, preds, y_levels=handle.params.get("y_levels"))
+
+
+def epe(handle, d, loss):
+    """Empirical expected prediction error: mean loss over the rows of d."""
+    return float(np.mean(row_losses(handle, d, loss)))
 
 
 def model_distance(h1, h2, d, loss):
@@ -537,13 +541,13 @@ def train(config, d, loss):
 
 # -- subset refits -----------------------------------------------------------
 
-_subset_cache = {}
-_subset_cache_lock = threading.Lock()
+# refits kept for reuse: all subsets of 5 features, so two exact Shapley calls can share them
+SUBSET_CACHE_SIZE = 32
+_subset_cache = OrderedDict()
 
 
 def clear_subset_cache():
-    with _subset_cache_lock:
-        _subset_cache.clear()
+    _subset_cache.clear()
 
 
 def best_constant(d, loss):
@@ -566,27 +570,21 @@ def subset_model(config, d, loss, subset):
     schema is empty, so it evaluates on zero-column row matrices.
     """
     subset = tuple(sorted(int(j) for j in subset))
-    key = (config.key(), d.fingerprint, loss, subset)
-    with _subset_cache_lock:
-        hit = _subset_cache.get(key)
-    if hit is not None:
-        return hit
+    return lru_get_or_build(_subset_cache, SUBSET_CACHE_SIZE,
+                            (config.key(), d.fingerprint, loss, subset),
+                            lambda: _fit_subset(config, d, loss, subset))
 
-    if not subset:
-        const = best_constant(d, loss)
-        if loss == LossFunction.KL:
-            levels, dist = const
-            handle = PredictorHandle(
-                input_schema=[], output_kind="distribution", kind="constant_distribution",
-                params={"dist": dist.tolist(), "y_levels": levels.tolist()},
-                metadata={"learner": "constant"})
-        else:
-            handle = PredictorHandle(
-                input_schema=[], output_kind="scalar", kind="constant",
-                params={"value": const}, metadata={"learner": "constant"})
-    else:
-        handle = train(config, select_features(d, subset), loss)
 
-    with _subset_cache_lock:
-        _subset_cache.setdefault(key, handle)
-        return _subset_cache[key]
+def _fit_subset(config, d, loss, subset):
+    if subset:
+        return train(config, select_features(d, subset), loss)
+    const = best_constant(d, loss)
+    if loss == LossFunction.KL:
+        levels, dist = const
+        return PredictorHandle(
+            input_schema=[], output_kind="distribution", kind="constant_distribution",
+            params={"dist": dist.tolist(), "y_levels": levels.tolist()},
+            metadata={"learner": "constant"})
+    return PredictorHandle(
+        input_schema=[], output_kind="scalar", kind="constant",
+        params={"value": const}, metadata={"learner": "constant"})

@@ -7,17 +7,19 @@ every query on-distribution. Samplers never fabricate feature combinations:
 sampled X_rest vectors are always taken from observed rows.
 """
 
-import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyNeighborhood, UnknownFeature
 from .models import feature_ranges, gower_encode, nearest
-from ._util import derive_seed
+from ._util import derive_seed, lru_get_or_build
 
 MIN_GROUP_SIZE = 5
 SELF_DISTANCE_SAMPLE = 1000
+# support checkers kept for reuse, each holding an encoded copy of its data
+CHECKER_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -40,15 +42,11 @@ class Grid:
         if self.strategy not in ("unique_values", "quantile"):
             raise ValueError(f"unknown grid strategy {self.strategy!r}")
 
-    @property
-    def is_numeric(self):
-        return all(isinstance(p, float) for p in self.points)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalGroup:
     grid_point: object
-    member_row_indices: tuple
+    member_row_indices: np.ndarray
     weight: float
 
 
@@ -84,46 +82,41 @@ def default_band(d, grid):
     return float(np.median(gaps) / 2.0)
 
 
-def conditional_groups(d, grid, band=None):
-    """Group evaluation rows by grid point.
+def grid_membership(d, grid, band=None):
+    """Row-by-grid-point match matrix (k x G bool): row i belongs to point g.
 
-    Numeric membership is |x_p - i| <= band; categorical and integer grids
-    match exactly when band is 0. Groups smaller than MIN_GROUP_SIZE are
-    dropped and returned separately so sparsity is never silent.
-
-    Returns (groups, dropped) where dropped lists {"grid_point", "members"}.
+    Numeric membership is |x_p - g| <= band (default_band when None);
+    categorical and integer grids match exactly when band is 0.
     """
     if band is None:
         band = default_band(d, grid)
     if band < 0:
         raise ValueError("band must be non-negative")
     j = grid.feature_index
-    spec = d.features[j]
-    groups, dropped = [], []
-    total = d.k
-    if spec.kind == "categorical":
+    if d.features[j].kind == "categorical":
         col = d.column(j)
-        for point in grid.points:
-            members = np.flatnonzero(np.array([v == point for v in col]))
-            _classify(groups, dropped, point, members, total)
-    else:
-        col = d.numeric_column(j)
-        for point in grid.points:
-            if band == 0:
-                members = np.flatnonzero(col == point)
-            else:
-                members = np.flatnonzero(np.abs(col - point) <= band)
-            _classify(groups, dropped, point, members, total)
+        return np.column_stack([col == point for point in grid.points])
+    col = d.numeric_column(j)[:, None]
+    points = np.asarray(grid.points, dtype=float)
+    return col == points if band == 0 else np.abs(col - points) <= band
+
+
+def conditional_groups(d, grid, band=None):
+    """Group evaluation rows by grid point (see grid_membership). Groups
+    smaller than MIN_GROUP_SIZE are dropped and returned separately so
+    sparsity is never silent.
+
+    Returns (groups, dropped) where dropped lists {"grid_point", "members"}.
+    """
+    groups, dropped = [], []
+    for point, matches in zip(grid.points, grid_membership(d, grid, band).T):
+        members = np.flatnonzero(matches)
+        if members.size >= MIN_GROUP_SIZE:
+            groups.append(ConditionalGroup(grid_point=point, member_row_indices=members,
+                                           weight=members.size / d.k))
+        else:
+            dropped.append({"grid_point": point, "members": int(members.size)})
     return groups, dropped
-
-
-def _classify(groups, dropped, point, members, total):
-    if members.size >= MIN_GROUP_SIZE:
-        groups.append(ConditionalGroup(grid_point=point,
-                                       member_row_indices=tuple(int(i) for i in members),
-                                       weight=members.size / total))
-    else:
-        dropped.append({"grid_point": point, "members": int(members.size)})
 
 
 @dataclass(frozen=True)
@@ -152,15 +145,10 @@ def conditional_sample(s, fixed, count, seed):
         raise ValueError("count must be at least 1")
     j, value = fixed
     d = s.source
-    spec = d.features[j]
-    if spec.kind == "categorical":
-        pool = np.flatnonzero(np.array([v == value for v in d.column(j)]))
-    else:
-        col = d.numeric_column(j)
+    if d.features[j].kind != "categorical":
         value = float(value)
-        band = _grouping_band(d, j)
-        pool = np.flatnonzero(np.abs(col - value) <= band) if band > 0 \
-            else np.flatnonzero(col == value)
+    grid = Grid(feature_index=j, points=(value,), strategy="unique_values")
+    pool = np.flatnonzero(grid_membership(d, grid, _grouping_band(d, j))[:, 0])
     if pool.size == 0:
         raise EmptyNeighborhood(
             f"no source rows support {d.features[j].name} = {value!r}",
@@ -220,20 +208,13 @@ class SupportChecker:
         return bool(self.check_rows([x])[0])
 
 
-_checker_cache = {}
-_checker_lock = threading.Lock()
+_checker_cache = OrderedDict()
 
 
 def get_support_checker(d, quantile_band=0.005):
-    key = (d.fingerprint, float(quantile_band))
-    with _checker_lock:
-        checker = _checker_cache.get(key)
-    if checker is None:
-        checker = SupportChecker(d, quantile_band)
-        with _checker_lock:
-            _checker_cache.setdefault(key, checker)
-            checker = _checker_cache[key]
-    return checker
+    return lru_get_or_build(_checker_cache, CHECKER_CACHE_SIZE,
+                            (d.fingerprint, float(quantile_band)),
+                            lambda: SupportChecker(d, quantile_band))
 
 
 def support_check(d, x, quantile_band=0.005):

@@ -16,17 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .data import ResamplePlan, resample
-from .descriptors import cpdp, cpfi, relevant_value_global
+from .data import ResamplePlan, resample, resample_indices
+from .descriptors import cpdp, cpfi, cpfi_row_losses, relevant_value_global
 from .errors import (
+    AllGroupsEmpty,
     InsufficientReplicates,
     NoOracleAvailable,
     NoReferenceAvailable,
 )
 from .models import train
 from .phenomenon import true_conditional_expectation
-from .samplers import build_grid
-from ._util import derive_seed, parallel_map
+from .samplers import MIN_GROUP_SIZE, build_grid, grid_membership
+from ._util import derive_seed
 
 MIN_REPLICATES = 20
 
@@ -143,6 +144,34 @@ def _descriptor_vector(spec, grid, *, handle=None, config=None, d_train=None, d_
     raise ValueError(f"uncertainty quantification does not support {spec.question!r}")
 
 
+def _replicate_curves(spec, grid, d, plan, *, handle=None, config=None, d_train=None):
+    """The descriptor on each replicate of d under plan, one row each. For cpdp
+    and cpfi a replicate is its row-count vector, weighting per-row predictions
+    or losses computed once (equal to a Dataset copy's value up to summation
+    order); relevant_value_global's support check needs the copy's own rows."""
+    replicates = range(plan.replicates)
+    if spec.question == "relevant_value_global":
+        return np.stack([_descriptor_vector(spec, grid, handle=handle, d_eval=resample(d, plan, r))
+                         for r in replicates])
+    counts = (np.bincount(resample_indices(d.k, plan, r), minlength=d.k) for r in replicates)
+    if spec.question == "cpfi":
+        full, reduced = cpfi_row_losses(config, d_train, d, spec.feature, spec.loss)
+        return np.array([[(w @ reduced - w @ full) / w.sum()] for w in counts])
+    members = grid_membership(d, grid, spec.band).astype(float)
+    preds = handle.predict_batch(d.rows)
+    curves = np.empty((plan.replicates, len(grid.points)))
+    for r, w in enumerate(counts):
+        if not w.any():
+            raise ValueError("evaluation dataset is empty")
+        sizes = w @ members
+        kept = sizes >= MIN_GROUP_SIZE
+        if not kept.any():
+            raise AllGroupsEmpty("every grid point fell below the minimum group size",
+                                 operation="cpdp")
+        curves[r] = np.where(kept, (w * preds) @ members / np.where(kept, sizes, 1), np.nan)
+    return curves
+
+
 def _grid_mean_sq(a, b):
     """Squared-error descriptor distance averaged over jointly retained points."""
     mask = ~(np.isnan(a) | np.isnan(b))
@@ -224,6 +253,12 @@ def _check_replicates(count, operation):
             operation=operation)
 
 
+def _plan(cfg, replicates, *parts):
+    """cfg's resampling plan with its own seed stream, derived from parts."""
+    return ResamplePlan(method=cfg.resample_plan.method, fraction=cfg.resample_plan.fraction,
+                        replicates=replicates, seed=derive_seed(cfg.resample_plan.seed, *parts))
+
+
 def _interval(points, half):
     return np.stack([points - half, points + half], axis=1)
 
@@ -236,15 +271,8 @@ def ci_estimation(h, d_eval, spec, cfg):
     grid = _resolve_grid(spec, d_eval)
     point = _descriptor_vector(spec, grid, handle=h, d_eval=d_eval)
 
-    plan = ResamplePlan(method=cfg.resample_plan.method,
-                        fraction=cfg.resample_plan.fraction,
-                        replicates=cfg.ee_replicates,
-                        seed=derive_seed(cfg.resample_plan.seed, "ci-ee"))
-
-    def one_replicate(r):
-        return _descriptor_vector(spec, grid, handle=h, d_eval=resample(d_eval, plan, r))
-
-    curves = np.stack(parallel_map(one_replicate, range(cfg.ee_replicates)))
+    curves = _replicate_curves(spec, grid, d_eval, _plan(cfg, cfg.ee_replicates, "ci-ee"),
+                               handle=h)
 
     counts = np.sum(~np.isnan(curves), axis=0)
     with warnings.catch_warnings():
@@ -282,24 +310,14 @@ def ci_combined(config, d, spec, cfg):
     point = _descriptor_vector(spec, grid, handle=full_model, config=config,
                                d_train=d, d_eval=d)
 
-    train_plan = ResamplePlan(method=cfg.resample_plan.method,
-                              fraction=cfg.resample_plan.fraction,
-                              replicates=cfg.me_replicates,
-                              seed=derive_seed(cfg.resample_plan.seed, "ci-me-train"))
-
-    def one_refit(r):
+    train_plan = _plan(cfg, cfg.me_replicates, "ci-me-train")
+    curves = np.empty((cfg.me_replicates, cfg.ee_replicates, point.size))
+    for r in range(cfg.me_replicates):
         d_train_r = resample(d, train_plan, r)
-        eval_plan = ResamplePlan(method=cfg.resample_plan.method,
-                                 fraction=cfg.resample_plan.fraction,
-                                 replicates=cfg.ee_replicates,
-                                 seed=derive_seed(cfg.resample_plan.seed, "ci-me-eval", r))
+        eval_plan = _plan(cfg, cfg.ee_replicates, "ci-me-eval", r)
         handle_r = train(config, d_train_r, spec.loss) if spec.question != "cpfi" else None
-        return np.stack([
-            _descriptor_vector(spec, grid, handle=handle_r, config=config,
-                               d_train=d_train_r, d_eval=resample(d, eval_plan, e))
-            for e in range(cfg.ee_replicates)])
-
-    curves = np.stack(parallel_map(one_refit, range(cfg.me_replicates)))
+        curves[r] = _replicate_curves(spec, grid, d, eval_plan, handle=handle_r,
+                                      config=config, d_train=d_train_r)
 
     flat = curves.reshape(-1, point.size)
     with warnings.catch_warnings():

@@ -294,6 +294,34 @@ class TestSubsetModel:
                                     range(32)))
         assert all(h is handles[0] for h in handles)
 
+    def test_cache_is_bounded(self, benchmark_phenomenon):
+        from descry import CIConfig, ResamplePlan, ci_combined
+        from descry.descriptors import DescriptorSpec
+        from descry.models import SUBSET_CACHE_SIZE, _subset_cache
+        clear_subset_cache()
+        d = sample(benchmark_phenomenon, 200, seed=17)
+        plan = ResamplePlan(method="subsample", fraction=0.5, replicates=30, seed=1)
+        cfg = CIConfig(ee_replicates=20, me_replicates=30, resample_plan=plan)
+        # two refits for the point estimate and two per model replicate
+        ci_combined(LearnerConfig(learner="knn", knn_k=5), d,
+                    DescriptorSpec(question="cpfi", feature=0), cfg)
+        assert len(_subset_cache) == SUBSET_CACHE_SIZE
+
+    def test_exact_shapley_refits_stay_cached(self):
+        from unittest import mock
+        from descry import models, sage, shapley_local
+        # 5 features: 32 subsets, as many as the cache keeps
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(150, 5))
+        d = Dataset(features=[FeatureSpec(name=f"x{j}", kind="numeric") for j in range(5)],
+                    target=FeatureSpec(name="y", kind="numeric"), rows=x,
+                    targets=x.sum(axis=1) + rng.normal(size=150), provenance="observed")
+        clear_subset_cache()
+        sage(OLS, d, d, MSE)
+        with mock.patch.object(models, "train", wraps=models.train) as refit:
+            shapley_local(OLS, d, d, list(np.median(x, axis=0)))
+        assert refit.call_count == 0
+
 
 class TestEncoding:
     def test_one_hot_round_trip(self):

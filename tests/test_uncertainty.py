@@ -239,16 +239,6 @@ class TestCiCombined:
         with pytest.raises(InsufficientReplicates):
             ci_combined(OLS, d, spec, self._config(me=5))
 
-    def test_parallelism_degree_does_not_change_results(self, setup, monkeypatch):
-        p, _, _, _, spec = setup
-        d = sample(p, 800, seed=904)
-        monkeypatch.setenv("DESCRY_THREADS", "1")
-        serial = ci_combined(OLS, d, spec, self._config())
-        monkeypatch.setenv("DESCRY_THREADS", "4")
-        threaded = ci_combined(OLS, d, spec, self._config())
-        assert np.array_equal(serial.ci_me_ee, threaded.ci_me_ee, equal_nan=True)
-        assert np.array_equal(serial.var_ee, threaded.var_ee, equal_nan=True)
-
     def test_scalar_question_cpfi(self, setup):
         p, _, _, _, _ = setup
         d = sample(p, 1500, seed=903)
@@ -268,3 +258,59 @@ class TestCiCombined:
         (point,), ((lo, hi),) = report.point_estimates, report.ci_me_ee
         assert np.all(np.isfinite([point, lo, hi]))
         assert lo <= point <= hi
+
+
+class TestReplicateErrors:
+    """An error in one evaluation replicate, pinned through ci_estimation,
+    ci_combined and the CLI's error.json."""
+
+    def _check(self, tmp_path, p, *, k, seed, band, fraction, ee_error, combined_error):
+        import json
+        import os
+        from descry import train
+        from descry._util import write_json
+        from descry.cli import main
+
+        d = sample(p, k, seed=seed)
+        grid = build_grid(d, "x1", max_points=3)
+        spec = DescriptorSpec(question="cpdp", feature=0, grid=grid, band=band)
+        plan = ResamplePlan(method="subsample", fraction=fraction, replicates=20, seed=0)
+        cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
+        handle = train(OLS, d, MSE)
+        for run, expected in ((lambda: ci_estimation(handle, d, spec, cfg), ee_error),
+                              (lambda: ci_combined(OLS, d, spec, cfg), combined_error)):
+            with pytest.raises(Exception) as info:
+                run()
+            assert (type(info.value).__name__, str(info.value)) == \
+                (expected["error"], expected["message"])
+
+        data, model = str(tmp_path / "d.json"), str(tmp_path / "m.json")
+        write_json(data, d.to_dict())
+        write_json(model, handle.to_dict())
+        common = ["--data", data, "--feature", "x1", "--max-points", "3", "--band", str(band),
+                  "--resample", "subsample", "--fraction", str(fraction),
+                  "--ee-replicates", "20", "--me-replicates", "20"]
+        for mode, extra, expected in (("ee", ["--model", model], ee_error),
+                                      ("combined", ["--learner", "ols"], combined_error)):
+            out = str(tmp_path / mode)
+            assert main(["uncertainty", "--question", "cpdp", "--mode", mode, "--out", out]
+                        + common + extra) == 1
+            assert json.load(open(os.path.join(out, "error.json"))) == expected
+
+    def test_replicate_without_grid_points(self, tmp_path, benchmark_phenomenon):
+        # the full data keeps a group of >= 5 rows within 0.05 of a quantile
+        # point; half-samples do not
+        error = {"error": "AllGroupsEmpty", "module": "descriptors", "operation": "cpdp",
+                 "message": "every grid point fell below the minimum group size"}
+        self._check(tmp_path, benchmark_phenomenon, k=60, seed=1, band=0.05, fraction=0.5,
+                    ee_error=error, combined_error=error)
+
+    def test_empty_replicate(self, tmp_path, benchmark_phenomenon):
+        # floor(0.05 * 10) = 0 rows; in combined mode the empty training
+        # replicate fails first
+        def error(message):
+            return {"error": "ValueError", "module": "cli", "operation": "uncertainty",
+                    "message": message}
+        self._check(tmp_path, benchmark_phenomenon, k=10, seed=1, band=100.0, fraction=0.05,
+                    ee_error=error("evaluation dataset is empty"),
+                    combined_error=error("training dataset is empty"))

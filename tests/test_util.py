@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from descry._util import canonical_json, derive_seed, fmt_number, parallel_map
+from descry._util import canonical_json, derive_seed, fmt_number
 
 
 class TestDeriveSeed:
@@ -38,14 +38,3 @@ class TestFmtNumber:
         assert fmt_number(3) == "3"
         assert fmt_number(0.1) == "0.1"
 
-
-class TestParallelMap:
-    def test_order_stable_under_threads(self, monkeypatch):
-        items = list(range(40))
-        monkeypatch.setenv("DESCRY_THREADS", "8")
-        assert parallel_map(lambda i: i * i, items) == [i * i for i in items]
-
-    def test_sequential_fallback(self, monkeypatch):
-        monkeypatch.setenv("DESCRY_THREADS", "not-a-number")
-        assert parallel_map(lambda i: -i, [1, 2]) == [-1, -2]
-        assert parallel_map(lambda i: i, []) == []
