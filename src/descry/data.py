@@ -97,11 +97,22 @@ def _parse_cell(raw, spec, row_idx):
         raise TypeMismatch(
             f"row {row_idx}, column {spec.name!r}: {text!r} is not parseable as "
             f"{spec.kind}", operation="load_csv") from None
+    if not np.isfinite(value):
+        raise TypeMismatch(
+            f"row {row_idx}, column {spec.name!r}: {text!r} is not finite",
+            operation="load_csv")
     if spec.kind == "integer" and value != int(value):
         raise TypeMismatch(
             f"row {row_idx}, column {spec.name!r}: {text!r} is not an integer",
             operation="load_csv")
     return value
+
+
+def _require_finite(values, what):
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{what} holds the non-finite value {values[bad[0]]} in row {bad[0]}")
 
 
 @dataclass
@@ -134,8 +145,11 @@ class Dataset:
                 if bad:
                     raise ValueError(
                         f"column {spec.name!r} contains values outside its categories: {bad[:3]}")
-            elif has_cat:
-                rows[:, j] = [float(v) for v in col]
+            else:
+                if has_cat:
+                    rows[:, j] = [float(v) for v in col]
+                _require_finite(rows[:, j], f"column {spec.name!r}")
+        _require_finite(targets, f"target {self.target.name!r}")
         rows.setflags(write=False)
         targets.setflags(write=False)
         self.rows = rows

@@ -30,7 +30,6 @@ from .models import (
     epe,
     gower_distances,
     pointwise_loss,
-    row_losses,
     subset_model,
 )
 from .samplers import build_grid, conditional_groups, get_support_checker
@@ -176,24 +175,16 @@ def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND)
 # -- conditional contributions ------------------------------------------------
 
 
-def cpfi_row_losses(config, d_train, d_eval, feature, loss):
-    """Per-row losses on d_eval of the full refit and of the refit without
-    the feature: the two arrays whose means cpfi subtracts."""
+def cpfi(config, d_train, d_eval, feature, loss):
+    """Conditional feature importance, refit form: how much worse the
+    optimally reduced model predicts without the feature."""
     if d_train.n < 2:
         raise ValueError("cpfi needs at least two features")
     full_set = tuple(range(d_train.n))
     reduced_set = tuple(j for j in full_set if j != feature)
-    full = subset_model(config, d_train, loss, full_set)
-    reduced = subset_model(config, d_train, loss, reduced_set)
-    return (row_losses(full, d_eval, loss),
-            row_losses(reduced, select_features(d_eval, reduced_set), loss))
-
-
-def cpfi(config, d_train, d_eval, feature, loss):
-    """Conditional feature importance, refit form: how much worse the
-    optimally reduced model predicts without the feature."""
-    full, reduced = cpfi_row_losses(config, d_train, d_eval, feature, loss)
-    full_epe, reduced_epe = float(np.mean(full)), float(np.mean(reduced))
+    full_epe = epe(subset_model(config, d_train, loss, full_set), d_eval, loss)
+    reduced_epe = epe(subset_model(config, d_train, loss, reduced_set),
+                      select_features(d_eval, reduced_set), loss)
     spec = DescriptorSpec(question="cpfi", feature=feature, loss=loss)
     return DescriptorResult(spec=spec, scalar=reduced_epe - full_epe, diagnostics={
         "epe_full": full_epe, "epe_reduced": reduced_epe,

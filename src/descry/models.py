@@ -146,6 +146,36 @@ def _distances(queries, reference, ranges=None):
     return acc / max(len(ranges), 1)
 
 
+def _smallest(block, count):
+    """The first `count` columns of each row's stable argsort (smallest first,
+    lowest column on ties, NaN last), without sorting whole rows."""
+    if count >= block.shape[1]:
+        return np.argsort(block, axis=1, kind="stable")[:, :count]
+    if count == 1:
+        order = np.argmin(block, axis=1)[:, None]
+        nan = np.isnan(np.take_along_axis(block, order, axis=1)[:, 0])
+    else:
+        kth = np.partition(block, count - 1, axis=1)[:, count - 1:count]
+        nan = np.isnan(kth[:, 0])
+        chosen = block <= kth
+        # where the count-th value has too many ties, keep its lowest columns
+        over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > count)
+        if over.size:
+            below = block[over] < kth[over]
+            tied = chosen[over] & ~below
+            room = count - np.count_nonzero(below, axis=1)[:, None]
+            chosen[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        chosen[nan, :count] = True  # filler for the reshape; overwritten below
+        cols = (np.flatnonzero(chosen) % block.shape[1]).reshape(len(block), count)
+        ranks = np.argsort(np.take_along_axis(block, cols, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(cols, ranks, axis=1)
+    # a stable sort puts NaN last, but argmin returns the first NaN and a NaN
+    # count-th value selects nothing: those rows take the full sort
+    if nan.any():
+        order[nan] = np.argsort(block[nan], axis=1, kind="stable")[:, :count]
+    return order
+
+
 def nearest(queries, reference, count, ranges=None):
     """Row indices and distances of the `count` reference rows nearest to
     each query, nearest first; ties go to the lowest row index."""
@@ -154,7 +184,7 @@ def nearest(queries, reference, count, ranges=None):
     step = max(1, DISTANCE_BLOCK_CELLS // max(reference.size, 1))
     for start in range(0, len(queries), step):
         block = _distances(queries[start:start + step], reference, ranges)
-        order = np.argsort(block, axis=1, kind="stable")[:, :count]
+        order = _smallest(block, count)
         index[start:start + step] = order
         dist[start:start + step] = np.take_along_axis(block, order, axis=1)
     return index, dist

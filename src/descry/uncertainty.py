@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .data import ResamplePlan, resample, resample_indices
-from .descriptors import cpdp, cpfi, cpfi_row_losses, relevant_value_global
+from .data import ResamplePlan, resample, resample_indices, select_features
+from .descriptors import cpdp, cpfi, relevant_value_global
 from .errors import (
     AllGroupsEmpty,
     InsufficientReplicates,
     NoOracleAvailable,
     NoReferenceAvailable,
 )
-from .models import train
+from .models import row_losses, train
 from .phenomenon import true_conditional_expectation
 from .samplers import MIN_GROUP_SIZE, build_grid, grid_membership
 from ._util import derive_seed
@@ -155,7 +155,11 @@ def _replicate_curves(spec, grid, d, plan, *, handle=None, config=None, d_train=
                          for r in replicates])
     counts = (np.bincount(resample_indices(d.k, plan, r), minlength=d.k) for r in replicates)
     if spec.question == "cpfi":
-        full, reduced = cpfi_row_losses(config, d_train, d, spec.feature, spec.loss)
+        # a replicate's two refits are never asked for again, so they skip subset_model's cache
+        reduced_set = [j for j in range(d.n) if j != spec.feature]
+        full = row_losses(train(config, d_train, spec.loss), d, spec.loss)
+        reduced = row_losses(train(config, select_features(d_train, reduced_set), spec.loss),
+                             select_features(d, reduced_set), spec.loss)
         return np.array([[(w @ reduced - w @ full) / w.sum()] for w in counts])
     members = grid_membership(d, grid, spec.band).astype(float)
     preds = handle.predict_batch(d.rows)

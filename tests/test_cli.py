@@ -254,6 +254,20 @@ class TestErrorHandling:
         error = json.load(open(os.path.join(out, "error.json")))
         assert set(error) >= {"error", "module", "operation", "message"}
 
+    def test_non_finite_json_dataset_is_runtime_error(self, tmp_path, simulated, capsys):
+        raw = json.load(open(os.path.join(simulated, "dataset.json")))
+        raw["rows"][5][1] = float("inf")
+        data_path = tmp_path / "inf.json"
+        data_path.write_text(json.dumps(raw))  # writes the JSON extension `Infinity`
+        assert "Infinity" in data_path.read_text()
+        out = str(tmp_path / "err")
+        assert main(["train", "--data", str(data_path), "--learner", "ols",
+                     "--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert error["error"] == "ValueError"
+        assert "non-finite value inf in row 5" in error["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestStudentSchemaIngest:
     def test_ingest_with_jitter(self, tmp_path):

@@ -86,6 +86,13 @@ class TestLoadCsv:
         with pytest.raises(TypeMismatch):
             load_csv(write_csv(tmp_path / "d.csv", lines), SCHEMA, "y")
 
+    @pytest.mark.parametrize("line", ["1,inf,F,2", "1,0.5,F,nan", "-Infinity,0.5,M,3"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, line):
+        with pytest.raises(TypeMismatch) as err:
+            load_csv(write_csv(tmp_path / "d.csv", ["1,0.5,F,2", line]), SCHEMA, "y")
+        assert "row 1" in str(err.value)
+        assert "not finite" in str(err.value)
+
 
 class TestCenter:
     def test_basic(self, toy_dataset):
@@ -273,6 +280,20 @@ class TestSerialization:
         sub = select_features(toy_dataset, [1])
         assert sub.feature_names == ["b"]
         assert np.array_equal(sub.column(0), toy_dataset.column(1))
+
+    @pytest.mark.parametrize("row, target", [([1, float("inf")], 0.0),
+                                             ([1, float("nan")], 0.0),
+                                             ([1, 0.5], float("-inf"))])
+    def test_from_dict_rejects_non_finite(self, row, target):
+        d = _small_dataset().to_dict()
+        d["rows"][3], d["targets"][3] = row, target
+        with pytest.raises(ValueError, match="non-finite value .* in row 3"):
+            Dataset.from_dict(d)
+
+    def test_categorical_rows_reject_non_finite(self):
+        with pytest.raises(ValueError, match="column 'score'"):
+            Dataset(features=SCHEMA[1:3], target=SCHEMA[3], rows=[[0.5, "F"], [np.inf, "M"]],
+                    targets=[0.0, 1.0], provenance="observed")
 
     def test_rows_immutable(self, toy_dataset):
         with pytest.raises(ValueError):

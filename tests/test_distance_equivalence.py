@@ -1,7 +1,8 @@
 """The blocked distance kernel against the per-query code it replaced.
 
 The reference functions below are the former per-query implementations of
-the Gower distance, the knn evaluator and the support check. Every value
+the Gower distance, the knn evaluator and the support check, and the full
+stable argsort that `nearest` once took of every distance row. Every value
 the kernel produces must equal theirs exactly, including the tie order of
 nearest neighbours on integer-valued data.
 """
@@ -9,6 +10,7 @@ nearest neighbours on integer-valued data.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, train
@@ -20,6 +22,11 @@ from descry.samplers import SupportChecker
 
 CATEGORIES = ("a", "b", "c", "d")
 UNDECLARED = "zz"
+
+
+def reference_nearest(block, count):
+    order = np.argsort(block, axis=1, kind="stable")[:, :count]
+    return order, np.take_along_axis(block, order, axis=1)
 
 
 def reference_gower_distances(rows, x, features, ranges):
@@ -170,3 +177,60 @@ def test_knn_matches_per_query_reference(problem, knn_k, distance, loss):
         predicted = h.predict_batch(queries)
     expected = reference_eval_knn(h.to_dict()["params"], queries)
     assert predicted.tolist() == expected.tolist()
+
+
+@st.composite
+def distance_block(draw):
+    """A (queries x rows) distance block of small integers (many ties) mixed
+    with NaN, +inf and -inf, some rows all NaN or all equal, and a count."""
+    q, k = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    cell = st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, -0.0, np.nan, np.inf, -np.inf])
+    block = np.array(draw(st.lists(cell, min_size=q * k, max_size=q * k))).reshape(q, k)
+    for i in draw(st.lists(st.integers(0, q - 1), max_size=3)):
+        block[i] = draw(st.sampled_from([np.nan, 1.0, np.inf]))
+    count = draw(st.sampled_from(sorted({c for c in (1, 2, 5, k - 1, k) if 1 <= c <= k})))
+    return block, count
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(distance_block(), st.sampled_from([1, 37, 500]))
+def test_selection_matches_stable_argsort(problem, block_cells):
+    block, count = problem
+    # query i's distance row is block[i]; the kernel itself is covered above
+    queries, reference = np.arange(len(block), dtype=float)[:, None], np.zeros((block.shape[1], 1))
+    with mock.patch.object(models, "_distances", lambda qs, ref, ranges: block[qs[:, 0].astype(int)]), \
+            mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        index, dist = nearest(queries, reference, count)
+    expected_index, expected_dist = reference_nearest(block, count)
+    assert np.array_equal(index, expected_index)
+    assert np.array_equal(dist, expected_dist, equal_nan=True)
+    assert np.array_equal(np.signbit(dist), np.signbit(expected_dist))
+
+
+@pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
+def test_callers_sort_no_whole_distance_row(distance):
+    """The support checker's threshold and check, and knn prediction, rank
+    their one, two or knn_k nearest rows without sorting a row of all k."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(300, 3))
+    d = Dataset(features=[FeatureSpec(name=f"x{j}", kind="numeric") for j in range(3)],
+                target=FeatureSpec(name="y", kind="numeric"), rows=x,
+                targets=x.sum(axis=1), provenance="observed")
+    h = train(LearnerConfig(learner="knn", knn_k=5, distance=distance), d, LossFunction.MSE)
+    argsort = np.argsort
+    widths = []
+
+    def recording_argsort(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return argsort(a, *args, **kwargs)
+
+    def widest_sort(call, *args):
+        widths.clear()
+        with mock.patch.object(np, "argsort", recording_argsort):
+            result = call(*args)
+        return max(widths, default=0), result
+
+    width, checker = widest_sort(SupportChecker, d)
+    assert width <= 2
+    assert widest_sort(checker.check_rows, x[:40] + 0.01)[0] <= 1
+    assert widest_sort(h.predict_batch, x[:40] + 0.01)[0] <= 5

@@ -295,17 +295,26 @@ class TestSubsetModel:
         assert all(h is handles[0] for h in handles)
 
     def test_cache_is_bounded(self, benchmark_phenomenon):
-        from descry import CIConfig, ResamplePlan, ci_combined
-        from descry.descriptors import DescriptorSpec
         from descry.models import SUBSET_CACHE_SIZE, _subset_cache
         clear_subset_cache()
-        d = sample(benchmark_phenomenon, 200, seed=17)
-        plan = ResamplePlan(method="subsample", fraction=0.5, replicates=30, seed=1)
-        cfg = CIConfig(ee_replicates=20, me_replicates=30, resample_plan=plan)
-        # two refits for the point estimate and two per model replicate
-        ci_combined(LearnerConfig(learner="knn", knn_k=5), d,
-                    DescriptorSpec(question="cpfi", feature=0), cfg)
+        # ten datasets times four subsets: 40 distinct refits
+        for seed in range(10):
+            d = sample(benchmark_phenomenon, 50, seed=seed)
+            for subset in [(), (0,), (1,), (0, 1)]:
+                subset_model(OLS, d, MSE, subset)
         assert len(_subset_cache) == SUBSET_CACHE_SIZE
+
+    def test_cpfi_replicate_refits_skip_the_cache(self, benchmark_phenomenon):
+        from descry import CIConfig, ResamplePlan, ci_combined
+        from descry.descriptors import DescriptorSpec
+        from descry.models import _subset_cache
+        clear_subset_cache()
+        d = sample(benchmark_phenomenon, 100, seed=17)
+        plan = ResamplePlan(method="subsample", fraction=0.5, replicates=20, seed=1)
+        cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
+        ci_combined(OLS, d, DescriptorSpec(question="cpfi", feature=0), cfg)
+        # only the point estimate's full and reduced refits
+        assert len(_subset_cache) == 2
 
     def test_exact_shapley_refits_stay_cached(self):
         from unittest import mock
