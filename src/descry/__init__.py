@@ -37,7 +37,6 @@ from .phenomenon import (
     true_epe,
 )
 from .samplers import (
-    ConditionalGroup,
     ConditionalSampler,
     Grid,
     build_grid,
@@ -77,7 +76,7 @@ __all__ = [
     "predict", "subset_model", "train",
     "OptimalPredictorSpec", "Phenomenon", "optimal_predictor", "sample",
     "sample_conditional", "true_conditional_expectation", "true_epe",
-    "ConditionalGroup", "ConditionalSampler", "Grid", "build_grid",
+    "ConditionalSampler", "Grid", "build_grid",
     "conditional_groups", "conditional_sample", "support_check",
     "DescriptorResult", "DescriptorSpec", "counterfactual_local", "cpdp", "cpfi",
     "ice", "local_conditional_contribution", "relevant_value_global", "sage",

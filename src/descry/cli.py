@@ -26,7 +26,6 @@ from .errors import DescryError, MissingManifest
 from .models import LearnerConfig, LossFunction, PredictorHandle, epe, train
 from .phenomenon import Phenomenon, sample
 from .plots import write_curve_svg
-from .samplers import build_grid
 from .uncertainty import CIConfig, ci_combined, ci_estimation
 from ._util import canonical_json, write_json
 
@@ -173,12 +172,10 @@ def _cmd_describe(args):
 
     q = args.question
     if q == "cpdp":
-        grid = build_grid(d_eval, feature, args.max_points)
-        result = cpdp(handle, d_eval, feature, grid=grid, band=args.band)
+        result = cpdp(handle, d_eval, feature, band=args.band, max_points=args.max_points)
         _curve_outputs(args.out, result, d_eval.features[feature].name, "estimate")
     elif q == "ice":
-        grid = build_grid(d_eval, feature, args.max_points)
-        result = ice(handle, instance, feature, grid, d_eval)
+        result = ice(handle, instance, feature, None, d_eval, max_points=args.max_points)
         _curve_outputs(args.out, result, d_eval.features[feature].name, "prediction")
     else:
         if q == "cpfi":
@@ -233,7 +230,7 @@ def _cmd_uncertainty(args):
     write_json(os.path.join(args.out, "report.json"), out)
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.csv_lines()) + "\n")
-    if report.grid is not None:
+    if report.grid is not None and not any(isinstance(v, str) for v in report.grid.points):
         keep = [i for i, v in enumerate(report.point_estimates)
                 if np.isfinite(v) and np.all(np.isfinite(report.ci_ee[i]))]
         if keep:

@@ -132,10 +132,11 @@ class Dataset:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         has_cat = any(f.kind == "categorical" for f in self.features)
-        rows = np.asarray(self.rows, dtype=object if has_cat else float)
+        # own copies: a caller's array, or a view of it, must not write into them
+        rows = np.array(self.rows, dtype=object if has_cat else float)
         if rows.ndim != 2 or rows.shape[1] != len(self.features):
             raise ValueError("rows must be a k x n matrix matching the feature schema")
-        targets = np.asarray(self.targets, dtype=float)
+        targets = np.array(self.targets, dtype=float)
         if targets.shape != (rows.shape[0],):
             raise ValueError("targets length must equal the row count")
         for j, spec in enumerate(self.features):
@@ -188,15 +189,15 @@ class Dataset:
         return Dataset(
             features=self.features,
             target=self.target,
-            rows=self.rows.copy() if rows is None else rows,
-            targets=self.targets.copy() if targets is None else targets,
+            rows=self.rows if rows is None else rows,
+            targets=self.targets if targets is None else targets,
             provenance=self.provenance if provenance is None else provenance,
             seed=self.seed if seed is None else seed,
         )
 
     def take(self, indices, provenance=None):
         idx = np.asarray(indices, dtype=int)
-        return self.replace(rows=self.rows[idx].copy(), targets=self.targets[idx].copy(),
+        return self.replace(rows=self.rows[idx], targets=self.targets[idx],
                             provenance=provenance)
 
     @property
@@ -383,9 +384,9 @@ def select_features(d, indices):
     """Dataset restricted to the given feature columns (targets unchanged)."""
     indices = sorted(int(j) for j in indices)
     features = [d.features[j] for j in indices]
-    rows = d.rows[:, indices].copy() if indices else np.zeros((d.k, 0))
+    rows = d.rows[:, indices] if indices else np.zeros((d.k, 0))
     return Dataset(features=features, target=d.target, rows=rows,
-                   targets=d.targets.copy(), provenance=d.provenance, seed=d.seed)
+                   targets=d.targets, provenance=d.provenance, seed=d.seed)
 
 
 def merge_students(math_d, por_d, por_grade_name="G3_por"):

@@ -32,7 +32,7 @@ from .models import (
     pointwise_loss,
     subset_model,
 )
-from .samplers import build_grid, conditional_groups, get_support_checker
+from .samplers import build_grid, conditional_groups, get_support_checker, group_means
 from ._util import derive_seed
 
 QUESTIONS = (
@@ -112,11 +112,6 @@ class DescriptorResult:
             payload["point"] = self.point
         return {"spec": self.spec.to_dict(), **payload, "diagnostics": self.diagnostics}
 
-    def curve_rows(self):
-        if self.curve is None:
-            raise ValueError("descriptor result has no curve payload")
-        return self.curve
-
 
 def _require_on_support(d_eval, instance, operation):
     checker = get_support_checker(d_eval, SUPPORT_QUANTILE_BAND)
@@ -128,35 +123,45 @@ def _require_on_support(d_eval, instance, operation):
 # -- conditional effect curves ----------------------------------------------
 
 
-def cpdp(h, d_eval, feature, grid=None, band=None):
+def _feature_grid(d, feature, grid, max_points):
+    """The grid along `feature`, a name or an index: built when None, refused
+    when it runs along another feature."""
+    if grid is None:
+        return build_grid(d, feature, max_points)
+    j = d.feature_index(feature) if isinstance(feature, str) else int(feature)
+    if j != grid.feature_index:
+        raise ValueError(f"feature {feature!r} does not match the grid along {grid.feature_index}")
+    return grid
+
+
+def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
     """Conditional partial dependence: per grid point, the mean prediction
     over evaluation rows whose conditioned feature matches that point."""
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
-    if grid is None:
-        grid = build_grid(d_eval, feature)
-    groups, dropped = conditional_groups(d_eval, grid, band=band)
-    if not groups:
-        raise AllGroupsEmpty("every grid point fell below the minimum group size",
-                             operation="cpdp")
+    grid = _feature_grid(d_eval, feature, grid, max_points)
+    members, dropped = conditional_groups(d_eval, grid, band=band)
     preds = h.predict_batch(d_eval.rows)
-    curve, stderr = [], []
-    for g in groups:
-        member_preds = preds[g.member_row_indices]
-        curve.append((g.grid_point, float(member_preds.mean()), member_preds.size))
-        stderr.append(float(member_preds.std(ddof=1) / np.sqrt(member_preds.size))
-                      if member_preds.size > 1 else 0.0)
-    spec = DescriptorSpec(question="cpdp", feature=grid.feature_index, band=band)
+    means, sizes, kept = group_means(preds, members, np.ones(d_eval.k))
+    kept = np.flatnonzero(kept)
+    sq_dev = (preds[:, None] - means[kept]) ** 2 * members[:, kept]
+    stderr = np.sqrt(sq_dev.sum(axis=0) / (sizes[kept] - 1)) / np.sqrt(sizes[kept])
+    curve = [(grid.points[g], float(means[g]), int(sizes[g])) for g in kept]
+    spec = DescriptorSpec(question="cpdp", feature=grid.feature_index, band=band,
+                          max_points=max_points)
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
-        "dropped_grid_points": dropped, "stderr": stderr,
+        "dropped_grid_points": dropped, "stderr": stderr.tolist(),
         "evaluation_size": d_eval.k, "sampler": "grouping"})
 
 
-def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND):
+def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND,
+        max_points=20):
     """Individual conditional expectation: the model's own slice through one
-    instance, plotted only where the spliced point stays on support."""
+    instance, plotted only where the spliced point stays on support. With
+    grid None, the grid is built from d_eval."""
+    grid = _feature_grid(d_eval, feature, grid, max_points)
     checker = _require_on_support(d_eval, instance, "ice")
-    j = grid.feature_index if hasattr(grid, "feature_index") else int(feature)
+    j = grid.feature_index
     spliced = np.array([list(instance)] * len(grid.points), dtype=d_eval.rows.dtype)
     spliced[:, j] = grid.points
     on_support = checker.check_rows(spliced)
@@ -167,7 +172,8 @@ def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND)
                              operation="ice")
     preds = h.predict_batch(spliced[on_support])
     curve = [(point, float(pred), 1) for point, pred in zip(kept, preds)]
-    spec = DescriptorSpec(question="ice", feature=j, instance=list(instance))
+    spec = DescriptorSpec(question="ice", feature=j, instance=list(instance),
+                          max_points=max_points)
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
         "off_support_grid_points": off_support, "evaluation_size": d_eval.k})
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, UnknownFeature
+from .errors import AllGroupsEmpty, EmptyNeighborhood, UnknownFeature
 from .models import feature_ranges, gower_encode, nearest
 from ._util import derive_seed, lru_get_or_build
 
@@ -41,13 +41,6 @@ class Grid:
         object.__setattr__(self, "points", pts)
         if self.strategy not in ("unique_values", "quantile"):
             raise ValueError(f"unknown grid strategy {self.strategy!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalGroup:
-    grid_point: object
-    member_row_indices: np.ndarray
-    weight: float
 
 
 def build_grid(d, feature, max_points=20):
@@ -102,21 +95,31 @@ def grid_membership(d, grid, band=None):
 
 
 def conditional_groups(d, grid, band=None):
-    """Group evaluation rows by grid point (see grid_membership). Groups
-    smaller than MIN_GROUP_SIZE are dropped and returned separately so
-    sparsity is never silent.
+    """Group evaluation rows by grid point (see grid_membership). Returns the
+    k x G membership matrix and, so that sparsity is never silent, the points
+    whose groups are too small to estimate as {"grid_point", "members"}."""
+    members = grid_membership(d, grid, band)
+    sizes = members.sum(axis=0)
+    dropped = [{"grid_point": point, "members": int(size)}
+               for point, size, kept in zip(grid.points, sizes, _retained(sizes)) if not kept]
+    return members, dropped
 
-    Returns (groups, dropped) where dropped lists {"grid_point", "members"}.
-    """
-    groups, dropped = [], []
-    for point, matches in zip(grid.points, grid_membership(d, grid, band).T):
-        members = np.flatnonzero(matches)
-        if members.size >= MIN_GROUP_SIZE:
-            groups.append(ConditionalGroup(grid_point=point, member_row_indices=members,
-                                           weight=members.size / d.k))
-        else:
-            dropped.append({"grid_point": point, "members": int(members.size)})
-    return groups, dropped
+
+def _retained(sizes):
+    return sizes >= MIN_GROUP_SIZE
+
+
+def group_means(values, members, weights):
+    """Per group (a column of the k x G membership matrix), the mean of the
+    values with row i counted weights[i] times; NaN, and not kept, where the
+    weighted group size is below MIN_GROUP_SIZE. Returns (means, sizes, kept)."""
+    sizes = weights @ members
+    kept = _retained(sizes)
+    if not kept.any():
+        raise AllGroupsEmpty("every grid point fell below the minimum group size",
+                             operation="cpdp")
+    means = np.where(kept, (weights * values) @ members / np.where(kept, sizes, 1), np.nan)
+    return means, sizes, kept
 
 
 @dataclass(frozen=True)
@@ -126,19 +129,10 @@ class ConditionalSampler:
     source: object
 
 
-def _grouping_band(d, j):
-    spec = d.features[j]
-    if spec.kind in ("integer", "categorical"):
-        return 0.0
-    distinct = np.unique(d.numeric_column(j))
-    if distinct.size < 2:
-        return 0.0
-    return float(np.median(np.diff(distinct)) / 2.0)
-
-
 def conditional_sample(s, fixed, count, seed):
     """Draw `count` full feature vectors with the fixed coordinate pinned,
-    resampling X_rest from source rows whose conditioned feature matches.
+    resampling X_rest from source rows whose conditioned feature matches
+    within the default band of the grid of all its distinct values.
     Queries outside the observed support raise EmptyNeighborhood.
     """
     if count < 1:
@@ -148,7 +142,8 @@ def conditional_sample(s, fixed, count, seed):
     if d.features[j].kind != "categorical":
         value = float(value)
     grid = Grid(feature_index=j, points=(value,), strategy="unique_values")
-    pool = np.flatnonzero(grid_membership(d, grid, _grouping_band(d, j))[:, 0])
+    band = default_band(d, build_grid(d, j, max(d.k, 2))) if d.k else 0.0
+    pool = np.flatnonzero(grid_membership(d, grid, band)[:, 0])
     if pool.size == 0:
         raise EmptyNeighborhood(
             f"no source rows support {d.features[j].name} = {value!r}",

@@ -19,14 +19,13 @@ from scipy import stats
 from .data import ResamplePlan, resample, resample_indices, select_features
 from .descriptors import cpdp, cpfi, relevant_value_global
 from .errors import (
-    AllGroupsEmpty,
     InsufficientReplicates,
     NoOracleAvailable,
     NoReferenceAvailable,
 )
 from .models import row_losses, train
 from .phenomenon import true_conditional_expectation
-from .samplers import MIN_GROUP_SIZE, build_grid, grid_membership
+from .samplers import build_grid, grid_membership, group_means
 from ._util import derive_seed
 
 MIN_REPLICATES = 20
@@ -98,7 +97,7 @@ class UncertaintyReport:
         lines = [header]
         points = list(self.grid.points) if self.grid is not None else [""]
         for i, point in enumerate(points):
-            row = [repr(float(point)) if point != "" else "",
+            row = [point if isinstance(point, str) else repr(float(point)),
                    repr(float(self.point_estimates[i])),
                    repr(float(self.ci_ee[i][0])), repr(float(self.ci_ee[i][1]))]
             if combined:
@@ -167,12 +166,7 @@ def _replicate_curves(spec, grid, d, plan, *, handle=None, config=None, d_train=
     for r, w in enumerate(counts):
         if not w.any():
             raise ValueError("evaluation dataset is empty")
-        sizes = w @ members
-        kept = sizes >= MIN_GROUP_SIZE
-        if not kept.any():
-            raise AllGroupsEmpty("every grid point fell below the minimum group size",
-                                 operation="cpdp")
-        curves[r] = np.where(kept, (w * preds) @ members / np.where(kept, sizes, 1), np.nan)
+        curves[r] = group_means(preds, members, w)[0]
     return curves
 
 

@@ -90,6 +90,19 @@ class TestDescribe:
         svg = open(os.path.join(out, "plot.svg")).read()
         assert "<polyline" in svg and 'class="rug"' in svg
 
+    @pytest.mark.parametrize("question", ["cpdp", "ice"])
+    def test_spec_records_max_points(self, tmp_path, simulated, trained, question):
+        out = str(tmp_path / question)
+        assert main(["describe", "--question", question,
+                     "--model", os.path.join(trained, "model.json"),
+                     "--data", os.path.join(simulated, "dataset.json"),
+                     "--feature", "x1", "--instance", "[0.1, -0.2]",
+                     "--max-points", "7", "--out", out]) == 0
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert result["spec"]["max_points"] == 7
+        assert len(result["curve"]) + len(result["diagnostics"].get(
+            "dropped_grid_points", result["diagnostics"].get("off_support_grid_points"))) == 7
+
     def test_sage_with_refits(self, tmp_path, simulated):
         out = str(tmp_path / "sage")
         data = os.path.join(simulated, "dataset.json")
@@ -147,6 +160,29 @@ class TestUncertainty:
         assert report["assumptions"]["resampling_overlap_warning"] is True
         svg = open(os.path.join(out, "plot.svg")).read()
         assert svg.count("stroke-dasharray") == 2   # nested dashed bands
+
+    @pytest.mark.parametrize("mode", ["ee", "combined"])
+    def test_categorical_feature(self, tmp_path, mode):
+        data_path = tmp_path / "mixed.json"
+        data_path.write_text(json.dumps({
+            "schema": {"features": [{"name": "x", "kind": "numeric"},
+                                    {"name": "c", "kind": "categorical",
+                                     "categories": ["a", "b"]}],
+                       "target": {"name": "y", "kind": "numeric"}},
+            "provenance": "observed", "seed": None,
+            "rows": [[float(i % 7), "ab"[i % 2]] for i in range(80)],
+            "targets": [float(i % 7) + 2.0 * (i % 2) for i in range(80)]}))
+        model = str(tmp_path / "model")
+        assert main(["train", "--data", str(data_path), "--out", model]) == 0
+        out = str(tmp_path / mode)
+        assert main(["uncertainty", "--question", "cpdp", "--mode", mode,
+                     "--model", os.path.join(model, "model.json"), "--data", str(data_path),
+                     "--feature", "c", "--ee-replicates", "20", "--me-replicates", "20",
+                     "--out", out]) == 0
+        lines = open(os.path.join(out, "report.csv")).read().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["a", "b"]
+        assert not os.path.exists(os.path.join(out, "plot.svg"))
+        assert json.load(open(os.path.join(out, "report.json")))["grid"] == ["a", "b"]
 
     def test_insufficient_replicates_is_runtime_error(self, tmp_path, simulated, trained):
         out = str(tmp_path / "unc_bad")

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descry import (
-    Dataset, FeatureSpec, ResamplePlan, center_feature, jitter_augment, load_csv,
-    merge_students, resample, select_features, split, student_schema,
+    Dataset, FeatureSpec, LearnerConfig, LossFunction, ResamplePlan, center_feature,
+    jitter_augment, load_csv, merge_students, resample, select_features, split,
+    student_schema, subset_model, train,
 )
 from descry.errors import (
     DegenerateSplit, EmptyFile, IndexOutOfRange, MissingColumn, NonNumericFeature,
@@ -298,3 +299,25 @@ class TestSerialization:
     def test_rows_immutable(self, toy_dataset):
         with pytest.raises(ValueError):
             toy_dataset.rows[0, 0] = 99.0
+
+    def test_caller_arrays_are_not_aliased(self):
+        x = np.random.default_rng(0).normal(size=(50, 1))
+        view = x[:]
+        d = Dataset(features=[FeatureSpec(name="x", kind="numeric")],
+                    target=FeatureSpec(name="y", kind="numeric"),
+                    rows=x, targets=x[:, 0].copy(), provenance="observed")
+        before = x.copy()
+        config, mse = LearnerConfig(learner="ols"), LossFunction.MSE
+        assert subset_model(config, d, mse, (0,)).params["coef"] == pytest.approx([1.0])
+        x[0, 0] = 99.0              # the caller's array stays writable
+        view[:, 0] *= 10            # and a view of it reaches no Dataset cell
+        assert np.array_equal(d.rows, before)
+        # so the refit cached under d's fingerprint still describes d
+        assert subset_model(config, d, mse, (0,)).params["coef"] == \
+            train(config, d, mse).params["coef"]
+
+    def test_object_rows_of_the_caller_stay_unconverted(self):
+        rows = np.array([[1, "F"], [2, "M"]], dtype=object)
+        Dataset(features=SCHEMA[:1] + SCHEMA[2:3], target=SCHEMA[3], rows=rows,
+                targets=[0.0, 1.0], provenance="observed")
+        assert type(rows[0, 0]) is int and rows.flags.writeable

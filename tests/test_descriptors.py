@@ -66,11 +66,32 @@ class TestCpdp:
         r2 = cpdp(h2, d_eval, 0, grid)
         curve1 = {v: e for v, e, _ in r1.curve}
         curve2 = {v: e for v, e, _ in r2.curve}
-        groups, _ = conditional_groups(d_eval, grid)
-        min_weight = min(g.weight for g in groups)
+        members, dropped = conditional_groups(d_eval, grid)
+        kept = [g for g, point in enumerate(grid.points)
+                if point not in {rep["grid_point"] for rep in dropped}]
+        min_weight = members[:, kept].sum(axis=0).min() / d_eval.k
         shared = sorted(set(curve1) & set(curve2))
         gap = max(abs(curve1[v] - curve2[v]) for v in shared)
         assert gap <= np.sqrt(delta / min_weight) + 1e-12
+
+
+class TestGridFeature:
+    @pytest.mark.parametrize("feature", [1, "x2"])
+    def test_a_grid_along_another_feature_is_refused(self, benchmark_phenomenon, feature):
+        d_eval = sample(benchmark_phenomenon, 500, seed=108)
+        grid = build_grid(d_eval, "x1", max_points=5)
+        h = constant_handle(d_eval.features, 0.0)
+        with pytest.raises(ValueError, match="does not match the grid"):
+            cpdp(h, d_eval, feature, grid)
+        with pytest.raises(ValueError, match="does not match the grid"):
+            ice(h, [0.0, 0.0], feature, grid, d_eval)
+
+    def test_a_name_matching_the_grid_is_accepted(self, benchmark_phenomenon):
+        d_eval = sample(benchmark_phenomenon, 500, seed=108)
+        grid = build_grid(d_eval, "x2", max_points=5)
+        h = constant_handle(d_eval.features, 0.0)
+        assert cpdp(h, d_eval, "x2", grid).spec.feature == 1
+        assert ice(h, [0.0, 0.0], "x2", grid, d_eval).spec.feature == 1
 
 
 class TestIce:

@@ -50,20 +50,23 @@ class TestConditionalGroups:
     def test_exact_match_membership(self):
         d = integer_grade_dataset()
         grid = build_grid(d, "grade", max_points=25)
-        groups, dropped = conditional_groups(d, grid, band=0)
+        members, dropped = conditional_groups(d, grid, band=0)
         col = d.numeric_column(0)
-        for g in groups:
-            assert all(col[i] == g.grid_point for i in g.member_row_indices)
-            assert g.weight == pytest.approx(len(g.member_row_indices) / d.k)
-        covered = sum(len(g.member_row_indices) for g in groups)
-        covered += sum(rep["members"] for rep in dropped)
+        assert members.shape == (d.k, len(grid.points))
+        for point, matches in zip(grid.points, members.T):
+            assert np.array_equal(matches, col == point)
+        sizes = dict(zip(grid.points, members.sum(axis=0)))
+        for rep in dropped:
+            assert rep["members"] == sizes.pop(rep["grid_point"]) < MIN_GROUP_SIZE
+        assert all(size >= MIN_GROUP_SIZE for size in sizes.values())
+        covered = sum(sizes.values()) + sum(rep["members"] for rep in dropped)
         assert covered == d.k
 
     def test_degenerate_band_catches_everything(self):
         d = integer_grade_dataset()
         grid = build_grid(d, "grade", max_points=25)
-        groups, _ = conditional_groups(d, grid, band=100)
-        assert all(len(g.member_row_indices) == d.k for g in groups)
+        members, dropped = conditional_groups(d, grid, band=100)
+        assert members.all() and dropped == []
 
     def test_small_groups_dropped_and_reported(self):
         rows = [[1, 0.0]] * 10 + [[2, 0.0]] * 3   # group at 2 is below minimum
@@ -72,8 +75,8 @@ class TestConditionalGroups:
                     target=FeatureSpec(name="y", kind="numeric"),
                     rows=rows, targets=[0.0] * 13, provenance="observed")
         grid = build_grid(d, "g", max_points=10)
-        groups, dropped = conditional_groups(d, grid)
-        assert [g.grid_point for g in groups] == [1.0]
+        members, dropped = conditional_groups(d, grid)
+        assert members.sum(axis=0).tolist() == [10, 3]
         assert dropped == [{"grid_point": 2.0, "members": 3}]
         assert 3 < MIN_GROUP_SIZE
 
