@@ -428,7 +428,7 @@ def build_parser():
     sub.add_argument("--me-replicates", type=int, default=30)
     sub.add_argument("--resample", choices=["bootstrap", "subsample"], default="bootstrap")
     sub.add_argument("--fraction", type=float, default=0.5,
-                     help="subsample fraction; 0.5 makes refit spread match "
+                     help="subsample fraction, below 1; 0.5 makes refit spread match "
                           "full-sample variance")
     sub.add_argument("--quantile-family", choices=["student_t", "normal"],
                      default="student_t")

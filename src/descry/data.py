@@ -264,6 +264,9 @@ class ResamplePlan:
             raise ValueError(f"unknown resampling method {self.method!r}")
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError("fraction must be in (0, 1]")
+        if self.method == "subsample" and self.fraction >= 1.0:
+            # every replicate would be the full data, with zero spread
+            raise ValueError("subsample fraction must be below 1")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
 

@@ -6,6 +6,7 @@ analytic simulator produces oracle handles of the same shape. Subset refits
 are cached because fair-contribution scores enumerate up to 2^n of them.
 """
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +19,8 @@ from ._util import derive_seed, lru_get_or_build
 
 # Cap on queries x reference cells per distance block; bounds its temporaries.
 DISTANCE_BLOCK_CELLS = 1 << 16
+# Cap on replicates x rows x widest layer in one stacked mlp fit; bounds its activations.
+MLP_STACK_CELLS = 1 << 18
 
 
 class LossFunction(str, Enum):
@@ -48,15 +51,29 @@ class LearnerConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
         if self.learner not in ("ols", "knn", "mlp"):
             raise ValueError(f"unknown learner {self.learner!r}")
-        if self.learner == "mlp" and len(self.hidden) < 1:
-            raise ValueError("mlp needs at least one hidden layer")
+        if self.learner == "mlp":
+            self._check_mlp()
         if self.learner == "knn" and self.knn_k < 1:
             raise ValueError("knn_k must be positive")
         if self.distance not in ("euclidean_standardized", "gower"):
             raise ValueError(f"unknown distance {self.distance!r}")
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
+
+    def _check_mlp(self):
+        if len(self.hidden) < 1:
+            raise ValueError("mlp needs at least one hidden layer")
+        if min(self.hidden) < 1:
+            raise ValueError(f"hidden widths must be at least 1, got {list(self.hidden)}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (0 < self.lr_decay <= 1):
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
     def key(self):
         return (self.learner, self.seed, self.knn_k, self.distance, self.hidden,
@@ -239,7 +256,9 @@ class PredictorHandle:
     def to_dict(self):
         params = {}
         for key, value in self.params.items():
-            params[key] = value.tolist() if isinstance(value, np.ndarray) else value
+            if isinstance(value, list):
+                value = [_listed(v) for v in value]
+            params[key] = _listed(value)
         return {"input_schema": [f.to_dict() for f in self.input_schema],
                 "output_kind": self.output_kind, "kind": self.kind,
                 "params": params, "metadata": self.metadata}
@@ -249,6 +268,10 @@ class PredictorHandle:
         return cls(input_schema=[FeatureSpec.from_dict(f) for f in d["input_schema"]],
                    output_kind=d["output_kind"], kind=d["kind"],
                    params=d["params"], metadata=d.get("metadata", {}))
+
+
+def _listed(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _eval_constant(params, rows):
@@ -268,11 +291,9 @@ def _eval_linear(params, rows):
 def _eval_mlp(params, rows):
     a = encode(rows, params["encoder"])
     weights, biases = params["weights"], params["biases"]
-    for layer in range(len(weights) - 1):
-        a = np.maximum(a @ np.asarray(weights[layer], dtype=float)
-                       + np.asarray(biases[layer], dtype=float), 0.0)
-    out = a @ np.asarray(weights[-1], dtype=float) + np.asarray(biases[-1], dtype=float)
-    return out[:, 0]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    return (a @ weights[-1] + biases[-1])[:, 0]
 
 
 def _eval_knn(params, rows):
@@ -499,74 +520,118 @@ def _train_knn(config, d, loss):
                            kind="knn", params=params, metadata=meta)
 
 
-def _train_mlp(config, d):
-    encoder = build_encoder(d.features, d.rows, standardize=True)
-    X = encode(d.rows, encoder)
-    y = d.targets
+def _train_mlp(config, datasets):
+    """One network per dataset, trained together as (R, ., .) weight stacks
+    under np.matmul. Datasets of one row count share the seed's initial
+    weights and every epoch's shuffle order, so each slice takes the steps a
+    network trained alone on its dataset would take, bit for bit; only the
+    epochs each rejects and its learning rate are its own."""
+    encoders = [build_encoder(d.features, d.rows, standardize=True) for d in datasets]
+    X = np.stack([encode(d.rows, enc) for d, enc in zip(datasets, encoders)])
+    y = np.stack([d.targets for d in datasets])
+    replicates, k = y.shape
     rng = np.random.default_rng(derive_seed(config.seed, "mlp-init"))
 
-    widths = [X.shape[1]] + list(config.hidden) + [1]
-    weights = [rng.normal(0.0, np.sqrt(2.0 / widths[i]), size=(widths[i], widths[i + 1]))
+    widths = [X.shape[2]] + list(config.hidden) + [1]
+    weights = [np.repeat(rng.normal(0.0, np.sqrt(2.0 / widths[i]),
+                                    size=(1, widths[i], widths[i + 1])), replicates, axis=0)
                for i in range(len(widths) - 1)]
-    biases = [np.zeros(w) for w in widths[1:]]
+    biases = [np.zeros((replicates, 1, w)) for w in widths[1:]]
 
     def forward(a):
         activations = [a]
-        for layer in range(len(weights) - 1):
-            a = np.maximum(a @ weights[layer] + biases[layer], 0.0)
+        for w, b in zip(weights[:-1], biases[:-1]):
+            a = np.maximum(a @ w + b, 0.0)
             activations.append(a)
         activations.append(a @ weights[-1] + biases[-1])
         return activations
 
     def full_loss():
-        return float(np.mean((forward(X)[-1][:, 0] - y) ** 2))
+        return np.mean((forward(X)[-1][:, :, 0] - y) ** 2, axis=1)
 
-    lr = config.learning_rate
-    batch = min(config.batch_size, d.k)
+    lr = np.full(replicates, config.learning_rate, dtype=float)
+    batch = min(config.batch_size, k)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "mlp-shuffle"))
     prev_loss = full_loss()
     history = [prev_loss]
-    for _epoch in range(config.epochs):
-        saved = ([w.copy() for w in weights], [b.copy() for b in biases])
-        order = shuffle_rng.permutation(d.k)
-        for start in range(0, d.k, batch):
-            idx = order[start:start + batch]
-            acts = forward(X[idx])
-            delta = 2.0 * (acts[-1][:, 0] - y[idx])[:, None] / len(idx)
-            for layer in range(len(weights) - 1, -1, -1):
-                grad_w = acts[layer].T @ delta
-                grad_b = delta.sum(axis=0)
-                if layer > 0:
-                    delta = (delta @ weights[layer].T) * (acts[layer] > 0)
-                weights[layer] -= lr * grad_w
-                biases[layer] -= lr * grad_b
-        new_loss = full_loss()
-        if new_loss > prev_loss:
-            # reject the epoch and halve the rate
-            weights, biases = saved
-            lr *= config.lr_decay
-        else:
-            prev_loss = new_loss
-        history.append(prev_loss)
+    # a diverging epoch overflows to inf or NaN; the loss test below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(config.epochs):
+            saved = [p.copy() for p in weights + biases]
+            order = shuffle_rng.permutation(k)
+            step = lr[:, None, None]
+            for start in range(0, k, batch):
+                idx = order[start:start + batch]
+                acts = forward(X.take(idx, axis=1))
+                delta = 2.0 * (acts[-1][:, :, 0] - y[:, idx])[:, :, None] / len(idx)
+                for layer in range(len(weights) - 1, -1, -1):
+                    grad_w = acts[layer].transpose(0, 2, 1) @ delta
+                    grad_b = delta.sum(axis=1, keepdims=True)
+                    if layer > 0:
+                        delta = (delta @ weights[layer].transpose(0, 2, 1)) * (acts[layer] > 0)
+                    weights[layer] -= step * grad_w
+                    biases[layer] -= step * grad_b
+            new_loss = full_loss()
+            accept = new_loss <= prev_loss  # False for a non-finite loss
+            if not accept.all():
+                # reject the epoch and halve the rate, per replicate
+                reject = ~accept
+                for p, kept in zip(weights + biases, saved):
+                    p[reject] = kept[reject]
+                lr = np.where(accept, lr, lr * config.lr_decay)
+            prev_loss = np.where(accept, new_loss, prev_loss)
+            history.append(prev_loss)
 
-    params = {"weights": [w.tolist() for w in weights],
-              "biases": [b.tolist() for b in biases], "encoder": encoder}
-    meta = {"learner": "mlp", "seed": config.seed, "hidden": list(config.hidden),
-            "epochs": config.epochs, "final_lr": lr, "loss_history": history}
-    return PredictorHandle(input_schema=list(d.features), output_kind="scalar",
-                           kind="mlp", params=params, metadata=meta)
+    history = np.stack(history, axis=1)
+    handles = []
+    for r, d in enumerate(datasets):
+        params = {"weights": [w[r].copy() for w in weights],
+                  "biases": [b[r, 0].copy() for b in biases], "encoder": encoders[r]}
+        meta = {"learner": "mlp", "seed": config.seed, "hidden": list(config.hidden),
+                "epochs": config.epochs, "final_lr": float(lr[r]),
+                "loss_history": history[r].tolist()}
+        handles.append(PredictorHandle(input_schema=list(d.features), output_kind="scalar",
+                                       kind="mlp", params=params, metadata=meta))
+    return handles
+
+
+def _check_training(config, d, loss):
+    if d.k == 0:
+        raise ValueError("training dataset is empty")
+    _check_learner_loss(config, loss)
 
 
 def train(config, d, loss):
     """Fit a learner on d; deterministic given config.seed."""
-    if d.k == 0:
-        raise ValueError("training dataset is empty")
-    _check_learner_loss(config, loss)
+    _check_training(config, d, loss)
     if config.learner == "ols":
         return _train_ols(config, d)
     if config.learner == "knn":
         return _train_knn(config, d, loss)
-    return _train_mlp(config, d)
+    return _train_mlp(config, [d])[0]
+
+
+def train_each(config, datasets, loss):
+    """Fit the learner on each dataset of an iterable, yielding handles equal
+    to `train`'s in order. Consecutive mlp fits on datasets of one row count
+    train as one stack of at most MLP_STACK_CELLS replicate x row x width
+    cells; ols and knn fit one dataset at a time."""
+    if config.learner != "mlp":
+        for d in datasets:
+            yield train(config, d, loss)
+        return
+    stack = []
+    for d in datasets:
+        _check_training(config, d, loss)
+        inputs = sum(len(f.categories) if f.kind == "categorical" else 1 for f in d.features)
+        cells = d.k * max(inputs, *config.hidden)
+        if stack and ((d.k, d.features) != (stack[0].k, stack[0].features)
+                      or (len(stack) + 1) * cells > MLP_STACK_CELLS):
+            yield from _train_mlp(config, stack)
+            stack = []
+        stack.append(d)
+    if stack:
+        yield from _train_mlp(config, stack)
 
 
 # -- subset refits -----------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     NoOracleAvailable,
     NoReferenceAvailable,
 )
-from .models import row_losses, train
+from .models import row_losses, train, train_each
 from .phenomenon import true_conditional_expectation
 from .samplers import build_grid, grid_membership, group_means
 from ._util import derive_seed
@@ -227,11 +227,10 @@ def bias_variance_me(config, p, k, replicates, spec, seed, reference_size=50000)
     oracle_curve = np.array([true_conditional_expectation(p, spec.feature, v)
                              for v in grid.points])
 
-    curves = np.empty((replicates, len(grid.points)))
-    for r in range(replicates):
-        d_train = sample_phenomenon(p, k, derive_seed(seed, "bv-train", r))
-        handle = train(config, d_train, spec.loss)
-        curves[r] = _curve_on_grid(handle, reference, spec, grid)
+    d_trains = (sample_phenomenon(p, k, derive_seed(seed, "bv-train", r))
+                for r in range(replicates))
+    curves = np.array([_curve_on_grid(handle, reference, spec, grid)
+                       for handle in train_each(config, d_trains, spec.loss)])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN replicate slices
@@ -309,11 +308,15 @@ def ci_combined(config, d, spec, cfg):
                                d_train=d, d_eval=d)
 
     train_plan = _plan(cfg, cfg.me_replicates, "ci-me-train")
+    d_trains = (resample(d, train_plan, r) for r in range(cfg.me_replicates))
+    if spec.question == "cpfi":
+        # cpfi refits its own subset models on each training replicate
+        refits = ((None, d_train_r) for d_train_r in d_trains)
+    else:
+        refits = ((handle_r, None) for handle_r in train_each(config, d_trains, spec.loss))
     curves = np.empty((cfg.me_replicates, cfg.ee_replicates, point.size))
-    for r in range(cfg.me_replicates):
-        d_train_r = resample(d, train_plan, r)
+    for r, (handle_r, d_train_r) in enumerate(refits):
         eval_plan = _plan(cfg, cfg.ee_replicates, "ci-me-eval", r)
-        handle_r = train(config, d_train_r, spec.loss) if spec.question != "cpfi" else None
         curves[r] = _replicate_curves(spec, grid, d, eval_plan, handle=handle_r,
                                       config=config, d_train=d_train_r)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from descry.cli import main
@@ -75,6 +76,37 @@ class TestTrain:
                      "--out", out]) == 0
         training = json.load(open(os.path.join(out, "training.json")))
         assert training["train_epe"] >= 0.0
+
+
+class TestMlpOptions:
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory, phenomenon_spec):
+        out = str(tmp_path_factory.mktemp("runs") / "small")
+        assert main(["simulate", "--spec", phenomenon_spec, "--k", "400",
+                     "--seed", "3", "--out", out]) == 0
+        return os.path.join(out, "dataset.json")
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--hidden", "0", "hidden"), ("--epochs", "-3", "epochs"),
+        ("--batch-size", "0", "batch_size"), ("--learning-rate", "nan", "learning_rate"),
+        ("--lr-decay", "0", "lr_decay")])
+    def test_invalid_value_is_runtime_error(self, tmp_path, small, flag, value, field):
+        out = str(tmp_path / "mlp")
+        assert main(["train", "--data", small, "--learner", "mlp", "--epochs", "2",
+                     flag, value, "--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert error["error"] == "ValueError"
+        assert field in error["message"]
+
+    def test_diverging_training_writes_a_finite_model(self, tmp_path, small):
+        out = str(tmp_path / "mlp")
+        # at this rate the first epochs overflow to inf or NaN
+        assert main(["train", "--data", small, "--learner", "mlp", "--epochs", "40",
+                     "--learning-rate", "1e6", "--out", out]) == 0
+        model = json.load(open(os.path.join(out, "model.json")))
+        values = [v for key in ("weights", "biases") for a in model["params"][key]
+                  for v in np.ravel(a).tolist()] + model["metadata"]["loss_history"]
+        assert all(isinstance(v, float) and np.isfinite(v) for v in values)
 
 
 class TestDescribe:
@@ -183,6 +215,16 @@ class TestUncertainty:
         assert [line.split(",")[0] for line in lines[1:]] == ["a", "b"]
         assert not os.path.exists(os.path.join(out, "plot.svg"))
         assert json.load(open(os.path.join(out, "report.json")))["grid"] == ["a", "b"]
+
+    def test_subsample_of_everything_is_runtime_error(self, tmp_path, simulated):
+        out = str(tmp_path / "unc")
+        assert main(["uncertainty", "--question", "cpdp", "--mode", "combined",
+                     "--data", os.path.join(simulated, "dataset.json"), "--feature", "x1",
+                     "--resample", "subsample", "--fraction", "1.0",
+                     "--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert error == {"error": "ValueError", "module": "cli", "operation": "uncertainty",
+                         "message": "subsample fraction must be below 1"}
 
     def test_insufficient_replicates_is_runtime_error(self, tmp_path, simulated, trained):
         out = str(tmp_path / "unc_bad")

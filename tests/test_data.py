@@ -217,6 +217,12 @@ class TestResample:
         multiset1 = sorted(resample(d, plan, 1).numeric_column(0))
         assert multiset0 != multiset1
 
+    def test_subsample_of_everything_is_refused(self):
+        # every replicate would be the full data: intervals of width ~1e-14
+        with pytest.raises(ValueError, match="subsample fraction must be below 1"):
+            ResamplePlan(method="subsample", fraction=1.0, replicates=2, seed=1)
+        assert ResamplePlan(method="bootstrap", fraction=1.0, replicates=2, seed=1).fraction == 1.0
+
     def test_index_out_of_range(self, toy_dataset):
         plan = ResamplePlan(method="bootstrap", replicates=2, seed=1)
         with pytest.raises(IndexOutOfRange):

@@ -132,7 +132,42 @@ class TestMlp:
         d = sample(benchmark_phenomenon, 200, seed=2)
         config = LearnerConfig(learner="mlp", hidden=(8,), epochs=10, seed=7)
         h1, h2 = train(config, d, MSE), train(config, d, MSE)
-        assert h1.params["weights"] == h2.params["weights"]
+        assert h1.to_dict()["params"]["weights"] == h2.to_dict()["params"]["weights"]
+
+    def test_arrays_in_memory_lists_in_json(self):
+        d = mixed_dataset()
+        h = train(LearnerConfig(learner="mlp", hidden=(4, 3), epochs=5, seed=1), d, MSE)
+        for key in ("weights", "biases"):
+            assert all(isinstance(a, np.ndarray) for a in h.params[key])
+        listed = dict(h.params, weights=[w.tolist() for w in h.params["weights"]],
+                      biases=[b.tolist() for b in h.params["biases"]])
+        from_lists = PredictorHandle(input_schema=h.input_schema, output_kind="scalar",
+                                     kind="mlp", params=listed, metadata=h.metadata)
+        assert canonical_json(h.to_dict()) == canonical_json(from_lists.to_dict())
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"]], dtype=object)
+        clone = PredictorHandle.from_dict(json.loads(canonical_json(h.to_dict())))
+        assert np.array_equal(clone.predict_batch(queries), h.predict_batch(queries))
+
+    def test_diverging_epochs_are_rejected(self, benchmark_phenomenon):
+        # at this rate every early epoch overflows to inf or NaN; each is
+        # rejected and halves the rate, so the model stays finite
+        d = sample(benchmark_phenomenon, 400, seed=3)
+        config = LearnerConfig(learner="mlp", hidden=(8,), epochs=40, learning_rate=1e6)
+        h = train(config, d, MSE)
+        assert h.metadata["final_lr"] < config.learning_rate
+        assert np.all(np.isfinite(h.metadata["loss_history"]))
+        for key in ("weights", "biases"):
+            assert all(np.all(np.isfinite(a)) for a in h.params[key])
+        assert np.all(np.isfinite(h.predict_batch(d.rows)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", (8, 0)), ("epochs", 0), ("batch_size", 0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("lr_decay", 0.0), ("lr_decay", 1.5)])
+    def test_invalid_hyperparameters_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnerConfig(learner="mlp", **{field: value})
+        LearnerConfig(learner="ols", **{field: value})  # not mlp's: not checked
 
     def test_learns_linear_signal(self):
         d = linear_dataset(k=400, slope=2.0, seed=4)
