@@ -5,7 +5,9 @@ training role and the evaluation role of tabular data; all randomness flows
 through explicit seeds.
 """
 
+import copy
 import csv
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -109,15 +111,34 @@ def _parse_cell(raw, spec, row_idx):
 
 
 def _require_finite(values, what):
-    values = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"{what} holds the non-finite value {values[bad[0]]} in row {bad[0]}")
 
 
+def gower_encode(rows, features):
+    """Rows as codes, the float matrix the Gower metric compares: numeric
+    values as they are, a category as its schema index (-1 if undeclared;
+    with range 0 a categorical column scores its 0/1 mismatch). A float
+    matrix is its own codes."""
+    if not isinstance(rows, np.ndarray):
+        rows = np.array(rows, dtype=object).reshape(len(rows), len(features))
+    if rows.dtype == float:
+        return rows
+    out = np.empty(rows.shape)
+    for j, spec in enumerate(features):
+        if spec.kind == "categorical":
+            index = {c: i for i, c in enumerate(spec.categories)}
+            out[:, j] = [index.get(v, -1) for v in rows[:, j]]
+        else:
+            out[:, j] = rows[:, j]
+    return out
+
+
 @dataclass
 class Dataset:
-    """An i.i.d. tabular sample: k rows of n features plus a target vector."""
+    """An i.i.d. tabular sample: k rows of n features plus a target vector.
+    `codes` is `gower_encode(rows)`, built once; `rows` itself if all numeric."""
 
     features: list
     target: FeatureSpec
@@ -125,7 +146,8 @@ class Dataset:
     targets: np.ndarray
     provenance: str
     seed: int = None
-    _fingerprint: str = field(default=None, repr=False, compare=False)
+    codes: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = list(self.features)
@@ -139,22 +161,30 @@ class Dataset:
         targets = np.array(self.targets, dtype=float)
         if targets.shape != (rows.shape[0],):
             raise ValueError("targets length must equal the row count")
+        codes = gower_encode(rows, self.features)
         for j, spec in enumerate(self.features):
-            col = rows[:, j]
-            if spec.kind == "categorical":
-                bad = [v for v in col if v not in spec.categories]
-                if bad:
-                    raise ValueError(
-                        f"column {spec.name!r} contains values outside its categories: {bad[:3]}")
-            else:
-                if has_cat:
-                    rows[:, j] = [float(v) for v in col]
-                _require_finite(rows[:, j], f"column {spec.name!r}")
+            if spec.is_numeric:
+                rows[:, j] = codes[:, j]  # floats in the object view too
+                _require_finite(codes[:, j], f"column {spec.name!r}")
+            elif (codes[:, j] < 0).any():
+                raise ValueError(f"column {spec.name!r} contains values outside its "
+                                 f"categories: {list(rows[codes[:, j] < 0, j][:3])}")
         _require_finite(targets, f"target {self.target.name!r}")
-        rows.setflags(write=False)
-        targets.setflags(write=False)
-        self.rows = rows
-        self.targets = targets
+        self._own(rows, codes, targets)
+
+    def _own(self, rows, codes, targets):
+        for a in (rows, codes, targets):
+            a.setflags(write=False)
+        self.rows, self.codes, self.targets = rows, codes, targets
+
+    def _slice(self, rows, cols, **changes):
+        """Rows and columns sliced from the validated rows and codes, unparsed."""
+        out = copy.copy(self)
+        vars(out).update(changes, _fingerprint=None)
+        codes = self.codes[rows][:, cols]
+        has_cat = any(f.kind == "categorical" for f in out.features)
+        out._own(self.rows[rows][:, cols] if has_cat else codes, codes, self.targets[rows])
+        return out
 
     # -- shape & lookup ------------------------------------------------
 
@@ -183,35 +213,28 @@ class Dataset:
         spec = self.features[index]
         if not spec.is_numeric:
             raise NonNumericFeature(f"feature {spec.name!r} is categorical")
-        return np.asarray(self.column(index), dtype=float)
+        return self.codes[:, index]
 
     def replace(self, rows=None, targets=None, provenance=None, seed=None):
-        return Dataset(
-            features=self.features,
-            target=self.target,
-            rows=self.rows if rows is None else rows,
-            targets=self.targets if targets is None else targets,
-            provenance=self.provenance if provenance is None else provenance,
-            seed=self.seed if seed is None else seed,
-        )
+        changes = dict(rows=rows, targets=targets, provenance=provenance, seed=seed)
+        return dataclasses.replace(self, **{k: v for k, v in changes.items() if v is not None})
 
     def take(self, indices, provenance=None):
-        idx = np.asarray(indices, dtype=int)
-        return self.replace(rows=self.rows[idx], targets=self.targets[idx],
-                            provenance=provenance)
+        if provenance not in (None, *PROVENANCES):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        return self._slice(np.asarray(indices, dtype=int), slice(None),
+                           provenance=provenance or self.provenance)
 
     @property
     def fingerprint(self):
-        """Stable content hash; used as a cache key for subset refits."""
+        """Stable content hash of the schema, codes and targets (+ 0.0 maps
+        -0.0 to 0.0); the cache key of subset refits and support checkers."""
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(json.dumps([f.to_dict() for f in self.features]).encode())
             h.update(json.dumps(self.target.to_dict()).encode())
-            for row in self.rows:
-                h.update("|".join(
-                    v if isinstance(v, str) else fmt_number(v) for v in row).encode())
-                h.update(b"\n")
-            h.update(" ".join(fmt_number(t) for t in self.targets).encode())
+            h.update((self.codes + 0.0).tobytes())
+            h.update((self.targets + 0.0).tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -341,17 +364,12 @@ def jitter_augment(d, feature, offsets, clamp=None):
         raise ValueError("offsets must be non-empty")
     j = d.feature_index(feature)
     col = d.numeric_column(j)
-    blocks, targets = [np.array(d.rows, dtype=d.rows.dtype, copy=True)], [np.asarray(d.targets)]
-    for off in offsets:
+    rows = np.tile(d.rows, (len(offsets) + 1, 1))
+    for i, off in enumerate(offsets, start=1):
         shifted = col + off
-        if clamp is not None:
-            shifted = np.clip(shifted, clamp[0], clamp[1])
-        block = np.array(d.rows, dtype=d.rows.dtype, copy=True)
-        block[:, j] = shifted
-        blocks.append(block)
-        targets.append(np.asarray(d.targets))
-    return d.replace(rows=np.concatenate(blocks, axis=0),
-                     targets=np.concatenate(targets), provenance="augmented")
+        rows[i * d.k:(i + 1) * d.k, j] = shifted if clamp is None else np.clip(shifted, *clamp)
+    return d.replace(rows=rows, targets=np.tile(d.targets, len(offsets) + 1),
+                     provenance="augmented")
 
 
 def split(d, train_fraction, seed):
@@ -386,10 +404,7 @@ def resample(d, plan, replicate_index):
 def select_features(d, indices):
     """Dataset restricted to the given feature columns (targets unchanged)."""
     indices = sorted(int(j) for j in indices)
-    features = [d.features[j] for j in indices]
-    rows = d.rows[:, indices] if indices else np.zeros((d.k, 0))
-    return Dataset(features=features, target=d.target, rows=rows,
-                   targets=d.targets, provenance=d.provenance, seed=d.seed)
+    return d._slice(slice(None), indices, features=[d.features[j] for j in indices])
 
 
 def merge_students(math_d, por_d, por_grade_name="G3_por"):

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .data import select_features
+from .data import gower_encode, select_features
 from .errors import (
     AllGroupsEmpty,
     NoSupportedCandidate,
@@ -141,7 +141,7 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
         raise ValueError("evaluation dataset is empty")
     grid = _feature_grid(d_eval, feature, grid, max_points)
     members, dropped = conditional_groups(d_eval, grid, band=band)
-    preds = h.predict_batch(d_eval.rows)
+    preds = h.predict_batch(d_eval.codes)
     means, sizes, kept = group_means(preds, members, np.ones(d_eval.k))
     kept = np.flatnonzero(kept)
     sq_dev = (preds[:, None] - means[kept]) ** 2 * members[:, kept]
@@ -330,20 +330,22 @@ PERTURB_TOP_ROWS = 5
 
 
 def _perturbations(d_eval, base_rows):
-    """Deterministic coordinate-wise perturbations of promising rows."""
-    stds = []
-    for j, spec in enumerate(d_eval.features):
-        stds.append(0.0 if spec.kind == "categorical"
-                    else float(np.std(d_eval.numeric_column(j))))
+    """Deterministic coordinate-wise perturbations of promising rows, rounded
+    on integer features; a value the row or an earlier step has is skipped."""
+    stds = [0.0 if spec.kind == "categorical" else float(np.std(d_eval.numeric_column(j)))
+            for j, spec in enumerate(d_eval.features)]
     out = []
     for row in base_rows:
         for j, spec in enumerate(d_eval.features):
             if spec.kind == "categorical" or stds[j] == 0.0:
                 continue
+            seen = {float(row[j])}
             for step in PERTURB_STEPS:
-                candidate = list(row)
-                candidate[j] = float(candidate[j]) + step * stds[j]
-                out.append(candidate)
+                value = float(row[j]) + step * stds[j]
+                value = float(round(value)) if spec.kind == "integer" else value
+                if value not in seen:
+                    seen.add(value)
+                    out.append(list(row[:j]) + [value] + list(row[j + 1:]))
     return out
 
 
@@ -353,7 +355,7 @@ def relevant_value_global(h, d_eval, y_rel):
     perturbations of the best rows that still pass the support check."""
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
-    preds = h.predict_batch(d_eval.rows)
+    preds = h.predict_batch(d_eval.codes)
     objective = np.abs(preds - float(y_rel))
     best_idx = int(np.argmin(objective))
     best_obj = float(objective[best_idx])
@@ -388,19 +390,19 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam,
     if lam < 0:
         raise ValueError("lambda must be non-negative")
 
-    candidates = [list(instance)]
-    candidates.extend(list(r) for r in d_eval.rows)
-    preds = h.predict_batch(np.array(candidates, dtype=d_eval.rows.dtype))
-    gap = np.abs(preds - float(y_rel))
+    candidates = [list(instance)] + [list(r) for r in d_eval.rows]
+    codes = np.vstack([gower_encode(candidates[:1], d_eval.features), d_eval.codes])
+    gap = np.abs(h.predict_batch(codes) - float(y_rel))
     top = np.argsort(gap, kind="stable")[:PERTURB_TOP_ROWS]
-    candidates.extend(_perturbations(d_eval, [candidates[i] for i in top]))
+    perturbed = _perturbations(d_eval, [candidates[i] for i in top])
+    candidates.extend(perturbed)
+    codes = np.vstack([codes, gower_encode(perturbed, d_eval.features)])
 
-    matrix = np.array(candidates, dtype=d_eval.rows.dtype)
-    on_support = np.flatnonzero(checker.check_rows(matrix))
+    on_support = np.flatnonzero(checker.check_rows(codes))
     if not on_support.size:
         raise NoSupportedCandidate("no candidate passes the support check",
                                    operation="counterfactual_local")
-    supported = matrix[on_support]
+    supported = codes[on_support]
     preds = h.predict_batch(supported)
     gaps = np.abs(preds - float(y_rel))
     dists = gower_distances(supported, list(instance), d_eval.features, checker.ranges)

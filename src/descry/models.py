@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import FeatureSpec, select_features
+from .data import FeatureSpec, gower_encode, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
 from ._util import derive_seed, lru_get_or_build
 
@@ -96,7 +96,7 @@ class LearnerConfig:
 # -- feature encoding --------------------------------------------------------
 
 
-def build_encoder(features, rows, standardize=False):
+def build_encoder(features, codes, standardize=False):
     """Per-feature encoding plan: numeric passthrough (optionally z-scored),
     categorical one-hot. Serializable alongside the model parameters."""
     encoder = []
@@ -104,50 +104,32 @@ def build_encoder(features, rows, standardize=False):
         if spec.kind == "categorical":
             encoder.append({"type": "onehot", "categories": list(spec.categories)})
         else:
-            col = np.asarray(rows[:, j], dtype=float)
+            col = codes[:, j]
             mean = float(np.mean(col)) if standardize else 0.0
             scale = float(np.std(col)) if standardize else 1.0
             encoder.append({"type": "numeric", "mean": mean, "scale": scale if scale > 0 else 1.0})
     return encoder
 
 
-def encode(rows, encoder):
-    """Apply an encoding plan to a (k, n) row matrix; returns float64."""
-    rows = np.asarray(rows)
+def encode(rows, encoder, features):
+    """Apply an encoding plan to a (k, n) row or code matrix (see
+    gower_encode); returns float64."""
+    codes = gower_encode(rows, features)
     cols = []
-    for j, enc in enumerate(encoder):
+    for j, (enc, spec) in enumerate(zip(encoder, features)):
+        col = codes[:, j]
         if enc["type"] == "numeric":
-            col = np.asarray(rows[:, j], dtype=float)
             cols.append(((col - enc["mean"]) / enc["scale"])[:, None])
         else:
-            cats = enc["categories"]
-            onehot = np.zeros((rows.shape[0], len(cats)))
-            for c, cat in enumerate(cats):
-                onehot[:, c] = [1.0 if v == cat else 0.0 for v in rows[:, j]]
-            cols.append(onehot)
-    return np.concatenate(cols, axis=1) if cols else np.zeros((rows.shape[0], 0))
+            levels = [spec.categories.index(c) for c in enc["categories"]]
+            cols.append((col[:, None] == levels).astype(float))
+    return np.concatenate(cols, axis=1) if cols else np.zeros((len(codes), 0))
 
 
-def feature_ranges(rows, features):
-    """Per-feature value ranges used by the Gower metric; 0 for categorical."""
-    spans = np.ptp(gower_encode(rows, features), axis=0)
+def feature_ranges(codes, features):
+    """Per-feature value ranges of codes used by the Gower metric; 0 for categorical."""
+    spans = np.ptp(codes, axis=0)
     return [0.0 if f.kind == "categorical" else float(r) for f, r in zip(features, spans)]
-
-
-def gower_encode(rows, features):
-    """Rows as the float matrix the Gower metric compares: numeric values as
-    they are, a category as its schema index (-1 if undeclared); with range
-    0, a categorical column then scores its 0/1 mismatch."""
-    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    rows = rows.reshape(len(rows), len(features))
-    out = np.empty(rows.shape)
-    for j, spec in enumerate(features):
-        if spec.kind == "categorical":
-            index = {c: i for i, c in enumerate(spec.categories)}
-            out[:, j] = [index.get(v, -1) for v in rows[:, j]]
-        else:
-            out[:, j] = rows[:, j]
-    return out
 
 
 def _distances(queries, reference, ranges=None):
@@ -231,12 +213,14 @@ class PredictorHandle:
     metadata: dict = field(default_factory=dict)
 
     def predict_batch(self, rows):
+        """Predictions at a (q, n) row matrix, or at its codes (a float matrix)."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.input_schema):
             raise SchemaMismatch(
                 f"expected {len(self.input_schema)} features, got shape {rows.shape}",
                 operation="predict")
-        return _EVALUATORS[self.kind](self.params, rows)
+        return _EVALUATORS[self.kind](self.params, gower_encode(rows, self.input_schema),
+                                      self.input_schema)
 
     def predict(self, x):
         x = list(x)
@@ -244,13 +228,12 @@ class PredictorHandle:
             raise SchemaMismatch(
                 f"expected {len(self.input_schema)} features, got {len(x)}",
                 operation="predict")
+        codes = gower_encode([x], self.input_schema)
         for j, spec in enumerate(self.input_schema):
-            if spec.kind == "categorical" and x[j] not in spec.categories:
+            if spec.kind == "categorical" and codes[0, j] < 0:
                 raise SchemaMismatch(
                     f"feature {spec.name!r}: {x[j]!r} not in categories", operation="predict")
-        has_cat = any(f.kind == "categorical" for f in self.input_schema)
-        row = np.array([x], dtype=object if has_cat else float)
-        out = self.predict_batch(row)
+        out = self.predict_batch(codes)
         return np.array(out[0]) if self.output_kind == "distribution" else float(out[0])
 
     def to_dict(self):
@@ -265,45 +248,48 @@ class PredictorHandle:
 
     @classmethod
     def from_dict(cls, d):
+        params = dict(d["params"])
+        if d["kind"] == "mlp":  # the arrays a trained handle holds
+            for key in ("weights", "biases"):
+                params[key] = [np.asarray(p, dtype=float) for p in params[key]]
         return cls(input_schema=[FeatureSpec.from_dict(f) for f in d["input_schema"]],
                    output_kind=d["output_kind"], kind=d["kind"],
-                   params=d["params"], metadata=d.get("metadata", {}))
+                   params=params, metadata=d.get("metadata", {}))
 
 
 def _listed(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _eval_constant(params, rows):
-    return np.full(rows.shape[0], float(params["value"]))
+def _eval_constant(params, codes, features):
+    return np.full(codes.shape[0], float(params["value"]))
 
 
-def _eval_constant_distribution(params, rows):
+def _eval_constant_distribution(params, codes, features):
     dist = np.asarray(params["dist"], dtype=float)
-    return np.tile(dist, (rows.shape[0], 1))
+    return np.tile(dist, (codes.shape[0], 1))
 
 
-def _eval_linear(params, rows):
-    design = encode(rows, params["encoder"])
+def _eval_linear(params, codes, features):
+    design = encode(codes, params["encoder"], features)
     return design @ np.asarray(params["coef"], dtype=float) + float(params["intercept"])
 
 
-def _eval_mlp(params, rows):
-    a = encode(rows, params["encoder"])
+def _eval_mlp(params, codes, features):
+    a = encode(codes, params["encoder"], features)
     weights, biases = params["weights"], params["biases"]
     for w, b in zip(weights[:-1], biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
     return (a @ weights[-1] + biases[-1])[:, 0]
 
 
-def _eval_knn(params, rows):
+def _eval_knn(params, codes, features):
     if params["distance"] == "gower":
-        features = [FeatureSpec.from_dict(f) for f in params["features"]]
-        queries = gower_encode(rows, features)
+        queries = codes
         reference = gower_encode(params["train_matrix"], features)
         ranges = params["ranges"]
     else:
-        queries = encode(rows, params["encoder"])
+        queries = encode(codes, params["encoder"], features)
         reference = np.asarray(params["train_encoded"], dtype=float)
         ranges = None
     index, _ = nearest(queries, reference, int(params["k"]), ranges)
@@ -321,8 +307,7 @@ def _knn_aggregate(values, agg):
     return values[np.arange(len(values)), np.argmax(counts, axis=1)]
 
 
-def _eval_poly_response(params, rows):
-    x = np.asarray(rows, dtype=float)
+def _eval_poly_response(params, x, features):
     out = np.full(x.shape[0], float(params["intercept"]))
     for term in params["terms"]:
         contrib = np.full(x.shape[0], float(term["coef"]))
@@ -332,10 +317,9 @@ def _eval_poly_response(params, rows):
     return out
 
 
-def _table_lookup(params, rows):
+def _table_lookup(params, x):
     x_levels = [np.asarray(l, dtype=float) for l in params["x_levels"]]
     cond = np.asarray(params["cond"], dtype=float)  # (#configs, #y_levels)
-    x = np.asarray(rows, dtype=float)
     flat = np.zeros(x.shape[0], dtype=int)
     for j, levels in enumerate(x_levels):
         codes = np.searchsorted(levels, x[:, j])
@@ -347,14 +331,14 @@ def _table_lookup(params, rows):
     return cond[flat]
 
 
-def _eval_table_argmax(params, rows):
-    cond = _table_lookup(params, rows)
+def _eval_table_argmax(params, x, features):
+    cond = _table_lookup(params, x)
     y_levels = np.asarray(params["y_levels"], dtype=float)
     return y_levels[np.argmax(cond, axis=1)]
 
 
-def _eval_table_conditional(params, rows):
-    return _table_lookup(params, rows)
+def _eval_table_conditional(params, x, features):
+    return _table_lookup(params, x)
 
 
 _EVALUATORS = {
@@ -409,7 +393,7 @@ def row_losses(handle, d, loss):
     if d.k == 0:
         raise ValueError("dataset is empty")
     _check_output_compat(handle, loss, "epe")
-    preds = handle.predict_batch(d.rows)
+    preds = handle.predict_batch(d.codes)
     return pointwise_loss(loss, d.targets, preds, y_levels=handle.params.get("y_levels"))
 
 
@@ -426,8 +410,8 @@ def model_distance(h1, h2, d, loss):
     if s1 != s2:
         raise SchemaMismatch("handles do not share an input schema",
                              operation="model_distance")
-    p1 = h1.predict_batch(d.rows)
-    p2 = h2.predict_batch(d.rows)
+    p1 = h1.predict_batch(d.codes)
+    p2 = h2.predict_batch(d.codes)
     if loss == LossFunction.KL:
         p = np.clip(np.asarray(p1, dtype=float), 1e-300, None)
         q = np.clip(np.asarray(p2, dtype=float), 1e-300, None)
@@ -473,14 +457,10 @@ def _solve_normal_equations(design, y):
 
 
 def _train_ols(config, d):
-    encoder = []
-    for j, spec in enumerate(d.features):
-        if spec.kind == "categorical":
-            # drop the first level; the intercept absorbs it
-            encoder.append({"type": "onehot", "categories": list(spec.categories[1:])})
-        else:
-            encoder.append({"type": "numeric", "mean": 0.0, "scale": 1.0})
-    design = encode(d.rows, encoder)
+    # drop each categorical's first level; the intercept absorbs it
+    encoder = [dict(e, categories=e["categories"][1:]) if e["type"] == "onehot" else e
+               for e in build_encoder(d.features, d.codes)]
+    design = encode(d.codes, encoder, d.features)
     design = np.concatenate([np.ones((d.k, 1)), design], axis=1)
     coef, ridged = _solve_normal_equations(design, d.targets)
 
@@ -509,11 +489,11 @@ def _train_knn(config, d, loss):
               "train_matrix": d.rows, "train_targets": d.targets,
               "features": [f.to_dict() for f in d.features]}
     if config.distance == "gower":
-        params["ranges"] = feature_ranges(d.rows, d.features)
+        params["ranges"] = feature_ranges(d.codes, d.features)
     else:
-        encoder = build_encoder(d.features, d.rows, standardize=True)
+        encoder = build_encoder(d.features, d.codes, standardize=True)
         params["encoder"] = encoder
-        params["train_encoded"] = encode(d.rows, encoder)
+        params["train_encoded"] = encode(d.codes, encoder, d.features)
     meta = {"learner": "knn", "seed": config.seed, "k": config.knn_k,
             "distance": config.distance}
     return PredictorHandle(input_schema=list(d.features), output_kind="scalar",
@@ -526,8 +506,8 @@ def _train_mlp(config, datasets):
     weights and every epoch's shuffle order, so each slice takes the steps a
     network trained alone on its dataset would take, bit for bit; only the
     epochs each rejects and its learning rate are its own."""
-    encoders = [build_encoder(d.features, d.rows, standardize=True) for d in datasets]
-    X = np.stack([encode(d.rows, enc) for d, enc in zip(datasets, encoders)])
+    encoders = [build_encoder(d.features, d.codes, standardize=True) for d in datasets]
+    X = np.stack([encode(d.codes, enc, d.features) for d, enc in zip(datasets, encoders)])
     y = np.stack([d.targets for d in datasets])
     replicates, k = y.shape
     rng = np.random.default_rng(derive_seed(config.seed, "mlp-init"))

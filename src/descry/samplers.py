@@ -18,7 +18,7 @@ from ._util import derive_seed, lru_get_or_build
 
 MIN_GROUP_SIZE = 5
 SELF_DISTANCE_SAMPLE = 1000
-# support checkers kept for reuse, each holding an encoded copy of its data
+# support checkers kept for reuse, each holding its dataset and threshold
 CHECKER_CACHE_SIZE = 8
 
 
@@ -45,23 +45,24 @@ class Grid:
 
 def build_grid(d, feature, max_points=20):
     """Unique values when few enough, otherwise quantiles at equispaced
-    probability levels (midpoint rule, so extreme tails are avoided)."""
+    probability levels (midpoint rule, so extreme tails are avoided), taken
+    as observed values (inverted CDF) for an integer feature."""
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
     j = d.feature_index(feature) if isinstance(feature, str) else int(feature)
     if not (0 <= j < d.n):
         raise UnknownFeature(f"feature index {j} out of range", operation="build_grid")
     spec = d.features[j]
-    if spec.kind == "categorical":
-        seen = set(d.column(j))
-        points = tuple(c for c in spec.categories if c in seen)
-        return Grid(feature_index=j, points=points, strategy="unique_values")
-    col = d.numeric_column(j)
+    col = d.codes[:, j]
     distinct = np.unique(col)
+    if spec.kind == "categorical":
+        points = tuple(spec.categories[int(c)] for c in distinct)
+        return Grid(feature_index=j, points=points, strategy="unique_values")
     if distinct.size <= max_points:
         return Grid(feature_index=j, points=tuple(distinct), strategy="unique_values")
     levels = (np.arange(max_points) + 0.5) / max_points
-    points = np.unique(np.quantile(col, levels))
+    method = "inverted_cdf" if spec.kind == "integer" else "linear"
+    points = np.unique(np.quantile(col, levels, method=method))
     return Grid(feature_index=j, points=tuple(points), strategy="quantile")
 
 
@@ -86,12 +87,11 @@ def grid_membership(d, grid, band=None):
     if band < 0:
         raise ValueError("band must be non-negative")
     j = grid.feature_index
-    if d.features[j].kind == "categorical":
-        col = d.column(j)
-        return np.column_stack([col == point for point in grid.points])
-    col = d.numeric_column(j)[:, None]
-    points = np.asarray(grid.points, dtype=float)
-    return col == points if band == 0 else np.abs(col - points) <= band
+    col = d.codes[:, j, None]
+    points = gower_encode([[p] for p in grid.points], [d.features[j]])[:, 0]
+    if band == 0 or d.features[j].kind == "categorical":
+        return col == points
+    return np.abs(col - points) <= band
 
 
 def conditional_groups(d, grid, band=None):
@@ -167,8 +167,8 @@ class SupportChecker:
     def __init__(self, d, quantile_band=0.005):
         self.d = d
         self.quantile_band = float(quantile_band)
-        self.ranges = feature_ranges(d.rows, d.features)
-        self.encoded = gower_encode(d.rows, d.features)
+        self.ranges = feature_ranges(d.codes, d.features)
+        self.encoded = d.codes
         # the [q, 1-q] quantile band of a numeric feature; None for a
         # categorical one, whose observed values are its support
         levels = [self.quantile_band, 1.0 - self.quantile_band]
@@ -180,7 +180,8 @@ class SupportChecker:
         k = self.d.k
         if k < 2:
             return 0.0
-        rng = np.random.default_rng(derive_seed(0, "support-self", self.d.fingerprint))
+        # seeded by k and the band, not the content: a new hash moves no threshold
+        rng = np.random.default_rng(derive_seed(0, "support-self", k, self.quantile_band))
         queries = np.arange(k) if k <= SELF_DISTANCE_SAMPLE \
             else np.sort(rng.choice(k, size=SELF_DISTANCE_SAMPLE, replace=False))
         # the nearest row other than the query itself is one of the two nearest
@@ -189,7 +190,7 @@ class SupportChecker:
         return float(np.quantile(others, 0.99))
 
     def check_rows(self, rows):
-        """The support check of each row, as a bool array."""
+        """The support check of each row (or code row), as a bool array."""
         x = gower_encode(rows, self.d.features)
         ok = np.ones(len(x), dtype=bool)
         for j, bound in enumerate(self.bounds):

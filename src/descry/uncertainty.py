@@ -161,7 +161,7 @@ def _replicate_curves(spec, grid, d, plan, *, handle=None, config=None, d_train=
                              select_features(d, reduced_set), spec.loss)
         return np.array([[(w @ reduced - w @ full) / w.sum()] for w in counts])
     members = grid_membership(d, grid, spec.band).astype(float)
-    preds = handle.predict_batch(d.rows)
+    preds = handle.predict_batch(d.codes)
     curves = np.empty((plan.replicates, len(grid.points)))
     for r, w in enumerate(counts):
         if not w.any():

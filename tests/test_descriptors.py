@@ -359,3 +359,37 @@ class TestCounterfactual:
         instance = list(d_eval.rows[11])
         result = counterfactual_local(h, d_eval, instance, y_rel=-2.5, lam=0.5)
         assert support_check(d_eval, result.point["x"])
+
+
+class TestIntegerFeatures:
+    """Searches perturb an integer feature only to integer values."""
+
+    @staticmethod
+    def even_grades(k=400, seed=3):
+        rng = np.random.default_rng(seed)
+        grades = 2.0 * rng.integers(0, 11, size=k)
+        other = rng.normal(0, 1, size=k)
+        return Dataset(features=[FeatureSpec(name="g", kind="integer"),
+                                 FeatureSpec(name="z", kind="numeric")],
+                       target=FeatureSpec(name="y", kind="numeric"),
+                       rows=np.column_stack([grades, other]), targets=grades,
+                       provenance="observed")
+
+    def test_perturbations_are_integral_and_new(self):
+        from descry.descriptors import _perturbations
+        d = self.even_grades()
+        base = [d.rows[i] for i in range(5)]
+        out = _perturbations(d, base)
+        assert out
+        assert all(float(c[0]).is_integer() for c in out)
+        assert not any(list(c) == list(b) for c in out for b in base)
+        assert len({tuple(c) for c in out}) == len(out)
+
+    def test_searches_answer_at_integer_values(self):
+        # y_rel between two observed grades: an unrounded step would land nearer
+        d = self.even_grades()
+        h = linear_handle(d.features, 0.0, [1.0, 0.0])
+        rvg = relevant_value_global(h, d, y_rel=9.0)
+        cf = counterfactual_local(h, d, list(d.rows[0]), y_rel=9.0, lam=0.01)
+        for point in (rvg.point, cf.point):
+            assert float(point["x"][0]).is_integer()

@@ -48,11 +48,11 @@ def reference_eval_knn(params, rows):
     targets = np.asarray(params["train_targets"], dtype=float)
     k = int(params["k"])
     out = np.empty(rows.shape[0])
+    features = [FeatureSpec.from_dict(f) for f in params["features"]]
     if gower:
         train_rows = np.asarray(params["train_matrix"], dtype=object)
-        features = [FeatureSpec.from_dict(f) for f in params["features"]]
     else:
-        encoded = encode(rows, params["encoder"])
+        encoded = encode(rows, params["encoder"], features)
         train_enc = np.asarray(params["train_encoded"], dtype=float)
     for i in range(rows.shape[0]):
         if gower:
@@ -127,22 +127,22 @@ def mixed_problem(draw):
 @given(mixed_problem(), st.integers(1, 5))
 def test_kernel_matches_per_query_reference(problem, count):
     d, queries, block_cells = problem
-    ranges = feature_ranges(d.rows, d.features)
-    encoder = build_encoder(d.features, d.rows, standardize=True)
-    assert encode(d.rows, encoder).shape[1] >= 8
+    ranges = feature_ranges(d.codes, d.features)
+    encoder = build_encoder(d.features, d.codes, standardize=True)
+    train_enc = encode(d.codes, encoder, d.features)
+    assert train_enc.shape[1] >= 8
     with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
         gower_index, gower_dist = nearest(gower_encode(queries, d.features),
-                                          gower_encode(d.rows, d.features), count, ranges)
-        euclid_index, euclid_dist = nearest(encode(queries, encoder),
-                                            encode(d.rows, encoder), count)
-    train_enc = encode(d.rows, encoder)
+                                          d.codes, count, ranges)
+        euclid_index, euclid_dist = nearest(encode(queries, encoder, d.features),
+                                            train_enc, count)
     for i, x in enumerate(queries):
         expected = reference_gower_distances(d.rows, x, d.features, ranges)
         assert np.array_equal(gower_distances(d.rows, x, d.features, ranges), expected)
         order = np.argsort(expected, kind="stable")[:count]
         assert gower_index[i].tolist() == order.tolist()
         assert gower_dist[i].tolist() == expected[order].tolist()
-        query = encode(queries[i:i + 1], encoder)[0]
+        query = encode(queries[i:i + 1], encoder, d.features)[0]
         expected = np.sqrt(((train_enc - query) ** 2).sum(axis=1))
         order = np.argsort(expected, kind="stable")[:count]
         assert euclid_index[i].tolist() == order.tolist()
@@ -157,7 +157,7 @@ def test_support_check_matches_per_query_reference(problem):
         checker = SupportChecker(d)
         batched = checker.check_rows(queries)
         single = [checker.check(list(x)) for x in queries]
-    ranges = feature_ranges(d.rows, d.features)
+    ranges = feature_ranges(d.codes, d.features)
     threshold = reference_threshold(d, ranges)
     assert checker.nn_threshold == threshold
     expected = [reference_check(d, list(x), checker.quantile_band, ranges, threshold)

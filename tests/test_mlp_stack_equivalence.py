@@ -30,8 +30,8 @@ LEVELS = ("a", "b", "c")
 
 
 def reference_train_mlp(config, d):
-    encoder = build_encoder(d.features, d.rows, standardize=True)
-    X = encode(d.rows, encoder)
+    encoder = build_encoder(d.features, d.codes, standardize=True)
+    X = encode(d.codes, encoder, d.features)
     y = d.targets
     rng = np.random.default_rng(derive_seed(config.seed, "mlp-init"))
 

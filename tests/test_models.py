@@ -148,6 +148,20 @@ class TestMlp:
         clone = PredictorHandle.from_dict(json.loads(canonical_json(h.to_dict())))
         assert np.array_equal(clone.predict_batch(queries), h.predict_batch(queries))
 
+    def test_loaded_handle_holds_the_trained_arrays(self):
+        d = mixed_dataset()
+        h = train(LearnerConfig(learner="mlp", hidden=(4, 3), epochs=5, seed=1), d, MSE)
+        text = canonical_json(h.to_dict())
+        clone = PredictorHandle.from_dict(json.loads(text))
+        for key in ("weights", "biases"):
+            for loaded, trained in zip(clone.params[key], h.params[key]):
+                assert isinstance(loaded, np.ndarray) and loaded.dtype == float
+                assert np.array_equal(loaded, trained)
+        assert canonical_json(clone.to_dict()) == text
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "zz"]], dtype=object)
+        assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
+        assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.rows).tobytes()
+
     def test_diverging_epochs_are_rejected(self, benchmark_phenomenon):
         # at this rate every early epoch overflows to inf or NaN; each is
         # rejected and halves the rate, so the model stays finite
@@ -373,7 +387,7 @@ class TestEncoding:
                     FeatureSpec(name="n", kind="numeric")]
         rows = np.array([["a", 1.0], ["c", 2.0]], dtype=object)
         enc = build_encoder(features, rows)
-        design = encode(rows, enc)
+        design = encode(rows, enc, features)
         assert design.shape == (2, 4)
         assert design[0].tolist() == [1.0, 0.0, 0.0, 1.0]
         assert design[1].tolist() == [0.0, 0.0, 1.0, 2.0]
