@@ -159,7 +159,25 @@ def _cmd_train(args):
     return 0
 
 
+# the inputs each describe question cannot do without, by flag
+DESCRIBE_NEEDS = {
+    "cpdp": ("--model", "--feature"),
+    "ice": ("--model", "--feature", "--instance"),
+    "cpfi": ("--train-data", "--feature"),
+    "sage": ("--train-data",),
+    "shapley_local": ("--train-data", "--instance"),
+    "local_conditional_contribution": ("--train-data", "--feature", "--instance",
+                                       "--observed-y"),
+    "relevant_value_global": ("--model", "--y-rel"),
+    "counterfactual_local": ("--model", "--instance", "--y-rel", "--lambda"),
+}
+
+
 def _cmd_describe(args):
+    missing = [flag for flag in DESCRIBE_NEEDS[args.question]
+               if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        raise ValueError(f"{args.question} needs {', '.join(missing)}")
     d_eval = _load_dataset(args)
     loss = LossFunction(args.loss)
     os.makedirs(args.out, exist_ok=True)
@@ -192,11 +210,9 @@ def _cmd_describe(args):
                 config, d_train, d_eval, instance, args.observed_y, feature, loss)
         elif q == "relevant_value_global":
             result = relevant_value_global(handle, d_eval, args.y_rel)
-        elif q == "counterfactual_local":
+        else:
             result = counterfactual_local(handle, d_eval, instance, args.y_rel,
                                           getattr(args, "lambda"))
-        else:
-            raise DescryError(f"unknown question {q!r}", operation="describe")
         write_json(os.path.join(args.out, "result.json"), result.to_dict())
     _write_manifest(args.out, args)
     return 0

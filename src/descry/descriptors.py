@@ -14,7 +14,7 @@ the lowest row index, which keeps golden outputs stable.
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -75,8 +75,14 @@ class DescriptorSpec:
         if self.question == "counterfactual_local":
             if self.lam is None or self.lam < 0:
                 raise ValueError("counterfactual_local requires lambda >= 0")
+        for name, value in (("y_rel", self.y_rel), ("lambda", self.lam)):
+            if value is not None:
+                _check_finite(name, value)
+        _check_band(self.band)
         if self.mode not in ("exact", "permutation_mc"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mc_permutations < 2:  # one permutation has no standard error
+            raise ValueError(f"mc_permutations must be at least 2, got {self.mc_permutations}")
 
     def to_dict(self):
         d = {"question": self.question, "loss": self.loss.value, "seed": self.seed,
@@ -87,6 +93,18 @@ class DescriptorSpec:
             if value is not None:
                 d[key] = list(value) if key == "instance" else value
         return d
+
+
+def _check_finite(name, value):
+    if value is None or not isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_band(band):
+    if band is not None:
+        _check_finite("band", band)
+        if band < 0:
+            raise ValueError(f"band must be non-negative, got {band!r}")
 
 
 @dataclass
@@ -139,6 +157,7 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
     over evaluation rows whose conditioned feature matches that point."""
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
+    _check_band(band)
     grid = _feature_grid(d_eval, feature, grid, max_points)
     members, dropped = conditional_groups(d_eval, grid, band=band)
     preds = h.predict_batch(d_eval.codes)
@@ -306,6 +325,8 @@ def shapley_local(config, d_train, d_eval, instance, mode="exact",
     with subset predictions realized as refits evaluated at the instance's
     restriction. In exact mode the scores sum to m(x) minus the best
     constant."""
+    spec = DescriptorSpec(question="shapley_local", instance=list(instance), loss=loss,
+                          mode=mode, mc_permutations=mc_permutations, seed=seed)
     _require_on_support(d_eval, instance, "shapley_local")
     n = d_train.n
     eval_cache = {}
@@ -317,8 +338,6 @@ def shapley_local(config, d_train, d_eval, instance, mode="exact",
             eval_cache[subset] = handle.predict(restricted)
         return eval_cache[subset]
 
-    spec = DescriptorSpec(question="shapley_local", instance=list(instance), loss=loss,
-                          mode=mode, mc_permutations=mc_permutations, seed=seed)
     return _fair_contribution(n, value_of, mode, mc_permutations, seed, spec)
 
 
@@ -353,6 +372,7 @@ def relevant_value_global(h, d_eval, y_rel):
     """Realistic conditions under which the model output comes closest to a
     relevant target value: exhaustive scan over evaluation rows, then local
     perturbations of the best rows that still pass the support check."""
+    _check_finite("y_rel", y_rel)
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
     preds = h.predict_batch(d_eval.codes)
@@ -386,9 +406,11 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam,
     """Realistic conditions similar to the instance under which the model
     output comes closest to the target: minimize |m(x') - y_rel| plus a
     Gower-distance penalty over supported candidates."""
-    checker = _require_on_support(d_eval, instance, "counterfactual_local")
+    _check_finite("y_rel", y_rel)
+    _check_finite("lambda", lam)
     if lam < 0:
         raise ValueError("lambda must be non-negative")
+    checker = _require_on_support(d_eval, instance, "counterfactual_local")
 
     candidates = [list(instance)] + [list(r) for r in d_eval.rows]
     codes = np.vstack([gower_encode(candidates[:1], d_eval.features), d_eval.codes])

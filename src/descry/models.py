@@ -17,8 +17,8 @@ from .data import FeatureSpec, gower_encode, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
 from ._util import derive_seed, lru_get_or_build
 
-# Cap on queries x reference cells per distance block; bounds its temporaries.
-DISTANCE_BLOCK_CELLS = 1 << 16
+# Cap on queries x reference rows per distance block; bounds its (q, k) temporaries.
+DISTANCE_BLOCK_CELLS = 1 << 15
 # Cap on replicates x rows x widest layer in one stacked mlp fit; bounds its activations.
 MLP_STACK_CELLS = 1 << 18
 
@@ -135,14 +135,51 @@ def feature_ranges(codes, features):
 def _distances(queries, reference, ranges=None):
     """(q, k) distances from each encoded query to every encoded reference
     row: Gower (range-normalized absolute difference, averaged over
-    features) when `ranges` is given, otherwise Euclidean."""
+    features) when `ranges` is given, otherwise Euclidean.
+
+    Both sum one (q, k) term per column. The Euclidean sum takes numpy's
+    pairwise order, so it equals `np.sqrt(((reference - queries[:, None]) **
+    2).sum(axis=2))` bit for bit without building that (q, k, n) cube."""
+    shape = (len(queries), len(reference))
+    columns = np.ascontiguousarray(reference.T)
     if ranges is None:
-        return np.sqrt(((reference - queries[:, None, :]) ** 2).sum(axis=2))
-    acc = np.zeros((len(queries), len(reference)))
-    for j, r in enumerate(ranges):
-        diff = np.abs(reference[:, j] - queries[:, j, None])
-        acc += diff / r if r > 0 else (diff > 0).astype(float)
-    return acc / max(len(ranges), 1)
+        def term(j):
+            diff = columns[j] - queries[:, j, None]
+            return np.square(diff, out=diff)
+        return np.sqrt(_column_sum(term, 0, len(columns), shape))
+
+    def term(j):
+        diff = np.abs(columns[j] - queries[:, j, None])
+        return np.divide(diff, ranges[j], out=diff) if ranges[j] > 0 else (diff > 0).astype(float)
+    return _column_sum(term, 0, len(ranges), shape, pairwise=False) / max(len(ranges), 1)
+
+
+def _column_sum(term, start, stop, shape, pairwise=True):
+    """Sum of the (q, k) arrays term(j) over columns start..stop-1: left to
+    right, or in the order numpy's pairwise `sum` takes over a contiguous
+    axis. That order, below 8 columns, is left to right; up to 128, eight
+    partial sums of every 8th column, added as a tree, then the columns left
+    over; above 128, the sums of two halves split at a multiple of 8."""
+    n = stop - start
+    if pairwise and n > 128:
+        half = n // 2 - n // 2 % 8
+        return (_column_sum(term, start, start + half, shape)
+                + _column_sum(term, start + half, stop, shape))
+    if not pairwise or n < 8:
+        acc, full = np.zeros(shape), start
+    else:
+        full = stop - n % 8
+
+        def partial(m):  # one partial at a time keeps at most four (q, k) sums alive
+            acc = term(start + m)
+            for j in range(start + m + 8, full, 8):
+                acc += term(j)
+            return acc
+        acc = (((partial(0) + partial(1)) + (partial(2) + partial(3)))
+               + ((partial(4) + partial(5)) + (partial(6) + partial(7))))
+    for j in range(full, stop):
+        acc += term(j)
+    return acc
 
 
 def _smallest(block, count):
@@ -180,7 +217,7 @@ def nearest(queries, reference, count, ranges=None):
     each query, nearest first; ties go to the lowest row index."""
     index = np.empty((len(queries), count), dtype=np.intp)
     dist = np.empty((len(queries), count))
-    step = max(1, DISTANCE_BLOCK_CELLS // max(reference.size, 1))
+    step = max(1, DISTANCE_BLOCK_CELLS // max(len(reference), 1))
     for start in range(0, len(queries), step):
         block = _distances(queries[start:start + step], reference, ranges)
         order = _smallest(block, count)
@@ -239,6 +276,8 @@ class PredictorHandle:
     def to_dict(self):
         params = {}
         for key, value in self.params.items():
+            if key in _DERIVED_PARAMS:
+                continue
             if isinstance(value, list):
                 value = [_listed(v) for v in value]
             params[key] = _listed(value)
@@ -248,13 +287,24 @@ class PredictorHandle:
 
     @classmethod
     def from_dict(cls, d):
+        schema = [FeatureSpec.from_dict(f) for f in d["input_schema"]]
         params = dict(d["params"])
-        if d["kind"] == "mlp":  # the arrays a trained handle holds
+        # the arrays a trained handle holds
+        if d["kind"] == "mlp":
             for key in ("weights", "biases"):
                 params[key] = [np.asarray(p, dtype=float) for p in params[key]]
-        return cls(input_schema=[FeatureSpec.from_dict(f) for f in d["input_schema"]],
-                   output_kind=d["output_kind"], kind=d["kind"],
+        if d["kind"] == "knn":
+            params["train_targets"] = np.asarray(params["train_targets"], dtype=float)
+            if params["distance"] == "gower":
+                params["train_codes"] = gower_encode(params["train_matrix"], schema)
+            else:
+                params["train_encoded"] = np.asarray(params["train_encoded"], dtype=float)
+        return cls(input_schema=schema, output_kind=d["output_kind"], kind=d["kind"],
                    params=params, metadata=d.get("metadata", {}))
+
+
+# params kept in memory only: to_dict leaves them out, from_dict rebuilds them
+_DERIVED_PARAMS = ("train_codes",)
 
 
 def _listed(value):
@@ -285,16 +335,11 @@ def _eval_mlp(params, codes, features):
 
 def _eval_knn(params, codes, features):
     if params["distance"] == "gower":
-        queries = codes
-        reference = gower_encode(params["train_matrix"], features)
-        ranges = params["ranges"]
+        index, _ = nearest(codes, params["train_codes"], params["k"], params["ranges"])
     else:
-        queries = encode(codes, params["encoder"], features)
-        reference = np.asarray(params["train_encoded"], dtype=float)
-        ranges = None
-    index, _ = nearest(queries, reference, int(params["k"]), ranges)
-    values = np.asarray(params["train_targets"], dtype=float)[index]
-    return _knn_aggregate(values, params["agg"])
+        index, _ = nearest(encode(codes, params["encoder"], features),
+                           params["train_encoded"], params["k"])
+    return _knn_aggregate(params["train_targets"][index], params["agg"])
 
 
 def _knn_aggregate(values, agg):
@@ -490,6 +535,7 @@ def _train_knn(config, d, loss):
               "features": [f.to_dict() for f in d.features]}
     if config.distance == "gower":
         params["ranges"] = feature_ranges(d.codes, d.features)
+        params["train_codes"] = d.codes
     else:
         encoder = build_encoder(d.features, d.codes, standardize=True)
         params["encoder"] = encoder

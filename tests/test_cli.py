@@ -165,6 +165,59 @@ class TestDescribe:
         assert file_hashes(out, suffixes=(".json", ".csv", ".svg")) == first
 
 
+class TestDescribeRefusals:
+    """Invalid or missing describe inputs exit 1 with an error.json that
+    names the field or flag."""
+
+    @staticmethod
+    def refused(out, argv, named):
+        assert main(argv + ["--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert error["error"] == "ValueError"
+        assert named in error["message"]
+        assert not os.path.exists(os.path.join(out, "result.json"))
+
+    @pytest.mark.parametrize("count", ["0", "1", "-5"])
+    def test_too_few_mc_permutations(self, tmp_path, simulated, count):
+        data = os.path.join(simulated, "dataset.json")
+        self.refused(str(tmp_path / "sage"), [
+            "describe", "--question", "sage", "--train-data", data, "--data", data,
+            "--learner", "ols", "--mode", "permutation_mc", "--mc-permutations", count],
+            "mc_permutations")
+
+    @pytest.mark.parametrize("question, flag, value, named", [
+        ("relevant_value_global", "--y-rel", "nan", "y_rel"),
+        ("counterfactual_local", "--y-rel", "inf", "y_rel"),
+        ("counterfactual_local", "--lambda", "nan", "lambda"),
+        ("cpdp", "--band", "nan", "band"),
+        ("cpdp", "--band", "-0.5", "band")])
+    def test_non_finite_or_negative_value(self, tmp_path, simulated, trained,
+                                          question, flag, value, named):
+        argv = ["describe", "--question", question,
+                "--model", os.path.join(trained, "model.json"),
+                "--data", os.path.join(simulated, "dataset.json"), "--feature", "x1",
+                "--instance", "[0.1, -0.2]", "--y-rel", "2.0", "--lambda", "0.5"]
+        self.refused(str(tmp_path / question), argv + [flag, value], named)
+
+    @pytest.mark.parametrize("question, dropped", [
+        ("cpdp", "--model"), ("relevant_value_global", "--model"),
+        ("sage", "--train-data"), ("cpfi", "--train-data"),
+        ("ice", "--instance"), ("shapley_local", "--instance"),
+        ("counterfactual_local", "--lambda")])
+    def test_missing_input_names_its_flag(self, tmp_path, simulated, trained,
+                                          question, dropped):
+        flags = {"--model": os.path.join(trained, "model.json"),
+                 "--train-data": os.path.join(simulated, "dataset.json"),
+                 "--feature": "x1", "--instance": "[0.1, -0.2]", "--observed-y": "0.0",
+                 "--y-rel": "2.0", "--lambda": "0.5"}
+        del flags[dropped]
+        argv = ["describe", "--question", question, "--learner", "ols",
+                "--data", os.path.join(simulated, "dataset.json")]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        self.refused(str(tmp_path / question), argv, f"{question} needs {dropped}")
+
+
 class TestUncertainty:
     def test_ee_mode(self, tmp_path, simulated, trained):
         out = str(tmp_path / "unc_ee")

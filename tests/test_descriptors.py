@@ -361,6 +361,40 @@ class TestCounterfactual:
         assert support_check(d_eval, result.point["x"])
 
 
+class TestRefusedArguments:
+    """Values without a meaning are refused by the functions themselves,
+    with a ValueError naming the field, before any work is done."""
+
+    @pytest.fixture
+    def problem(self, benchmark_phenomenon):
+        d = sample(benchmark_phenomenon, 300, seed=133)
+        return d, linear_handle(d.features, 0.0, [2.0, 1.0]), list(d.rows[0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None])
+    def test_non_finite_target_and_lambda(self, problem, value):
+        d, h, x = problem
+        with pytest.raises(ValueError, match="y_rel"):
+            relevant_value_global(h, d, value)
+        with pytest.raises(ValueError, match="y_rel"):
+            counterfactual_local(h, d, x, y_rel=value, lam=0.5)
+        with pytest.raises(ValueError, match="lambda"):
+            counterfactual_local(h, d, x, y_rel=1.0, lam=value)
+
+    @pytest.mark.parametrize("band", [np.nan, np.inf, -0.1])
+    def test_non_finite_or_negative_band(self, problem, band):
+        d, h, _ = problem
+        with pytest.raises(ValueError, match="band"):
+            cpdp(h, d, 0, band=band)
+
+    @pytest.mark.parametrize("count", [-5, 0, 1])
+    def test_too_few_mc_permutations(self, problem, count):
+        d, _, x = problem
+        with pytest.raises(ValueError, match="mc_permutations"):
+            sage(OLS, d, d, MSE, mode="permutation_mc", mc_permutations=count)
+        with pytest.raises(ValueError, match="mc_permutations"):
+            shapley_local(OLS, d, d, x, mode="permutation_mc", mc_permutations=count)
+
+
 class TestIntegerFeatures:
     """Searches perturb an integer feature only to integer values."""
 

@@ -180,6 +180,51 @@ def test_knn_matches_per_query_reference(problem, knn_k, distance, loss):
 
 
 @st.composite
+def encoded_rows(draw, width):
+    """Queries and reference rows of one encoded width: random floats,
+    small integers (many ties), or the standardized knn encoding of one
+    numeric and one categorical feature with width - 1 levels."""
+    q, k = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["float", "integer", "onehot"]))
+    if kind == "float":
+        cells = rng.normal(size=(q + k, width)) * 10.0 ** rng.integers(-3, 4, size=width)
+    elif kind == "integer":
+        cells = rng.integers(-2, 3, size=(q + k, width)).astype(float)
+    else:
+        features = [FeatureSpec(name="x", kind="numeric")]
+        if width > 1:
+            levels = tuple(f"c{i}" for i in range(width - 1))
+            features.append(FeatureSpec(name="c", kind="categorical", categories=levels))
+        # few distinct levels per draw, so one-hot columns repeat and tie
+        codes = np.column_stack([rng.normal(size=q + k).round(1),
+                                 rng.integers(0, min(width - 1, 4) or 1, size=q + k)])
+        codes = codes[:, :len(features)]
+        cells = encode(codes, build_encoder(features, codes[q:], standardize=True), features)
+    assert cells.shape[1] == width
+    count = draw(st.sampled_from(sorted({c for c in (1, 2, 5, k) if c <= k})))
+    return cells[:q], cells[q:], count
+
+
+@pytest.mark.parametrize("width", [*range(1, 21), 127, 128, 129, 257])
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data(), block_cells=st.sampled_from([1, 37, 500]))
+def test_euclidean_kernel_sums_in_numpy_order(width, data, block_cells):
+    """The column loop adds the squared differences in the order numpy's sum
+    over the cube's last axis takes (left to right below 8 columns, 8-way
+    pairwise above), so every distance has the cube's exact bits."""
+    queries, reference, count = data.draw(encoded_rows(width))
+    cube = np.sqrt(((reference - queries[:, None, :]) ** 2).sum(axis=2))
+    assert np.array_equal(models._distances(queries, reference).view(np.int64),
+                          cube.view(np.int64))
+    with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        index, dist = nearest(queries, reference, count)
+    expected_index, expected_dist = reference_nearest(cube, count)
+    assert np.array_equal(index, expected_index)
+    assert np.array_equal(dist.view(np.int64), expected_dist.view(np.int64))
+
+
+@st.composite
 def distance_block(draw):
     """A (queries x rows) distance block of small integers (many ties) mixed
     with NaN, +inf and -inf, some rows all NaN or all equal, and a count."""

@@ -107,6 +107,24 @@ class TestKnn:
         clone = PredictorHandle.from_dict(json.loads(canonical_json(h.to_dict())))
         assert np.array_equal(clone.predict_batch(queries), h.predict_batch(queries))
 
+    @pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
+    def test_loaded_handle_holds_the_trained_arrays(self, distance):
+        d = mixed_dataset()
+        h = train(LearnerConfig(learner="knn", knn_k=2, distance=distance), d, MSE)
+        text = canonical_json(h.to_dict())
+        clone = PredictorHandle.from_dict(json.loads(text))
+        # Gower compares the training codes; they stay out of model.json
+        reference = "train_codes" if distance == "gower" else "train_encoded"
+        assert "train_codes" not in json.loads(text)["params"]
+        for key in ("train_targets", reference):
+            loaded, trained = clone.params[key], h.params[key]
+            assert isinstance(loaded, np.ndarray) and loaded.dtype == float
+            assert loaded.tobytes() == trained.tobytes()
+        assert canonical_json(clone.to_dict()) == text
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "zz"]], dtype=object)
+        assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
+        assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.rows).tobytes()
+
     def test_mode_for_zero_one(self):
         d = Dataset(features=[FeatureSpec(name="x", kind="numeric")],
                     target=FeatureSpec(name="y", kind="integer"),
