@@ -24,6 +24,7 @@ from .models import (
     epe,
     model_distance,
     predict,
+    subset_epe,
     subset_model,
     train,
 )
@@ -73,7 +74,7 @@ __all__ = [
     "student_schema",
     "DescryError",
     "LearnerConfig", "LossFunction", "PredictorHandle", "epe", "model_distance",
-    "predict", "subset_model", "train",
+    "predict", "subset_epe", "subset_model", "train",
     "OptimalPredictorSpec", "Phenomenon", "optimal_predictor", "sample",
     "sample_conditional", "true_conditional_expectation", "true_epe",
     "ConditionalSampler", "Grid", "build_grid",

@@ -71,9 +71,12 @@ def _write_manifest(outdir, args):
 
 def _resolve_feature(d, name_or_index):
     try:
-        return int(name_or_index)
+        j = int(name_or_index)
     except (TypeError, ValueError):
         return d.feature_index(name_or_index)
+    if not 0 <= j < d.n:
+        raise ValueError(f"feature index {j} is outside 0..{d.n - 1} of {d.n} features")
+    return j
 
 
 def _parse_instance(raw):
@@ -173,11 +176,14 @@ DESCRIBE_NEEDS = {
 }
 
 
-def _cmd_describe(args):
-    missing = [flag for flag in DESCRIBE_NEEDS[args.question]
-               if getattr(args, flag[2:].replace("-", "_")) is None]
+def _check_needs(what, needs, args):
+    missing = [flag for flag in needs if getattr(args, flag[2:].replace("-", "_")) is None]
     if missing:
-        raise ValueError(f"{args.question} needs {', '.join(missing)}")
+        raise ValueError(f"{what} needs {', '.join(missing)}")
+
+
+def _cmd_describe(args):
+    _check_needs(args.question, DESCRIBE_NEEDS[args.question], args)
     d_eval = _load_dataset(args)
     loss = LossFunction(args.loss)
     os.makedirs(args.out, exist_ok=True)
@@ -218,7 +224,18 @@ def _cmd_describe(args):
     return 0
 
 
+# the inputs each uncertainty question cannot do without, by flag; --mode ee also needs --model
+UNCERTAINTY_NEEDS = {
+    "cpdp": ("--feature",),
+    "cpfi": ("--feature",),
+    "relevant_value_global": ("--y-rel",),
+}
+
+
 def _cmd_uncertainty(args):
+    _check_needs(args.question, UNCERTAINTY_NEEDS[args.question], args)
+    if args.mode == "ee":
+        _check_needs("--mode ee", ("--model",), args)
     d = _load_dataset(args)
     loss = LossFunction(args.loss)
     feature = _resolve_feature(d, args.feature) if args.feature is not None else None

@@ -18,7 +18,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .data import gower_encode, select_features
+from .data import gower_encode
 from .errors import (
     AllGroupsEmpty,
     NoSupportedCandidate,
@@ -27,9 +27,9 @@ from .errors import (
 )
 from .models import (
     LossFunction,
-    epe,
     gower_distances,
     pointwise_loss,
+    subset_epe,
     subset_model,
 )
 from .samplers import build_grid, conditional_groups, get_support_checker, group_means
@@ -200,16 +200,22 @@ def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND,
 # -- conditional contributions ------------------------------------------------
 
 
+def _full_and_reduced(n, feature):
+    """All n feature indices, and all but `feature`, which must be one of them."""
+    if not 0 <= feature < n:
+        raise ValueError(f"feature index {feature} is outside 0..{n - 1} of {n} features")
+    full_set = tuple(range(n))
+    return full_set, full_set[:feature] + full_set[feature + 1:]
+
+
 def cpfi(config, d_train, d_eval, feature, loss):
     """Conditional feature importance, refit form: how much worse the
     optimally reduced model predicts without the feature."""
     if d_train.n < 2:
         raise ValueError("cpfi needs at least two features")
-    full_set = tuple(range(d_train.n))
-    reduced_set = tuple(j for j in full_set if j != feature)
-    full_epe = epe(subset_model(config, d_train, loss, full_set), d_eval, loss)
-    reduced_epe = epe(subset_model(config, d_train, loss, reduced_set),
-                      select_features(d_eval, reduced_set), loss)
+    full_set, reduced_set = _full_and_reduced(d_train.n, feature)
+    full_epe = subset_epe(config, d_train, d_eval, loss, full_set)
+    reduced_epe = subset_epe(config, d_train, d_eval, loss, reduced_set)
     spec = DescriptorSpec(question="cpfi", feature=feature, loss=loss)
     return DescriptorResult(spec=spec, scalar=reduced_epe - full_epe, diagnostics={
         "epe_full": full_epe, "epe_reduced": reduced_epe,
@@ -220,9 +226,8 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
                                    feature, loss):
     """Instance-level analogue of cpfi: the loss paid at this instance by
     not knowing the feature (reduced minus full, helpful features positive)."""
+    full_set, reduced_set = _full_and_reduced(d_train.n, feature)
     _require_on_support(d_eval, instance, "local_conditional_contribution")
-    full_set = tuple(range(d_train.n))
-    reduced_set = tuple(j for j in full_set if j != feature)
     full = subset_model(config, d_train, loss, full_set)
     reduced = subset_model(config, d_train, loss, reduced_set)
     y = np.array([observed_y], dtype=float)
@@ -260,24 +265,25 @@ def _shapley_exact(n, value_of):
 
 
 def _shapley_permutation_mc(n, value_of, permutations, seed):
-    """Average marginal gains over random feature orderings."""
+    """Average marginal gains over random feature orderings; also returns
+    the value of every subset visited (each ordering visits all n)."""
     rng = np.random.default_rng(derive_seed(seed, "shapley-permutations"))
     gains = np.zeros((permutations, n))
-    cache = {(): value_of(())}
+    values = {(): value_of(())}
     for p in range(permutations):
         order = rng.permutation(n)
         acquired = []
-        prev = cache[()]
+        prev = values[()]
         for j in order:
             acquired.append(int(j))
             key = tuple(sorted(acquired))
-            if key not in cache:
-                cache[key] = value_of(key)
-            gains[p, j] = cache[key] - prev
-            prev = cache[key]
+            if key not in values:
+                values[key] = value_of(key)
+            gains[p, j] = values[key] - prev
+            prev = values[key]
     phi = gains.mean(axis=0)
     stderr = gains.std(axis=0, ddof=1) / np.sqrt(permutations)
-    return phi, stderr
+    return phi, stderr, values
 
 
 def _fair_contribution(n, value_of, mode, mc_permutations, seed, spec, extra=None):
@@ -287,12 +293,11 @@ def _fair_contribution(n, value_of, mode, mc_permutations, seed, spec, extra=Non
                 f"{n} features exceeds the exact-mode limit {EXACT_MODE_LIMIT}",
                 operation=spec.question)
         phi, values = _shapley_exact(n, value_of)
-        diagnostics = {"value_empty": values[()], "value_full": values[tuple(range(n))]}
+        diagnostics = {}
     else:
-        phi, stderr = _shapley_permutation_mc(n, value_of, mc_permutations, seed)
-        diagnostics = {"mc_stderr": stderr.tolist(),
-                       "value_empty": value_of(()),
-                       "value_full": value_of(tuple(range(n)))}
+        phi, stderr, values = _shapley_permutation_mc(n, value_of, mc_permutations, seed)
+        diagnostics = {"mc_stderr": stderr.tolist()}
+    diagnostics.update(value_empty=values[()], value_full=values[tuple(range(n))])
     if extra:
         diagnostics.update(extra)
     return DescriptorResult(spec=spec, attribution=phi, diagnostics=diagnostics)
@@ -304,19 +309,11 @@ def sage(config, d_train, d_eval, loss, mode="exact", mc_permutations=2000, seed
     The coalition value of S is -EPE of the subset refit on S, so a feature's
     score is its Shapley-weighted average EPE reduction; the scores sum to
     EPE(empty) - EPE(full)."""
-    n = d_train.n
-    eval_cache = {}
-
-    def value_of(subset):
-        if subset not in eval_cache:
-            handle = subset_model(config, d_train, loss, subset)
-            eval_cache[subset] = -epe(handle, select_features(d_eval, subset), loss)
-        return eval_cache[subset]
-
     spec = DescriptorSpec(question="sage", loss=loss, mode=mode,
                           mc_permutations=mc_permutations, seed=seed)
-    return _fair_contribution(n, value_of, mode, mc_permutations, seed, spec,
-                              extra={"evaluation_size": d_eval.k})
+    return _fair_contribution(
+        d_train.n, lambda subset: -subset_epe(config, d_train, d_eval, loss, subset),
+        mode, mc_permutations, seed, spec, extra={"evaluation_size": d_eval.k})
 
 
 def shapley_local(config, d_train, d_eval, instance, mode="exact",
@@ -328,17 +325,11 @@ def shapley_local(config, d_train, d_eval, instance, mode="exact",
     spec = DescriptorSpec(question="shapley_local", instance=list(instance), loss=loss,
                           mode=mode, mc_permutations=mc_permutations, seed=seed)
     _require_on_support(d_eval, instance, "shapley_local")
-    n = d_train.n
-    eval_cache = {}
 
     def value_of(subset):
-        if subset not in eval_cache:
-            handle = subset_model(config, d_train, loss, subset)
-            restricted = [instance[j] for j in subset]
-            eval_cache[subset] = handle.predict(restricted)
-        return eval_cache[subset]
+        return subset_model(config, d_train, loss, subset).predict([instance[j] for j in subset])
 
-    return _fair_contribution(n, value_of, mode, mc_permutations, seed, spec)
+    return _fair_contribution(d_train.n, value_of, mode, mc_permutations, seed, spec)
 
 
 # -- relevant values and counterfactuals ---------------------------------------

@@ -215,9 +215,11 @@ def _smallest(block, count):
 def nearest(queries, reference, count, ranges=None):
     """Row indices and distances of the `count` reference rows nearest to
     each query, nearest first; ties go to the lowest row index."""
+    if not 1 <= count <= len(reference):
+        raise ValueError(f"count must be in 1..{len(reference)} reference rows, got {count}")
     index = np.empty((len(queries), count), dtype=np.intp)
     dist = np.empty((len(queries), count))
-    step = max(1, DISTANCE_BLOCK_CELLS // max(len(reference), 1))
+    step = max(1, DISTANCE_BLOCK_CELLS // len(reference))
     for start in range(0, len(queries), step):
         block = _distances(queries[start:start + step], reference, ranges)
         order = _smallest(block, count)
@@ -662,13 +664,16 @@ def train_each(config, datasets, loss):
 
 # -- subset refits -----------------------------------------------------------
 
-# refits kept for reuse: all subsets of 5 features, so two exact Shapley calls can share them
+# refits kept for reuse: all subsets of 5 features, so two exact Shapley calls can share them;
+# the risks of refits on evaluation data are kept to the same bound
 SUBSET_CACHE_SIZE = 32
 _subset_cache = OrderedDict()
+_risk_cache = OrderedDict()
 
 
 def clear_subset_cache():
     _subset_cache.clear()
+    _risk_cache.clear()
 
 
 def best_constant(d, loss):
@@ -694,6 +699,16 @@ def subset_model(config, d, loss, subset):
     return lru_get_or_build(_subset_cache, SUBSET_CACHE_SIZE,
                             (config.key(), d.fingerprint, loss, subset),
                             lambda: _fit_subset(config, d, loss, subset))
+
+
+def subset_epe(config, d_train, d_eval, loss, subset):
+    """EPE on d_eval's `subset` columns of the refit on d_train's (cached):
+    sage and cpfi are differences of these risks."""
+    subset = tuple(sorted(int(j) for j in subset))
+    return lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE,
+                            (config.key(), d_train.fingerprint, d_eval.fingerprint, loss, subset),
+                            lambda: epe(subset_model(config, d_train, loss, subset),
+                                        select_features(d_eval, subset), loss))
 
 
 def _fit_subset(config, d, loss, subset):

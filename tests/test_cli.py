@@ -218,6 +218,46 @@ class TestDescribeRefusals:
         self.refused(str(tmp_path / question), argv, f"{question} needs {dropped}")
 
 
+    @pytest.mark.parametrize("question", ["cpfi", "cpdp"])
+    @pytest.mark.parametrize("feature", ["2", "7", "-1"])
+    def test_feature_index_outside_the_features(self, tmp_path, simulated, trained,
+                                                question, feature):
+        data = os.path.join(simulated, "dataset.json")
+        self.refused(str(tmp_path / question), [
+            "describe", "--question", question, "--train-data", data, "--data", data,
+            "--model", os.path.join(trained, "model.json"), "--learner", "ols",
+            "--feature", feature], f"feature index {feature} is outside 0..1 of 2 features")
+
+
+class TestUncertaintyRefusals:
+    """A missing flag or an out-of-range feature exits 1 with an error.json
+    naming it, before any report is written."""
+
+    @pytest.mark.parametrize("question, mode, dropped, named", [
+        ("cpdp", "combined", "--feature", "cpdp needs --feature"),
+        ("cpfi", "combined", "--feature", "cpfi needs --feature"),
+        ("relevant_value_global", "combined", "--y-rel", "relevant_value_global needs --y-rel"),
+        ("cpdp", "ee", "--model", "--mode ee needs --model")])
+    def test_missing_input_names_its_flag(self, tmp_path, simulated, trained,
+                                          question, mode, dropped, named):
+        flags = {"--model": os.path.join(trained, "model.json"), "--feature": "x1",
+                 "--y-rel": "2.0"}
+        del flags[dropped]
+        argv = ["uncertainty", "--question", question, "--mode", mode,
+                "--data", os.path.join(simulated, "dataset.json"),
+                "--ee-replicates", "20", "--me-replicates", "20"]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        TestDescribeRefusals.refused(str(tmp_path / question), argv, named)
+        assert not os.path.exists(os.path.join(str(tmp_path / question), "report.json"))
+
+    def test_feature_index_outside_the_features(self, tmp_path, simulated):
+        TestDescribeRefusals.refused(str(tmp_path / "cpfi"), [
+            "uncertainty", "--question", "cpfi", "--mode", "combined",
+            "--data", os.path.join(simulated, "dataset.json"), "--feature", "7"],
+            "feature index 7 is outside 0..1 of 2 features")
+
+
 class TestUncertainty:
     def test_ee_mode(self, tmp_path, simulated, trained):
         out = str(tmp_path / "unc_ee")

@@ -395,6 +395,16 @@ class TestRefusedArguments:
             shapley_local(OLS, d, d, x, mode="permutation_mc", mc_permutations=count)
 
 
+    @pytest.mark.parametrize("feature", [2, 7, -1])
+    def test_feature_outside_the_features(self, problem, feature):
+        d, _, x = problem
+        named = f"feature index {feature} is outside 0..1 of 2 features"
+        with pytest.raises(ValueError, match=named):
+            cpfi(OLS, d, d, feature, MSE)
+        with pytest.raises(ValueError, match=named):
+            local_conditional_contribution(OLS, d, d, x, 0.0, feature, MSE)
+
+
 class TestIntegerFeatures:
     """Searches perturb an integer feature only to integer values."""
 

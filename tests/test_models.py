@@ -137,6 +137,13 @@ class TestKnn:
         with pytest.raises(ValueError):
             train(LearnerConfig(learner="knn", knn_k=50), linear_dataset(k=10), MSE)
 
+    @pytest.mark.parametrize("rows, count", [(1, 2), (2, 3), (2, 0), (2, -1)])
+    def test_nearest_refuses_a_count_outside_the_reference(self, rows, count):
+        from descry.models import nearest
+        reference = np.arange(float(rows))[:, None]
+        with pytest.raises(ValueError, match=f"1..{rows} reference rows, got {count}"):
+            nearest(np.array([[0.5]]), reference, count)
+
 
 class TestMlp:
     def test_training_loss_non_increasing(self, benchmark_phenomenon):
