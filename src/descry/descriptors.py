@@ -200,23 +200,26 @@ def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND,
 # -- conditional contributions ------------------------------------------------
 
 
-def _full_and_reduced(n, feature):
-    """All n feature indices, and all but `feature`, which must be one of them."""
-    if not 0 <= feature < n:
-        raise ValueError(f"feature index {feature} is outside 0..{n - 1} of {n} features")
+def _full_and_reduced(d, feature):
+    """The index of `feature` (a name or an index), all of d's feature
+    indices, and all but that one."""
+    n = d.n
+    j = d.feature_index(feature) if isinstance(feature, str) else int(feature)
+    if not 0 <= j < n:
+        raise ValueError(f"feature index {j} is outside 0..{n - 1} of {n} features")
     full_set = tuple(range(n))
-    return full_set, full_set[:feature] + full_set[feature + 1:]
+    return j, full_set, full_set[:j] + full_set[j + 1:]
 
 
 def cpfi(config, d_train, d_eval, feature, loss):
     """Conditional feature importance, refit form: how much worse the
-    optimally reduced model predicts without the feature."""
+    optimally reduced model predicts without the feature (a name or an index)."""
     if d_train.n < 2:
         raise ValueError("cpfi needs at least two features")
-    full_set, reduced_set = _full_and_reduced(d_train.n, feature)
+    j, full_set, reduced_set = _full_and_reduced(d_train, feature)
     full_epe = subset_epe(config, d_train, d_eval, loss, full_set)
     reduced_epe = subset_epe(config, d_train, d_eval, loss, reduced_set)
-    spec = DescriptorSpec(question="cpfi", feature=feature, loss=loss)
+    spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
     return DescriptorResult(spec=spec, scalar=reduced_epe - full_epe, diagnostics={
         "epe_full": full_epe, "epe_reduced": reduced_epe,
         "evaluation_size": d_eval.k})
@@ -226,7 +229,7 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
                                    feature, loss):
     """Instance-level analogue of cpfi: the loss paid at this instance by
     not knowing the feature (reduced minus full, helpful features positive)."""
-    full_set, reduced_set = _full_and_reduced(d_train.n, feature)
+    j, full_set, reduced_set = _full_and_reduced(d_train, feature)
     _require_on_support(d_eval, instance, "local_conditional_contribution")
     full = subset_model(config, d_train, loss, full_set)
     reduced = subset_model(config, d_train, loss, reduced_set)
@@ -234,11 +237,11 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     loss_full = float(pointwise_loss(
         loss, y, np.array([full.predict(instance)]),
         y_levels=full.params.get("y_levels"))[0])
-    reduced_instance = [instance[j] for j in reduced_set]
+    reduced_instance = [instance[i] for i in reduced_set]
     loss_reduced = float(pointwise_loss(
         loss, y, np.array([reduced.predict(reduced_instance)]),
         y_levels=reduced.params.get("y_levels"))[0])
-    spec = DescriptorSpec(question="local_conditional_contribution", feature=feature,
+    spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
                           instance=list(instance), loss=loss)
     return DescriptorResult(spec=spec, scalar=loss_reduced - loss_full, diagnostics={
         "loss_full": loss_full, "loss_reduced": loss_reduced})

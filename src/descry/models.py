@@ -132,66 +132,110 @@ def feature_ranges(codes, features):
     return [0.0 if f.kind == "categorical" else float(r) for f, r in zip(features, spans)]
 
 
-def _distances(queries, reference, ranges=None):
+def _workspace(rows, reference, ranges=None):
+    """Scratch for `_distances` over up to `rows` queries: one array for each
+    column's term, then the slots `_column_sum` sums in (distances in the
+    first): four for numpy's pairwise order over 8 or more Euclidean
+    columns, one otherwise."""
+    slots = 4 if ranges is None and reference.shape[1] >= 8 else 1
+    return np.empty((1 + slots, rows, len(reference)))
+
+
+def _distances(queries, reference, ranges=None, work=None):
     """(q, k) distances from each encoded query to every encoded reference
     row: Gower (range-normalized absolute difference, averaged over
     features) when `ranges` is given, otherwise Euclidean.
 
     Both sum one (q, k) term per column. The Euclidean sum takes numpy's
     pairwise order, so it equals `np.sqrt(((reference - queries[:, None]) **
-    2).sum(axis=2))` bit for bit without building that (q, k, n) cube."""
-    shape = (len(queries), len(reference))
+    2).sum(axis=2))` bit for bit without building that (q, k, n) cube.
+    Every term and partial sum is written into `work` (from `_workspace`; a
+    zero-range Gower term into one bool scratch). `nearest` passes one per
+    call, reused by all its blocks, because freeing (q, k) arrays per column
+    or per block lets the allocator return their pages to the system and
+    fault them in again."""
+    q = len(queries)
     columns = np.ascontiguousarray(reference.T)
+    if work is None:
+        work = _workspace(q, reference, ranges)
+    diff, slots = work[0, :q], work[1:, :q]
     if ranges is None:
         def term(j):
-            diff = columns[j] - queries[:, j, None]
+            np.subtract(columns[j], queries[:, j, None], out=diff)
             return np.square(diff, out=diff)
-        return np.sqrt(_column_sum(term, 0, len(columns), shape))
+        total = _column_sum(term, 0, len(columns), slots)
+        return np.sqrt(total, out=total)
+
+    mismatch = np.empty(diff.shape, dtype=bool)
 
     def term(j):
-        diff = np.abs(columns[j] - queries[:, j, None])
-        return np.divide(diff, ranges[j], out=diff) if ranges[j] > 0 else (diff > 0).astype(float)
-    return _column_sum(term, 0, len(ranges), shape, pairwise=False) / max(len(ranges), 1)
+        np.subtract(columns[j], queries[:, j, None], out=diff)
+        np.abs(diff, out=diff)
+        if ranges[j] > 0:
+            return np.divide(diff, ranges[j], out=diff)
+        return np.greater(diff, 0, out=mismatch)
+    total = _column_sum(term, 0, len(ranges), slots, pairwise=False)
+    total /= max(len(ranges), 1)
+    return total
 
 
-def _column_sum(term, start, stop, shape, pairwise=True):
+def _column_sum(term, start, stop, slots, pairwise=True):
     """Sum of the (q, k) arrays term(j) over columns start..stop-1: left to
     right, or in the order numpy's pairwise `sum` takes over a contiguous
     axis. That order, below 8 columns, is left to right; up to 128, eight
-    partial sums of every 8th column, added as a tree, then the columns left
-    over; above 128, the sums of two halves split at a multiple of 8."""
+    partial sums of every 8th column, added as a tree in slots[0..3], then
+    the columns left over; above 128, the sums of two halves split at a
+    multiple of 8, the first copied out of the slots. The sum is slots[0]
+    up to 128 columns. term(j) may return the same scratch array each time."""
     n = stop - start
     if pairwise and n > 128:
         half = n // 2 - n // 2 % 8
-        return (_column_sum(term, start, start + half, shape)
-                + _column_sum(term, start + half, stop, shape))
+        acc = _column_sum(term, start, start + half, slots).copy()
+        acc += _column_sum(term, start + half, stop, slots)
+        return acc
+    acc = slots[0]
     if not pairwise or n < 8:
-        acc, full = np.zeros(shape), start
+        acc.fill(0.0)
+        full = start
     else:
         full = stop - n % 8
 
-        def partial(m):  # one partial at a time keeps at most four (q, k) sums alive
-            acc = term(start + m)
+        def partial(m, slot):
+            np.copyto(slot, term(start + m))
             for j in range(start + m + 8, full, 8):
-                acc += term(j)
-            return acc
-        acc = (((partial(0) + partial(1)) + (partial(2) + partial(3)))
-               + ((partial(4) + partial(5)) + (partial(6) + partial(7))))
+                slot += term(j)
+            return slot
+        # ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), four sums alive at most
+        a, b, c, d = slots[:4]
+        partial(0, a)
+        a += partial(1, b)
+        partial(2, b)
+        b += partial(3, c)
+        a += b
+        partial(4, b)
+        b += partial(5, c)
+        partial(6, c)
+        c += partial(7, d)
+        b += c
+        a += b
     for j in range(full, stop):
         acc += term(j)
     return acc
 
 
-def _smallest(block, count):
+def _smallest(block, count, scratch):
     """The first `count` columns of each row's stable argsort (smallest first,
-    lowest column on ties, NaN last), without sorting whole rows."""
+    lowest column on ties, NaN last), without sorting whole rows. `scratch`,
+    a float array of block's shape, is overwritten."""
     if count >= block.shape[1]:
         return np.argsort(block, axis=1, kind="stable")[:, :count]
     if count == 1:
         order = np.argmin(block, axis=1)[:, None]
         nan = np.isnan(np.take_along_axis(block, order, axis=1)[:, 0])
     else:
-        kth = np.partition(block, count - 1, axis=1)[:, count - 1:count]
+        np.copyto(scratch, block)  # what np.partition does in a copy of its own
+        scratch.partition(count - 1, axis=1)
+        kth = scratch[:, count - 1:count]
         nan = np.isnan(kth[:, 0])
         chosen = block <= kth
         # where the count-th value has too many ties, keep its lowest columns
@@ -220,9 +264,10 @@ def nearest(queries, reference, count, ranges=None):
     index = np.empty((len(queries), count), dtype=np.intp)
     dist = np.empty((len(queries), count))
     step = max(1, DISTANCE_BLOCK_CELLS // len(reference))
+    work = _workspace(min(step, len(queries)), reference, ranges)
     for start in range(0, len(queries), step):
-        block = _distances(queries[start:start + step], reference, ranges)
-        order = _smallest(block, count)
+        block = _distances(queries[start:start + step], reference, ranges, work)
+        order = _smallest(block, count, work[0, :len(block)])
         index[start:start + step] = order
         dist[start:start + step] = np.take_along_axis(block, order, axis=1)
     return index, dist

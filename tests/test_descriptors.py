@@ -8,7 +8,9 @@ from descry import (
     relevant_value_global, sage, sample, shapley_local, subset_model, support_check,
     true_conditional_expectation,
 )
-from descry.errors import AllGroupsEmpty, OffSupportInstance, TooManyFeaturesForExact
+from descry.errors import (
+    AllGroupsEmpty, OffSupportInstance, TooManyFeaturesForExact, UnknownFeature,
+)
 from descry.samplers import conditional_groups
 
 MSE = LossFunction.MSE
@@ -403,6 +405,21 @@ class TestRefusedArguments:
             cpfi(OLS, d, d, feature, MSE)
         with pytest.raises(ValueError, match=named):
             local_conditional_contribution(OLS, d, d, x, 0.0, feature, MSE)
+
+    def test_feature_by_name(self, problem):
+        """cpfi and its local analogue take a feature name, as cpdp and ice
+        do, and record its index; a name the data lacks is refused."""
+        d, _, x = problem
+        name = d.features[1].name
+        assert cpfi(OLS, d, d, name, MSE).to_dict() == cpfi(OLS, d, d, 1, MSE).to_dict()
+        named = local_conditional_contribution(OLS, d, d, x, 0.0, name, MSE)
+        assert named.spec.feature == 1
+        assert named.to_dict() == local_conditional_contribution(
+            OLS, d, d, x, 0.0, 1, MSE).to_dict()
+        with pytest.raises(UnknownFeature, match="no_such_feature"):
+            cpfi(OLS, d, d, "no_such_feature", MSE)
+        with pytest.raises(UnknownFeature, match="no_such_feature"):
+            local_conditional_contribution(OLS, d, d, x, 0.0, "no_such_feature", MSE)
 
 
 class TestIntegerFeatures:

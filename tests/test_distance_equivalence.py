@@ -180,6 +180,62 @@ def test_knn_matches_per_query_reference(problem, knn_k, distance, loss):
 
 
 @st.composite
+def gower_problem(draw):
+    """Mixed columns in any order: floats rounded to one decimal, small
+    integers, one constant numeric column and one categorical column (the
+    last two take the zero-range mismatch branch), with queries that may
+    step outside the data; and a block size that leaves a short last block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k, q = draw(st.integers(2, 40)), draw(st.integers(3, 40))
+    kinds = draw(st.permutations(
+        ["constant", "categorical", *draw(st.lists(st.sampled_from(["numeric", "integer"]),
+                                                   max_size=4))]))
+    features, columns = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "categorical":
+            features.append(FeatureSpec(name=f"x{j}", kind=kind, categories=CATEGORIES))
+            levels = CATEGORIES[:draw(st.integers(1, len(CATEGORIES)))]
+            columns.append((rng.choice(levels, size=k),
+                            rng.choice(CATEGORIES + (UNDECLARED,), size=q)))
+            continue
+        features.append(FeatureSpec(name=f"x{j}", kind="numeric" if kind == "constant" else kind))
+        if kind == "constant":
+            cells = np.full(k + q, 1.5)
+            cells[k:] += rng.integers(-1, 2, size=q)
+        elif kind == "integer":
+            cells = rng.integers(-3, 4, size=k + q).astype(float)
+        else:
+            cells = (rng.normal(size=k + q) * 10.0 ** rng.integers(-2, 3)).round(1)
+        columns.append((cells[:k], cells[k:]))
+    rows = np.array([[*r] for r in zip(*(c[0] for c in columns))], dtype=object)
+    queries = np.array([[*r] for r in zip(*(c[1] for c in columns))], dtype=object)
+    step = draw(st.sampled_from([s for s in range(1, q) if q % s]))
+    d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                rows=rows, targets=np.zeros(k), provenance="observed")
+    return d, queries, step * k
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gower_problem())
+def test_gower_kernel_matches_per_query_reference(problem):
+    """The Gower terms of all blocks share one workspace; every distance, in
+    every block, keeps the bits of the per-query column loop."""
+    d, queries, block_cells = problem
+    ranges = feature_ranges(d.codes, d.features)
+    assert ranges.count(0.0) >= 2
+    expected = np.array([reference_gower_distances(d.rows, x, d.features, ranges)
+                         for x in queries])
+    encoded = gower_encode(queries, d.features)
+    assert np.array_equal(models._distances(encoded, d.codes, ranges).view(np.int64),
+                          expected.view(np.int64))
+    with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        index, dist = nearest(encoded, d.codes, d.k, ranges)
+    expected_index, expected_dist = reference_nearest(expected, d.k)
+    assert np.array_equal(index, expected_index)
+    assert np.array_equal(dist.view(np.int64), expected_dist.view(np.int64))
+
+
+@st.composite
 def encoded_rows(draw, width):
     """Queries and reference rows of one encoded width: random floats,
     small integers (many ties), or the standardized knn encoding of one
@@ -243,7 +299,7 @@ def test_selection_matches_stable_argsort(problem, block_cells):
     block, count = problem
     # query i's distance row is block[i]; the kernel itself is covered above
     queries, reference = np.arange(len(block), dtype=float)[:, None], np.zeros((block.shape[1], 1))
-    with mock.patch.object(models, "_distances", lambda qs, ref, ranges: block[qs[:, 0].astype(int)]), \
+    with mock.patch.object(models, "_distances", lambda qs, ref, ranges, work: block[qs[:, 0].astype(int)]), \
             mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
         index, dist = nearest(queries, reference, count)
     expected_index, expected_dist = reference_nearest(block, count)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from descry import (
     CIConfig, ConditionalSampler, LearnerConfig, LossFunction, OptimalPredictorSpec,
@@ -22,6 +24,19 @@ def setup(benchmark_phenomenon):
     oracle = optimal_predictor(OptimalPredictorSpec(p, MSE))
     spec = DescriptorSpec(question="cpdp", feature=0, grid=grid)
     return p, reference, grid, oracle, spec
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(2, 10_000), st.sampled_from(["student_t", "normal"]))
+def test_quantile_has_the_bits_of_scipy_stats(alpha, replicates, family):
+    """CIConfig.quantile calls scipy.special directly; it must equal the
+    scipy.stats ppf it replaced bit for bit, so every interval keeps its bytes."""
+    q = 1.0 - alpha / 2.0
+    expected = (stats.norm.ppf(q) if family == "normal"
+                else stats.t.ppf(q, df=replicates - 1))
+    got = CIConfig(alpha=alpha, quantile_family=family).quantile(replicates)
+    assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
 
 
 class TestEstimationError:
