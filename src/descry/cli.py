@@ -43,6 +43,13 @@ def _load_schema(arg):
     return [FeatureSpec.from_dict(c) for c in columns]
 
 
+def _load_model(path):
+    try:
+        return PredictorHandle.from_dict(_read_json(path))
+    except KeyError as exc:
+        raise ValueError(f"--model {path} is not a model file: it has no key {exc}") from None
+
+
 def _load_dataset(args, path=None, schema_arg=None):
     path = path or args.data
     if path.endswith(".json"):
@@ -188,7 +195,7 @@ def _cmd_describe(args):
     loss = LossFunction(args.loss)
     os.makedirs(args.out, exist_ok=True)
 
-    handle = PredictorHandle.from_dict(_read_json(args.model)) if args.model else None
+    handle = _load_model(args.model) if args.model else None
     config = _learner_config(args) if args.train_data else None
     d_train = _load_dataset(args, path=args.train_data) if args.train_data else None
     feature = _resolve_feature(d_eval, args.feature) if args.feature is not None else None
@@ -250,7 +257,7 @@ def _cmd_uncertainty(args):
                    quantile_family=args.quantile_family)
 
     if args.mode == "ee":
-        handle = PredictorHandle.from_dict(_read_json(args.model))
+        handle = _load_model(args.model)
         report = ci_estimation(handle, d, spec, cfg)
     else:
         config = _learner_config(args)

@@ -402,8 +402,11 @@ def resample(d, plan, replicate_index):
 
 
 def select_features(d, indices):
-    """Dataset restricted to the given feature columns (targets unchanged)."""
+    """Dataset restricted to the given feature columns (targets unchanged);
+    d itself when they are all of its columns."""
     indices = sorted(int(j) for j in indices)
+    if indices == list(range(d.n)):
+        return d
     return d._slice(slice(None), indices, features=[d.features[j] for j in indices])
 
 

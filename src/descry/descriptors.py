@@ -42,7 +42,6 @@ QUESTIONS = (
 LOCAL_QUESTIONS = ("ice", "shapley_local", "local_conditional_contribution",
                    "counterfactual_local")
 EXACT_MODE_LIMIT = 12
-SUPPORT_QUANTILE_BAND = 0.005
 
 
 @dataclass
@@ -132,7 +131,10 @@ class DescriptorResult:
 
 
 def _require_on_support(d_eval, instance, operation):
-    checker = get_support_checker(d_eval, SUPPORT_QUANTILE_BAND)
+    if len(instance) != d_eval.n:
+        raise ValueError(f"instance has {len(instance)} values, but the data has "
+                         f"{d_eval.n} features")
+    checker = get_support_checker(d_eval)
     if not checker.check(list(instance)):
         raise OffSupportInstance("instance fails the support check", operation=operation)
     return checker
@@ -141,7 +143,7 @@ def _require_on_support(d_eval, instance, operation):
 # -- conditional effect curves ----------------------------------------------
 
 
-def _feature_grid(d, feature, grid, max_points):
+def feature_grid(d, feature, grid, max_points):
     """The grid along `feature`, a name or an index: built when None, refused
     when it runs along another feature."""
     if grid is None:
@@ -158,7 +160,7 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
     _check_band(band)
-    grid = _feature_grid(d_eval, feature, grid, max_points)
+    grid = feature_grid(d_eval, feature, grid, max_points)
     members, dropped = conditional_groups(d_eval, grid, band=band)
     preds = h.predict_batch(d_eval.codes)
     means, sizes, kept = group_means(preds, members, np.ones(d_eval.k))
@@ -173,12 +175,11 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
         "evaluation_size": d_eval.k, "sampler": "grouping"})
 
 
-def ice(h, instance, feature, grid, d_eval, quantile_band=SUPPORT_QUANTILE_BAND,
-        max_points=20):
+def ice(h, instance, feature, grid, d_eval, max_points=20):
     """Individual conditional expectation: the model's own slice through one
     instance, plotted only where the spliced point stays on support. With
     grid None, the grid is built from d_eval."""
-    grid = _feature_grid(d_eval, feature, grid, max_points)
+    grid = feature_grid(d_eval, feature, grid, max_points)
     checker = _require_on_support(d_eval, instance, "ice")
     j = grid.feature_index
     spliced = np.array([list(instance)] * len(grid.points), dtype=d_eval.rows.dtype)
@@ -211,12 +212,17 @@ def _full_and_reduced(d, feature):
     return j, full_set, full_set[:j] + full_set[j + 1:]
 
 
+def cpfi_sets(d, feature):
+    """cpfi's index of `feature`, its full feature set and its reduced one."""
+    if d.n < 2:
+        raise ValueError("cpfi needs at least two features")
+    return _full_and_reduced(d, feature)
+
+
 def cpfi(config, d_train, d_eval, feature, loss):
     """Conditional feature importance, refit form: how much worse the
     optimally reduced model predicts without the feature (a name or an index)."""
-    if d_train.n < 2:
-        raise ValueError("cpfi needs at least two features")
-    j, full_set, reduced_set = _full_and_reduced(d_train, feature)
+    j, full_set, reduced_set = cpfi_sets(d_train, feature)
     full_epe = subset_epe(config, d_train, d_eval, loss, full_set)
     reduced_epe = subset_epe(config, d_train, d_eval, loss, reduced_set)
     spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
@@ -229,6 +235,7 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
                                    feature, loss):
     """Instance-level analogue of cpfi: the loss paid at this instance by
     not knowing the feature (reduced minus full, helpful features positive)."""
+    _check_finite("observed_y", observed_y)
     j, full_set, reduced_set = _full_and_reduced(d_train, feature)
     _require_on_support(d_eval, instance, "local_conditional_contribution")
     full = subset_model(config, d_train, loss, full_set)
@@ -375,7 +382,7 @@ def relevant_value_global(h, d_eval, y_rel):
     best_obj = float(objective[best_idx])
     best_x = list(d_eval.rows[best_idx])
 
-    checker = get_support_checker(d_eval, SUPPORT_QUANTILE_BAND)
+    checker = get_support_checker(d_eval)
     top = np.argsort(objective, kind="stable")[:PERTURB_TOP_ROWS]
     perturbed = _perturbations(d_eval, [d_eval.rows[i] for i in top])
     candidates = [c for c, ok in zip(perturbed, checker.check_rows(perturbed)) if ok]
@@ -395,8 +402,7 @@ def relevant_value_global(h, d_eval, y_rel):
     }, diagnostics={"candidates_scanned": d_eval.k + len(candidates)})
 
 
-def counterfactual_local(h, d_eval, instance, y_rel, lam,
-                         quantile_band=SUPPORT_QUANTILE_BAND):
+def counterfactual_local(h, d_eval, instance, y_rel, lam):
     """Realistic conditions similar to the instance under which the model
     output comes closest to the target: minimize |m(x') - y_rel| plus a
     Gower-distance penalty over supported candidates."""

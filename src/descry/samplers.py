@@ -17,6 +17,8 @@ from .models import feature_ranges, gower_encode, nearest
 from ._util import derive_seed, lru_get_or_build
 
 MIN_GROUP_SIZE = 5
+# the support check's per-feature band: a point must lie in [q, 1 - q] of each numeric feature
+SUPPORT_QUANTILE_BAND = 0.005
 SELF_DISTANCE_SAMPLE = 1000
 # support checkers kept for reuse, each holding its dataset and threshold
 CHECKER_CACHE_SIZE = 8
@@ -118,7 +120,8 @@ def group_means(values, members, weights):
     if not kept.any():
         raise AllGroupsEmpty("every grid point fell below the minimum group size",
                              operation="cpdp")
-    means = np.where(kept, (weights * values) @ members / np.where(kept, sizes, 1), np.nan)
+    means = (weights * values) @ members / np.maximum(sizes, 1)
+    means[~kept] = np.nan
     return means, sizes, kept
 
 
@@ -164,7 +167,7 @@ class SupportChecker:
     nearest-neighbor (Gower) distance. Positive density is unobservable;
     this conjunction is the weakest testable stand-in."""
 
-    def __init__(self, d, quantile_band=0.005):
+    def __init__(self, d, quantile_band=SUPPORT_QUANTILE_BAND):
         self.d = d
         self.quantile_band = float(quantile_band)
         self.ranges = feature_ranges(d.codes, d.features)
@@ -207,12 +210,12 @@ class SupportChecker:
 _checker_cache = OrderedDict()
 
 
-def get_support_checker(d, quantile_band=0.005):
+def get_support_checker(d, quantile_band=SUPPORT_QUANTILE_BAND):
     return lru_get_or_build(_checker_cache, CHECKER_CACHE_SIZE,
                             (d.fingerprint, float(quantile_band)),
                             lambda: SupportChecker(d, quantile_band))
 
 
-def support_check(d, x, quantile_band=0.005):
+def support_check(d, x, quantile_band=SUPPORT_QUANTILE_BAND):
     """True iff x passes the quantile-band and nearest-neighbor tests."""
     return get_support_checker(d, quantile_band).check(list(x))

@@ -12,19 +12,20 @@ known source of variance underestimation.
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat, tee
 
 import numpy as np
 
 from .data import ResamplePlan, resample, resample_indices, select_features
-from .descriptors import cpdp, cpfi, relevant_value_global
+from .descriptors import cpfi_sets, feature_grid, relevant_value_global
 from .errors import (
     InsufficientReplicates,
     NoOracleAvailable,
     NoReferenceAvailable,
 )
-from .models import row_losses, train, train_each
+from .models import row_losses, train_each
 from .phenomenon import true_conditional_expectation
-from .samplers import build_grid, grid_membership, group_means
+from .samplers import grid_membership, group_means
 from ._util import derive_seed
 
 MIN_REPLICATES = 20
@@ -115,61 +116,83 @@ class UncertaintyReport:
 CURVE_QUESTIONS = ("cpdp",)
 
 
+def _check_question(spec, operation, questions):
+    """Refuse, by name and before any work, a question the operation has no
+    value for; cpfi refits the learner, which ci_estimation holds fixed."""
+    if spec.question in questions:
+        return
+    if spec.question == "cpfi" and operation == "ci_estimation":
+        raise ValueError("cpfi intervals refit the learner, which ci_estimation holds "
+                         "fixed; use ci_combined (--mode combined)")
+    raise ValueError(f"{operation} does not support the question {spec.question!r}")
+
+
 def _resolve_grid(spec, d):
     if spec.question not in CURVE_QUESTIONS:
         return None
-    if spec.grid is not None:
-        return spec.grid
-    return build_grid(d, spec.feature, spec.max_points)
+    return feature_grid(d, spec.feature, spec.grid, spec.max_points)
+
+
+def _column_sets(spec, d):
+    """The feature columns of each model the question reads: all of d's, and
+    for cpfi also all but spec.feature."""
+    if spec.question != "cpfi":
+        return [tuple(range(d.n))]
+    return list(cpfi_sets(d, spec.feature)[1:])
+
+
+def _refits(config, datasets, loss, column_sets):
+    """Per dataset of the iterable, a refit on each column set: one
+    train_each stream per set, so that each set's mlp refits stack."""
+    copies = tee(datasets, len(column_sets))
+    return zip(*(train_each(config, map(select_features, ds, repeat(cols)), loss)
+                 for ds, cols in zip(copies, column_sets)))
+
+
+def _row_values(spec, grid, d, handles):
+    """The question on d as per-row values and a k x G membership matrix, so
+    that a replicate's value is their group mean under its row counts:
+    predictions grouped by grid point (cpdp), or reduced-minus-full row
+    losses in one group of all rows (cpfi)."""
+    if d.k == 0:
+        raise ValueError("evaluation dataset is empty")
+    if spec.question == "cpdp":
+        return handles[0].predict_batch(d.codes), grid_membership(d, grid, spec.band).astype(float)
+    full, reduced = (row_losses(h, select_features(d, cols), spec.loss)
+                     for h, cols in zip(handles, _column_sets(spec, d)))
+    return reduced - full, np.ones((d.k, 1))
+
+
+def _descriptor_vector(spec, grid, handles, d_eval):
+    """The question on d_eval as a vector aligned to the grid (cpdp, NaN where
+    a point was dropped) or a length-1 vector (scalar questions)."""
+    if spec.question == "relevant_value_global":
+        return np.array([relevant_value_global(handles[0], d_eval, spec.y_rel).point["objective"]])
+    values, members = _row_values(spec, grid, d_eval, handles)
+    return group_means(values, members, np.ones(d_eval.k))[0]
 
 
 def _curve_on_grid(h, d_eval, spec, grid):
     """cPDP values aligned to a fixed grid; NaN where a point was dropped."""
-    result = cpdp(h, d_eval, spec.feature, grid=grid, band=spec.band)
-    by_point = {v: e for v, e, _ in result.curve}
-    return np.array([by_point.get(p, np.nan) for p in grid.points])
+    return _descriptor_vector(spec, grid, [h], d_eval)
 
 
-def _descriptor_vector(spec, grid, *, handle=None, config=None, d_train=None, d_eval):
-    """Evaluate the spec's question as a vector aligned to the grid (curve
-    questions) or a length-1 vector (scalar questions)."""
-    if spec.question == "cpdp":
-        return _curve_on_grid(handle, d_eval, spec, grid)
-    if spec.question == "cpfi":
-        if config is None or d_train is None:
-            raise ValueError("cpfi uncertainty needs a learner config; use ci_combined")
-        result = cpfi(config, d_train, d_eval, spec.feature, spec.loss)
-        return np.array([result.scalar])
-    if spec.question == "relevant_value_global":
-        result = relevant_value_global(handle, d_eval, spec.y_rel)
-        return np.array([result.point["objective"]])
-    raise ValueError(f"uncertainty quantification does not support {spec.question!r}")
-
-
-def _replicate_curves(spec, grid, d, plan, *, handle=None, config=None, d_train=None):
-    """The descriptor on each replicate of d under plan, one row each. For cpdp
-    and cpfi a replicate is its row-count vector, weighting per-row predictions
-    or losses computed once (equal to a Dataset copy's value up to summation
-    order); relevant_value_global's support check needs the copy's own rows."""
+def _replicate_curves(spec, grid, d, plan, handles):
+    """The question on each replicate of d under plan, one row each. For cpdp
+    and cpfi a replicate is its row-count vector, weighting the per-row values
+    (equal to a Dataset copy's value up to summation order);
+    relevant_value_global's support check needs the copy's own rows."""
     replicates = range(plan.replicates)
     if spec.question == "relevant_value_global":
-        return np.stack([_descriptor_vector(spec, grid, handle=handle, d_eval=resample(d, plan, r))
+        return np.stack([_descriptor_vector(spec, grid, handles, resample(d, plan, r))
                          for r in replicates])
-    counts = (np.bincount(resample_indices(d.k, plan, r), minlength=d.k) for r in replicates)
-    if spec.question == "cpfi":
-        # a replicate's two refits are never asked for again, so they skip subset_model's cache
-        reduced_set = [j for j in range(d.n) if j != spec.feature]
-        full = row_losses(train(config, d_train, spec.loss), d, spec.loss)
-        reduced = row_losses(train(config, select_features(d_train, reduced_set), spec.loss),
-                             select_features(d, reduced_set), spec.loss)
-        return np.array([[(w @ reduced - w @ full) / w.sum()] for w in counts])
-    members = grid_membership(d, grid, spec.band).astype(float)
-    preds = handle.predict_batch(d.codes)
-    curves = np.empty((plan.replicates, len(grid.points)))
-    for r, w in enumerate(counts):
-        if not w.any():
+    values, members = _row_values(spec, grid, d, handles)
+    curves = np.empty((plan.replicates, members.shape[1]))
+    for r in replicates:
+        rows = resample_indices(d.k, plan, r)
+        if not rows.size:
             raise ValueError("evaluation dataset is empty")
-        curves[r] = group_means(preds, members, w)[0]
+        curves[r] = group_means(values, members, np.bincount(rows, minlength=d.k).astype(float))[0]
     return curves
 
 
@@ -187,6 +210,7 @@ def _grid_mean_sq(a, b):
 def estimation_error(h, sampler_full, d_eval, spec):
     """Squared distance between the descriptor on a full-knowledge reference
     sample and on the finite evaluation data, averaged over the grid."""
+    _check_question(spec, "estimation_error", CURVE_QUESTIONS)
     if sampler_full is None:
         raise NoReferenceAvailable(
             "estimation error needs a full-knowledge reference sample; with "
@@ -202,6 +226,7 @@ def estimation_error(h, sampler_full, d_eval, spec):
 def model_error(h, oracle, sampler, d_eval, spec):
     """Squared distance between the descriptors of the trained and the
     optimal model, both computed with the same reference sampler."""
+    _check_question(spec, "model_error", CURVE_QUESTIONS)
     if oracle is None:
         raise NoOracleAvailable("model error needs the optimal predictor",
                                 operation="model_error")
@@ -223,6 +248,7 @@ def bias_variance_me(config, p, k, replicates, spec, seed, reference_size=50000)
     """
     from .phenomenon import sample as sample_phenomenon
 
+    _check_question(spec, "bias_variance_me", CURVE_QUESTIONS)
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     reference = sample_phenomenon(p, reference_size, derive_seed(seed, "bv-reference"))
@@ -267,12 +293,11 @@ def ci_estimation(h, d_eval, spec, cfg):
     """Pointwise CI for estimation error only: the model is held fixed and
     the evaluation data is resampled; half-width is the chosen quantile times
     the replicate standard deviation."""
+    _check_question(spec, "ci_estimation", ("cpdp", "relevant_value_global"))
     _check_replicates(cfg.ee_replicates, "ci_estimation")
     grid = _resolve_grid(spec, d_eval)
-    point = _descriptor_vector(spec, grid, handle=h, d_eval=d_eval)
-
-    curves = _replicate_curves(spec, grid, d_eval, _plan(cfg, cfg.ee_replicates, "ci-ee"),
-                               handle=h)
+    point = _descriptor_vector(spec, grid, [h], d_eval)
+    curves = _replicate_curves(spec, grid, d_eval, _plan(cfg, cfg.ee_replicates, "ci-ee"), [h])
 
     counts = np.sum(~np.isnan(curves), axis=0)
     with warnings.catch_warnings():
@@ -280,8 +305,7 @@ def ci_estimation(h, d_eval, spec, cfg):
         var_ee = np.nanvar(curves, axis=0, ddof=1)
     half = cfg.quantile(cfg.ee_replicates) * np.sqrt(var_ee)
     return UncertaintyReport(
-        grid=grid if spec.question == "cpdp" else None,
-        point_estimates=point, var_ee=var_ee, ci_ee=_interval(point, half),
+        grid=grid, point_estimates=point, var_ee=var_ee, ci_ee=_interval(point, half),
         replicate_curves=curves,
         assumptions={"unbiased_learner_assumed": False,
                      "resampling_overlap_warning": False},
@@ -301,27 +325,19 @@ def ci_combined(config, d, spec, cfg):
     Training and evaluation resamples overlap, which is flagged because it
     can bias the variance downward.
     """
+    _check_question(spec, "ci_combined", ("cpdp", "cpfi", "relevant_value_global"))
     _check_replicates(cfg.ee_replicates, "ci_combined")
     _check_replicates(cfg.me_replicates, "ci_combined")
     grid = _resolve_grid(spec, d)
-
-    # cpfi refits its own subset models; every other question needs the model
-    full_model = train(config, d, spec.loss) if spec.question != "cpfi" else None
-    point = _descriptor_vector(spec, grid, handle=full_model, config=config,
-                               d_train=d, d_eval=d)
+    column_sets = _column_sets(spec, d)
+    point = _descriptor_vector(spec, grid, next(_refits(config, [d], spec.loss, column_sets)), d)
 
     train_plan = _plan(cfg, cfg.me_replicates, "ci-me-train")
     d_trains = (resample(d, train_plan, r) for r in range(cfg.me_replicates))
-    if spec.question == "cpfi":
-        # cpfi refits its own subset models on each training replicate
-        refits = ((None, d_train_r) for d_train_r in d_trains)
-    else:
-        refits = ((handle_r, None) for handle_r in train_each(config, d_trains, spec.loss))
     curves = np.empty((cfg.me_replicates, cfg.ee_replicates, point.size))
-    for r, (handle_r, d_train_r) in enumerate(refits):
+    for r, handles in enumerate(_refits(config, d_trains, spec.loss, column_sets)):
         eval_plan = _plan(cfg, cfg.ee_replicates, "ci-me-eval", r)
-        curves[r] = _replicate_curves(spec, grid, d, eval_plan, handle=handle_r,
-                                      config=config, d_train=d_train_r)
+        curves[r] = _replicate_curves(spec, grid, d, eval_plan, handles)
 
     flat = curves.reshape(-1, point.size)
     with warnings.catch_warnings():
@@ -336,8 +352,7 @@ def ci_combined(config, d, spec, cfg):
     half_ee = factor * np.sqrt(var_ee)
     counts = np.sum(~np.isnan(flat), axis=0)
     return UncertaintyReport(
-        grid=grid if spec.question == "cpdp" else None,
-        point_estimates=point, var_ee=var_ee, ci_ee=_interval(point, half_ee),
+        grid=grid, point_estimates=point, var_ee=var_ee, ci_ee=_interval(point, half_ee),
         var_me_ee=var_me_ee, ci_me_ee=_interval(point, half_combined),
         replicate_curves=flat,
         assumptions={"unbiased_learner_assumed": True,

@@ -217,6 +217,34 @@ class TestDescribeRefusals:
             argv += [flag, value]
         self.refused(str(tmp_path / question), argv, f"{question} needs {dropped}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_observed_y(self, tmp_path, simulated, value):
+        data = os.path.join(simulated, "dataset.json")
+        self.refused(str(tmp_path / "lcc"), [
+            "describe", "--question", "local_conditional_contribution", "--learner", "ols",
+            "--train-data", data, "--data", data, "--feature", "x1",
+            "--instance", "[0.1, -0.2]", "--observed-y", value], "observed_y")
+
+    @pytest.mark.parametrize("question", ["ice", "shapley_local",
+                                          "local_conditional_contribution",
+                                          "counterfactual_local"])
+    def test_instance_of_the_wrong_length(self, tmp_path, simulated, trained, question):
+        data = os.path.join(simulated, "dataset.json")
+        self.refused(str(tmp_path / question), [
+            "describe", "--question", question, "--learner", "ols", "--data", data,
+            "--train-data", data, "--model", os.path.join(trained, "model.json"),
+            "--feature", "x1", "--instance", "[0]", "--observed-y", "0.0",
+            "--y-rel", "2.0", "--lambda", "0.5"],
+            "instance has 1 values, but the data has 2 features")
+
+    @pytest.mark.parametrize("command", [
+        ["describe", "--question", "cpdp"],
+        ["uncertainty", "--question", "cpdp", "--mode", "ee", "--ee-replicates", "20"]])
+    def test_model_that_is_a_dataset(self, tmp_path, simulated, command):
+        data = os.path.join(simulated, "dataset.json")
+        self.refused(str(tmp_path / command[0]), command + [
+            "--data", data, "--model", data, "--feature", "x1"],
+            f"--model {data} is not a model file: it has no key 'input_schema'")
 
     @pytest.mark.parametrize("question", ["cpfi", "cpdp"])
     @pytest.mark.parametrize("feature", ["2", "7", "-1"])

@@ -196,18 +196,20 @@ def test_mixed_row_counts_start_new_stacks():
 def test_ci_combined_matches_per_replicate_training(chunk, nonlinear_phenomenon):
     d = sample(nonlinear_phenomenon, 80, seed=5)
     config = LearnerConfig(learner="mlp", hidden=(6, 4), epochs=6, learning_rate=0.05, seed=4)
-    spec = DescriptorSpec(question="cpdp", feature=0, max_points=6)
     plan = ResamplePlan(method="subsample", fraction=0.5, replicates=20, seed=9)
     cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
 
     def one_at_a_time(config, datasets, loss):
         return (reference_fit(config, d_r) for d_r in datasets)
 
-    with mock.patch.object(uncertainty, "train_each", one_at_a_time):
-        expected = ci_combined(config, d, spec, cfg)
-    # stacks of 3 refits of 40 rows, 6 wide (20 is no multiple of 3), or all 20 in one
-    cells = models.MLP_STACK_CELLS if chunk is None else chunk * 40 * 6
-    with mock.patch.object(models, "MLP_STACK_CELLS", cells):
-        report = ci_combined(config, d, spec, cfg)
-    assert report.replicate_curves.tobytes() == expected.replicate_curves.tobytes()
-    assert canonical_json(report.to_dict()) == canonical_json(expected.to_dict())
+    # cpfi trains two streams of refits: on all features, and without feature 0
+    for spec in (DescriptorSpec(question="cpdp", feature=0, max_points=6),
+                 DescriptorSpec(question="cpfi", feature=0)):
+        with mock.patch.object(uncertainty, "train_each", one_at_a_time):
+            expected = ci_combined(config, d, spec, cfg)
+        # stacks of 3 refits of 40 rows, 6 wide (20 is no multiple of 3), or all 20 in one
+        cells = models.MLP_STACK_CELLS if chunk is None else chunk * 40 * 6
+        with mock.patch.object(models, "MLP_STACK_CELLS", cells):
+            report = ci_combined(config, d, spec, cfg)
+        assert report.replicate_curves.tobytes() == expected.replicate_curves.tobytes()
+        assert canonical_json(report.to_dict()) == canonical_json(expected.to_dict())

@@ -381,14 +381,15 @@ class TestSubsetModel:
     def test_cpfi_replicate_refits_skip_the_cache(self, benchmark_phenomenon):
         from descry import CIConfig, ResamplePlan, ci_combined
         from descry.descriptors import DescriptorSpec
-        from descry.models import _subset_cache
+        from descry.models import _risk_cache, _subset_cache
         clear_subset_cache()
         d = sample(benchmark_phenomenon, 100, seed=17)
         plan = ResamplePlan(method="subsample", fraction=0.5, replicates=20, seed=1)
         cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
         ci_combined(OLS, d, DescriptorSpec(question="cpfi", feature=0), cfg)
-        # only the point estimate's full and reduced refits
-        assert len(_subset_cache) == 2
+        # the point estimate's refits are trained like the replicates' ones
+        assert len(_subset_cache) == 0
+        assert len(_risk_cache) == 0
 
     def test_exact_shapley_refits_stay_cached(self):
         from unittest import mock

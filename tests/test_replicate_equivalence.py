@@ -10,6 +10,7 @@ retained counts, and intervals within the tolerance that this implies for a
 variance and its square root.
 """
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from descry.descriptors import DescriptorSpec
 from descry.errors import AllGroupsEmpty
 from descry.models import pointwise_loss, subset_model
 from descry.samplers import MIN_GROUP_SIZE, build_grid, default_band
+from descry._util import derive_seed
 
 MSE = LossFunction.MSE
 CURVE_RTOL = 1e-12
@@ -64,15 +66,26 @@ def reference_cpfi(config, d_train, d_r, feature, loss):
     return mean_loss(tuple(j for j in full_set if j != feature)) - mean_loss(full_set)
 
 
-def reference_curves(spec, grid, d, plan, *, handle=None, config=None, d_train=None):
+def reference_curves(spec, grid, d, plan, handles, *, config, d_trains):
+    """One curve per resampled copy of d; cpfi refits on the next training
+    replicate of d_trains, in the order ci_combined asks for them."""
+    d_train = next(d_trains) if spec.question == "cpfi" else None
     curves = []
     for r in range(plan.replicates):
         d_r = resample(d, plan, r)
         if spec.question == "cpdp":
-            curves.append(reference_cpdp(handle, d_r, grid, spec.band))
+            curves.append(reference_cpdp(handles[0], d_r, grid, spec.band))
         else:
             curves.append([reference_cpfi(config, d_train, d_r, spec.feature, spec.loss)])
     return np.array(curves)
+
+
+def training_replicates(d, cfg):
+    """ci_combined's training replicates of d, as Dataset copies."""
+    base = cfg.resample_plan
+    plan = ResamplePlan(method=base.method, fraction=base.fraction,
+                        replicates=cfg.me_replicates, seed=derive_seed(base.seed, "ci-me-train"))
+    return (resample(d, plan, r) for r in range(cfg.me_replicates))
 
 
 def outcome(run):
@@ -178,6 +191,8 @@ def test_count_vector_replicates_match_dataset_copies(case):
     if spec.question == "cpdp":    # ci_estimation has no learner to refit cpfi with
         runs.append((ci_estimation, train(config, d, MSE), cfg.quantile(cfg.ee_replicates)))
     for ci, model, q in runs:
-        with mock.patch.object(uncertainty, "_replicate_curves", reference_curves):
+        hook = functools.partial(reference_curves, config=config,
+                                 d_trains=training_replicates(d, cfg))
+        with mock.patch.object(uncertainty, "_replicate_curves", hook):
             ref = outcome(lambda: ci(model, d, spec, cfg))
         assert_reports_match(outcome(lambda: ci(model, d, spec, cfg)), ref, q)

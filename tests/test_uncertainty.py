@@ -39,6 +39,35 @@ def test_quantile_has_the_bits_of_scipy_stats(alpha, replicates, family):
     assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
 
 
+@pytest.mark.parametrize("operation, question, named", [
+    ("estimation_error", "cpfi", "estimation_error does not support the question 'cpfi'"),
+    ("estimation_error", "relevant_value_global", "question 'relevant_value_global'"),
+    ("model_error", "cpfi", "model_error does not support the question 'cpfi'"),
+    ("model_error", "relevant_value_global", "question 'relevant_value_global'"),
+    ("bias_variance_me", "cpfi", "bias_variance_me does not support the question 'cpfi'"),
+    ("ci_estimation", "cpfi", "use ci_combined (--mode combined)"),
+    ("ci_estimation", "sage", "ci_estimation does not support the question 'sage'"),
+    ("ci_combined", "sage", "ci_combined does not support the question 'sage'")])
+def test_unsupported_question_is_refused_by_name(setup, operation, question, named):
+    from unittest import mock
+    from descry import models
+    p, reference, _, oracle, _ = setup
+    spec = DescriptorSpec(question=question, feature=0 if question == "cpfi" else None,
+                          y_rel=1.0, loss=MSE)
+    sampler = ConditionalSampler(source=reference)
+    cfg = CIConfig(ee_replicates=20, me_replicates=20)
+    run = {"estimation_error": lambda: estimation_error(oracle, sampler, reference, spec),
+           "model_error": lambda: model_error(oracle, oracle, sampler, reference, spec),
+           "bias_variance_me": lambda: bias_variance_me(OLS, p, 50, 2, spec, 0, 200),
+           "ci_estimation": lambda: ci_estimation(oracle, reference, spec, cfg),
+           "ci_combined": lambda: ci_combined(OLS, reference, spec, cfg)}[operation]
+    # refused before any refit
+    with mock.patch.object(models, "_train_ols", side_effect=AssertionError("refit")):
+        with pytest.raises(ValueError) as info:
+            run()
+    assert named in str(info.value)
+
+
 class TestEstimationError:
     def test_reference_against_itself_is_zero(self, setup):
         _, reference, _, oracle, spec = setup
@@ -263,6 +292,22 @@ class TestCiCombined:
         assert report.point_estimates.shape == (1,)
         lo, hi = report.ci_me_ee[0]
         assert lo <= 3.0 <= hi   # population cpfi value on this benchmark
+
+    @pytest.mark.parametrize("config", [
+        OLS, LearnerConfig(learner="knn", knn_k=5),
+        LearnerConfig(learner="mlp", hidden=(6, 4), epochs=5, seed=2)])
+    def test_cpfi_point_is_the_descriptor(self, setup, config):
+        # the point is the mean of reduced-minus-full row losses, cpfi the
+        # difference of their means: equal up to summation order
+        from descry import cpfi
+        from descry.models import clear_subset_cache
+        p, _, _, _, _ = setup
+        d = sample(p, 300, seed=906)
+        spec = DescriptorSpec(question="cpfi", feature=1, loss=MSE)
+        (point,) = ci_combined(config, d, spec, self._config()).point_estimates
+        expected = cpfi(config, d, d, 1, MSE).scalar
+        clear_subset_cache()
+        assert abs(point - expected) <= 1e-12 * abs(expected)
 
     def test_scalar_question_relevant_value_global(self, setup):
         p, _, _, _, _ = setup
