@@ -242,6 +242,8 @@ UNCERTAINTY_NEEDS = {
 def _cmd_uncertainty(args):
     _check_needs(args.question, UNCERTAINTY_NEEDS[args.question], args)
     if args.mode == "ee":
+        if args.question == "cpfi":
+            raise ValueError("cpfi intervals refit the learner; use --mode combined")
         _check_needs("--mode ee", ("--model",), args)
     d = _load_dataset(args)
     loss = LossFunction(args.loss)

@@ -7,10 +7,9 @@ through explicit seeds.
 
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
 import numpy as np
@@ -135,62 +134,66 @@ def gower_encode(rows, features):
     return out
 
 
-@dataclass
+def gower_decode(codes, features):
+    """The inverse of gower_encode: numeric cells as floats, each category
+    index as its label; codes itself when every feature is numeric."""
+    rows = codes if all(f.is_numeric for f in features) else codes.astype(object)
+    for j, spec in enumerate(features):
+        if not spec.is_numeric:
+            rows[:, j] = np.array(spec.categories, dtype=object)[codes[:, j].astype(int)]
+    return rows
+
+
 class Dataset:
     """An i.i.d. tabular sample: k rows of n features plus a target vector.
-    `codes` is `gower_encode(rows)`, built once; `rows` itself if all numeric."""
+    The rows are stored once, as `codes` (`gower_encode(rows)`); `rows`
+    decodes them (`codes` itself if all numeric). Datasets compare by identity."""
 
-    features: list
-    target: FeatureSpec
-    rows: np.ndarray
-    targets: np.ndarray
-    provenance: str
-    seed: int = None
-    codes: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.features = list(self.features)
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        has_cat = any(f.kind == "categorical" for f in self.features)
+    def __init__(self, features, target, rows, targets, provenance, seed=None):
+        features = list(features)
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        has_cat = any(f.kind == "categorical" for f in features)
         # own copies: a caller's array, or a view of it, must not write into them
-        rows = np.array(self.rows, dtype=object if has_cat else float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.features):
+        rows = np.array(rows, dtype=object if has_cat else float)
+        if rows.ndim != 2 or rows.shape[1] != len(features):
             raise ValueError("rows must be a k x n matrix matching the feature schema")
-        targets = np.array(self.targets, dtype=float)
+        targets = np.array(targets, dtype=float)
         if targets.shape != (rows.shape[0],):
             raise ValueError("targets length must equal the row count")
-        codes = gower_encode(rows, self.features)
-        for j, spec in enumerate(self.features):
+        codes = gower_encode(rows, features)
+        for j, spec in enumerate(features):
             if spec.is_numeric:
-                rows[:, j] = codes[:, j]  # floats in the object view too
                 _require_finite(codes[:, j], f"column {spec.name!r}")
             elif (codes[:, j] < 0).any():
                 raise ValueError(f"column {spec.name!r} contains values outside its "
                                  f"categories: {list(rows[codes[:, j] < 0, j][:3])}")
-        _require_finite(targets, f"target {self.target.name!r}")
-        self._own(rows, codes, targets)
+        _require_finite(targets, f"target {target.name!r}")
+        self._own(codes, targets, features=features, target=target, provenance=provenance, seed=seed)
 
-    def _own(self, rows, codes, targets):
-        for a in (rows, codes, targets):
+    def _own(self, codes, targets, **changes):
+        for a in (codes, targets):
             a.setflags(write=False)
-        self.rows, self.codes, self.targets = rows, codes, targets
+        vars(self).update(changes, codes=codes, targets=targets, _fingerprint=None)
 
     def _slice(self, rows, cols, **changes):
-        """Rows and columns sliced from the validated rows and codes, unparsed."""
+        """Rows and columns sliced from the validated codes, unparsed."""
         out = copy.copy(self)
-        vars(out).update(changes, _fingerprint=None)
-        codes = self.codes[rows][:, cols]
-        has_cat = any(f.kind == "categorical" for f in out.features)
-        out._own(self.rows[rows][:, cols] if has_cat else codes, codes, self.targets[rows])
+        out._own(self.codes[rows][:, cols], self.targets[rows], **changes)
         return out
+
+    @property
+    def rows(self):
+        """The rows decoded from codes, read-only; codes itself if all numeric."""
+        rows = gower_decode(self.codes, self.features)
+        rows.setflags(write=False)
+        return rows
 
     # -- shape & lookup ------------------------------------------------
 
     @property
     def k(self):
-        return self.rows.shape[0]
+        return self.codes.shape[0]
 
     @property
     def n(self):
@@ -217,7 +220,8 @@ class Dataset:
 
     def replace(self, rows=None, targets=None, provenance=None, seed=None):
         changes = dict(rows=rows, targets=targets, provenance=provenance, seed=seed)
-        return dataclasses.replace(self, **{k: v for k, v in changes.items() if v is not None})
+        return Dataset(self.features, self.target,
+                       **{k: getattr(self, k) if v is None else v for k, v in changes.items()})
 
     def take(self, indices, provenance=None):
         if provenance not in (None, *PROVENANCES):
@@ -347,9 +351,9 @@ def center_feature(d, feature):
     j = d.feature_index(feature)
     col = d.numeric_column(j)
     mean = float(np.mean(col))
-    rows = np.array(d.rows, dtype=d.rows.dtype, copy=True)
-    rows[:, j] = col - mean
-    return d.replace(rows=rows), mean
+    codes = d.codes.copy()
+    codes[:, j] = col - mean
+    return d.replace(rows=gower_decode(codes, d.features)), mean
 
 
 def jitter_augment(d, feature, offsets, clamp=None):
@@ -364,12 +368,12 @@ def jitter_augment(d, feature, offsets, clamp=None):
         raise ValueError("offsets must be non-empty")
     j = d.feature_index(feature)
     col = d.numeric_column(j)
-    rows = np.tile(d.rows, (len(offsets) + 1, 1))
+    codes = np.tile(d.codes, (len(offsets) + 1, 1))
     for i, off in enumerate(offsets, start=1):
         shifted = col + off
-        rows[i * d.k:(i + 1) * d.k, j] = shifted if clamp is None else np.clip(shifted, *clamp)
-    return d.replace(rows=rows, targets=np.tile(d.targets, len(offsets) + 1),
-                     provenance="augmented")
+        codes[i * d.k:(i + 1) * d.k, j] = shifted if clamp is None else np.clip(shifted, *clamp)
+    return d.replace(rows=gower_decode(codes, d.features),
+                     targets=np.tile(d.targets, len(offsets) + 1), provenance="augmented")
 
 
 def split(d, train_fraction, seed):
@@ -418,23 +422,22 @@ def merge_students(math_d, por_d, por_grade_name="G3_por"):
     Unmatched or ambiguous rows are dropped. Returns the merged dataset and
     a dict of drop counts.
     """
-    keys = STUDENT_JOIN_KEYS
-
-    def key_of(ds, row):
-        return tuple(row[ds.feature_index(k)] for k in keys)
+    def keys_of(ds, rows):
+        return [tuple(r) for r in rows[:, [ds.feature_index(k) for k in STUDENT_JOIN_KEYS]]]
 
     por_by_key = {}
-    for i in range(por_d.k):
-        por_by_key.setdefault(key_of(por_d, por_d.rows[i]), []).append(i)
+    for i, key in enumerate(keys_of(por_d, por_d.rows)):
+        por_by_key.setdefault(key, []).append(i)
 
     matched_rows, matched_targets = [], []
     dropped_math = ambiguous = 0
     used_por = set()
-    for i in range(math_d.k):
-        candidates = por_by_key.get(key_of(math_d, math_d.rows[i]), [])
+    math_rows = math_d.rows
+    for i, key in enumerate(keys_of(math_d, math_rows)):
+        candidates = por_by_key.get(key, [])
         if len(candidates) == 1:
             p = candidates[0]
-            matched_rows.append(list(math_d.rows[i]) + [por_d.targets[p]])
+            matched_rows.append(list(math_rows[i]) + [por_d.targets[p]])
             matched_targets.append(math_d.targets[i])
             used_por.add(p)
         elif not candidates:

@@ -18,7 +18,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .data import gower_encode
+from .data import gower_decode, gower_encode
 from .errors import (
     AllGroupsEmpty,
     NoSupportedCandidate,
@@ -182,8 +182,8 @@ def ice(h, instance, feature, grid, d_eval, max_points=20):
     grid = feature_grid(d_eval, feature, grid, max_points)
     checker = _require_on_support(d_eval, instance, "ice")
     j = grid.feature_index
-    spliced = np.array([list(instance)] * len(grid.points), dtype=d_eval.rows.dtype)
-    spliced[:, j] = grid.points
+    spliced = np.repeat(gower_encode([instance], d_eval.features), len(grid.points), axis=0)
+    spliced[:, j] = grid.codes(d_eval)
     on_support = checker.check_rows(spliced)
     kept = [point for point, ok in zip(grid.points, on_support) if ok]
     off_support = [point for point, ok in zip(grid.points, on_support) if not ok]
@@ -380,15 +380,15 @@ def relevant_value_global(h, d_eval, y_rel):
     objective = np.abs(preds - float(y_rel))
     best_idx = int(np.argmin(objective))
     best_obj = float(objective[best_idx])
-    best_x = list(d_eval.rows[best_idx])
+    best_x = list(gower_decode(d_eval.codes[[best_idx]], d_eval.features)[0])
 
     checker = get_support_checker(d_eval)
     top = np.argsort(objective, kind="stable")[:PERTURB_TOP_ROWS]
-    perturbed = _perturbations(d_eval, [d_eval.rows[i] for i in top])
+    perturbed = _perturbations(d_eval, gower_decode(d_eval.codes[top], d_eval.features))
     candidates = [c for c, ok in zip(perturbed, checker.check_rows(perturbed)) if ok]
     perturbed_used = False
     if candidates:
-        cand_preds = h.predict_batch(np.array(candidates, dtype=d_eval.rows.dtype))
+        cand_preds = h.predict_batch(gower_encode(candidates, d_eval.features))
         cand_obj = np.abs(cand_preds - float(y_rel))
         ci = int(np.argmin(cand_obj))
         if float(cand_obj[ci]) < best_obj:
@@ -412,12 +412,15 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
         raise ValueError("lambda must be non-negative")
     checker = _require_on_support(d_eval, instance, "counterfactual_local")
 
-    candidates = [list(instance)] + [list(r) for r in d_eval.rows]
-    codes = np.vstack([gower_encode(candidates[:1], d_eval.features), d_eval.codes])
+    def candidate(i):  # the instance as given, an evaluation row, or a perturbation
+        if 0 < i <= d_eval.k:
+            return list(gower_decode(d_eval.codes[[i - 1]], d_eval.features)[0])
+        return list(instance) if i == 0 else list(perturbed[i - 1 - d_eval.k])
+
+    codes = np.vstack([gower_encode([instance], d_eval.features), d_eval.codes])
     gap = np.abs(h.predict_batch(codes) - float(y_rel))
     top = np.argsort(gap, kind="stable")[:PERTURB_TOP_ROWS]
-    perturbed = _perturbations(d_eval, [candidates[i] for i in top])
-    candidates.extend(perturbed)
+    perturbed = _perturbations(d_eval, [candidate(i) for i in top])
     codes = np.vstack([codes, gower_encode(perturbed, d_eval.features)])
 
     on_support = np.flatnonzero(checker.check_rows(codes))
@@ -434,7 +437,7 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
     spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
                           y_rel=float(y_rel), lam=float(lam))
     return DescriptorResult(spec=spec, point={
-        "x": list(candidates[on_support[best]]),
+        "x": candidate(on_support[best]),
         "objective": float(objectives[best]),
         "prediction_gap": float(gaps[best]),
         "gower_distance": float(dists[best]),

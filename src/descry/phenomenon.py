@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSpec
 from .errors import UnsupportedCombination
-from .models import LossFunction, PredictorHandle
+from .models import LossFunction, PredictorHandle, _eval_poly_response
 from ._util import derive_seed
 
 KINDS = ("linear_gaussian", "nonlinear_independent", "discrete_classification")
@@ -195,7 +195,7 @@ def sample(p, k, seed):
             y = y + rng.normal(0.0, p.noise_sd, size=k)
     elif p.kind == "nonlinear_independent":
         x = np.column_stack([_sample_marginal(m, k, rng) for m in p.marginals])
-        y = _eval_response(p, x)
+        y = _eval_poly_response({"intercept": p.intercept, "terms": p.terms}, x, None)
         if p.noise_sd > 0:
             y = y + rng.normal(0.0, p.noise_sd, size=k)
     else:
@@ -247,16 +247,6 @@ def sample_conditional(p, feature_index, value, count, seed):
 
 
 # -- response polynomial helpers ---------------------------------------------
-
-
-def _eval_response(p, x):
-    out = np.full(x.shape[0], p.intercept, dtype=float)
-    for t in p.terms:
-        contrib = np.full(x.shape[0], t["coef"], dtype=float)
-        for idx, power in t["powers"].items():
-            contrib = contrib * x[:, idx] ** power
-        out += contrib
-    return out
 
 
 def _poly_expectation(marginals, terms):
@@ -326,10 +316,7 @@ def optimal_predictor(spec):
                                kind="linear", params=params,
                                metadata={"learner": "oracle", "loss": loss.value})
     if p.kind == "nonlinear_independent":
-        params = {"intercept": p.intercept,
-                  "terms": [{"coef": t["coef"],
-                             "powers": {str(i): pw for i, pw in t["powers"].items()}}
-                            for t in p.terms]}
+        params = {"intercept": p.intercept, "terms": p.to_dict()["terms"]}
         return PredictorHandle(input_schema=schema, output_kind="scalar",
                                kind="poly_response", params=params,
                                metadata={"learner": "oracle", "loss": loss.value})

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllGroupsEmpty, EmptyNeighborhood, UnknownFeature
-from .models import feature_ranges, gower_encode, nearest
+from .data import gower_decode, gower_encode
+from .models import feature_ranges, nearest
 from ._util import derive_seed, lru_get_or_build
 
 MIN_GROUP_SIZE = 5
@@ -43,6 +44,10 @@ class Grid:
         object.__setattr__(self, "points", pts)
         if self.strategy not in ("unique_values", "quantile"):
             raise ValueError(f"unknown grid strategy {self.strategy!r}")
+
+    def codes(self, d):
+        """The points' codes along their feature of d."""
+        return gower_encode([[p] for p in self.points], [d.features[self.feature_index]])[:, 0]
 
 
 def build_grid(d, feature, max_points=20):
@@ -89,8 +94,7 @@ def grid_membership(d, grid, band=None):
     if band < 0:
         raise ValueError("band must be non-negative")
     j = grid.feature_index
-    col = d.codes[:, j, None]
-    points = gower_encode([[p] for p in grid.points], [d.features[j]])[:, 0]
+    col, points = d.codes[:, j, None], grid.codes(d)
     if band == 0 or d.features[j].kind == "categorical":
         return col == points
     return np.abs(col - points) <= band
@@ -153,9 +157,9 @@ def conditional_sample(s, fixed, count, seed):
             operation="conditional_sample")
     rng = np.random.default_rng(derive_seed(seed, "conditional-sample", j, repr(value)))
     picks = pool[rng.integers(0, pool.size, size=count)]
-    rows = np.array(d.rows[picks], dtype=d.rows.dtype, copy=True)
-    rows[:, j] = value
-    return rows
+    codes = d.codes[picks]
+    codes[:, j] = grid.codes(d)
+    return gower_decode(codes, d.features)
 
 
 # -- support checking ---------------------------------------------------------

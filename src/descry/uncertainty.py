@@ -149,44 +149,44 @@ def _refits(config, datasets, loss, column_sets):
                  for ds, cols in zip(copies, column_sets)))
 
 
-def _row_values(spec, grid, d, handles):
-    """The question on d as per-row values and a k x G membership matrix, so
-    that a replicate's value is their group mean under its row counts:
-    predictions grouped by grid point (cpdp), or reduced-minus-full row
-    losses in one group of all rows (cpfi)."""
+def _row_values(spec, grid, views, handles):
+    """The question on views (the data on each of _column_sets, full first)
+    as per-row values and a k x G membership matrix, so that a replicate's
+    value is their group mean under its row counts: predictions grouped by
+    grid point (cpdp), or reduced-minus-full row losses in one group (cpfi)."""
+    d = views[0]
     if d.k == 0:
         raise ValueError("evaluation dataset is empty")
     if spec.question == "cpdp":
         return handles[0].predict_batch(d.codes), grid_membership(d, grid, spec.band).astype(float)
-    full, reduced = (row_losses(h, select_features(d, cols), spec.loss)
-                     for h, cols in zip(handles, _column_sets(spec, d)))
+    full, reduced = (row_losses(h, view, spec.loss) for h, view in zip(handles, views))
     return reduced - full, np.ones((d.k, 1))
 
 
-def _descriptor_vector(spec, grid, handles, d_eval):
-    """The question on d_eval as a vector aligned to the grid (cpdp, NaN where
-    a point was dropped) or a length-1 vector (scalar questions)."""
+def _descriptor_vector(spec, grid, handles, views):
+    """The question on views (see _row_values) as a vector aligned to the grid
+    (cpdp, NaN where a point was dropped) or a length-1 vector (scalar ones)."""
     if spec.question == "relevant_value_global":
-        return np.array([relevant_value_global(handles[0], d_eval, spec.y_rel).point["objective"]])
-    values, members = _row_values(spec, grid, d_eval, handles)
-    return group_means(values, members, np.ones(d_eval.k))[0]
+        return np.array([relevant_value_global(handles[0], views[0], spec.y_rel).point["objective"]])
+    values, members = _row_values(spec, grid, views, handles)
+    return group_means(values, members, np.ones(views[0].k))[0]
 
 
 def _curve_on_grid(h, d_eval, spec, grid):
     """cPDP values aligned to a fixed grid; NaN where a point was dropped."""
-    return _descriptor_vector(spec, grid, [h], d_eval)
+    return _descriptor_vector(spec, grid, [h], [d_eval])
 
 
-def _replicate_curves(spec, grid, d, plan, handles):
-    """The question on each replicate of d under plan, one row each. For cpdp
-    and cpfi a replicate is its row-count vector, weighting the per-row values
-    (equal to a Dataset copy's value up to summation order);
+def _replicate_curves(spec, grid, views, plan, handles):
+    """The question on each replicate of views[0] under plan, one row each.
+    For cpdp and cpfi a replicate is its row-count vector, weighting the
+    per-row values (equal to a Dataset copy's value up to summation order);
     relevant_value_global's support check needs the copy's own rows."""
-    replicates = range(plan.replicates)
+    replicates, d = range(plan.replicates), views[0]
     if spec.question == "relevant_value_global":
-        return np.stack([_descriptor_vector(spec, grid, handles, resample(d, plan, r))
+        return np.stack([_descriptor_vector(spec, grid, handles, [resample(d, plan, r)])
                          for r in replicates])
-    values, members = _row_values(spec, grid, d, handles)
+    values, members = _row_values(spec, grid, views, handles)
     curves = np.empty((plan.replicates, members.shape[1]))
     for r in replicates:
         rows = resample_indices(d.k, plan, r)
@@ -296,8 +296,8 @@ def ci_estimation(h, d_eval, spec, cfg):
     _check_question(spec, "ci_estimation", ("cpdp", "relevant_value_global"))
     _check_replicates(cfg.ee_replicates, "ci_estimation")
     grid = _resolve_grid(spec, d_eval)
-    point = _descriptor_vector(spec, grid, [h], d_eval)
-    curves = _replicate_curves(spec, grid, d_eval, _plan(cfg, cfg.ee_replicates, "ci-ee"), [h])
+    point = _descriptor_vector(spec, grid, [h], [d_eval])
+    curves = _replicate_curves(spec, grid, [d_eval], _plan(cfg, cfg.ee_replicates, "ci-ee"), [h])
 
     counts = np.sum(~np.isnan(curves), axis=0)
     with warnings.catch_warnings():
@@ -330,14 +330,15 @@ def ci_combined(config, d, spec, cfg):
     _check_replicates(cfg.me_replicates, "ci_combined")
     grid = _resolve_grid(spec, d)
     column_sets = _column_sets(spec, d)
-    point = _descriptor_vector(spec, grid, next(_refits(config, [d], spec.loss, column_sets)), d)
+    views = [select_features(d, cols) for cols in column_sets]
+    point = _descriptor_vector(spec, grid, next(_refits(config, [d], spec.loss, column_sets)), views)
 
     train_plan = _plan(cfg, cfg.me_replicates, "ci-me-train")
     d_trains = (resample(d, train_plan, r) for r in range(cfg.me_replicates))
     curves = np.empty((cfg.me_replicates, cfg.ee_replicates, point.size))
     for r, handles in enumerate(_refits(config, d_trains, spec.loss, column_sets)):
         eval_plan = _plan(cfg, cfg.ee_replicates, "ci-me-eval", r)
-        curves[r] = _replicate_curves(spec, grid, d, eval_plan, handles)
+        curves[r] = _replicate_curves(spec, grid, views, eval_plan, handles)
 
     flat = curves.reshape(-1, point.size)
     with warnings.catch_warnings():

@@ -265,7 +265,8 @@ class TestUncertaintyRefusals:
         ("cpdp", "combined", "--feature", "cpdp needs --feature"),
         ("cpfi", "combined", "--feature", "cpfi needs --feature"),
         ("relevant_value_global", "combined", "--y-rel", "relevant_value_global needs --y-rel"),
-        ("cpdp", "ee", "--model", "--mode ee needs --model")])
+        ("cpdp", "ee", "--model", "--mode ee needs --model"),
+        ("cpfi", "ee", "--model", "use --mode combined")])
     def test_missing_input_names_its_flag(self, tmp_path, simulated, trained,
                                           question, mode, dropped, named):
         flags = {"--model": os.path.join(trained, "model.json"), "--feature": "x1",

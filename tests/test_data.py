@@ -322,6 +322,12 @@ class TestSerialization:
         assert subset_model(config, d, mse, (0,)).params["coef"] == \
             train(config, d, mse).params["coef"]
 
+    def test_datasets_compare_by_identity(self, toy_dataset):
+        copy = toy_dataset.take(range(toy_dataset.k))
+        assert toy_dataset == toy_dataset and not toy_dataset != toy_dataset
+        assert toy_dataset != copy and not toy_dataset == copy
+        assert toy_dataset in {toy_dataset} and copy not in {toy_dataset}
+
     def test_object_rows_of_the_caller_stay_unconverted(self):
         rows = np.array([[1, "F"], [2, "M"]], dtype=object)
         Dataset(features=SCHEMA[:1] + SCHEMA[2:3], target=SCHEMA[3], rows=rows,
