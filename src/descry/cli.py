@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .data import (
     Dataset, FeatureSpec, ResamplePlan, center_feature, jitter_augment,
-    load_csv, merge_students, student_schema,
+    load_csv, merge_students, select_features, student_schema,
 )
 from .descriptors import (
     DescriptorSpec, counterfactual_local, cpdp, cpfi, ice,
@@ -64,7 +64,7 @@ def _load_dataset(args, path=None, schema_arg=None):
 def _learner_config(args):
     return LearnerConfig(
         learner=args.learner, seed=args.seed, knn_k=args.knn_k,
-        distance=args.distance, hidden=tuple(int(w) for w in args.hidden.split(",")),
+        distance=args.distance, hidden=args.hidden.split(","),
         learning_rate=args.learning_rate, lr_decay=args.lr_decay,
         epochs=args.epochs, batch_size=args.batch_size)
 
@@ -78,12 +78,10 @@ def _write_manifest(outdir, args):
 
 def _resolve_feature(d, name_or_index):
     try:
-        j = int(name_or_index)
-    except (TypeError, ValueError):
-        return d.feature_index(name_or_index)
-    if not 0 <= j < d.n:
-        raise ValueError(f"feature index {j} is outside 0..{d.n - 1} of {d.n} features")
-    return j
+        name_or_index = int(name_or_index)
+    except ValueError:
+        pass
+    return d.feature_index(name_or_index)
 
 
 def _parse_instance(raw):
@@ -135,9 +133,8 @@ def _cmd_ingest(args):
         d, merge_report = merge_students(d, por)
         report["merge"] = merge_report
     if args.drop:
-        keep = [j for j, f in enumerate(d.features) if f.name not in args.drop.split(",")]
-        from .data import select_features
-        d = select_features(d, keep)
+        dropped = {d.feature_index(name) for name in args.drop.split(",")}
+        d = select_features(d, set(range(d.n)) - dropped)
     if args.center:
         d, mean = center_feature(d, args.center)
         report["center"] = {"feature": args.center, "mean": mean}
@@ -435,10 +432,7 @@ def build_parser():
     sub = subs.add_parser("describe", help="answer a formalized question")
     _add_data_flags(sub)
     _add_learner_flags(sub)
-    sub.add_argument("--question", required=True,
-                     choices=["cpdp", "ice", "cpfi", "sage", "shapley_local",
-                              "local_conditional_contribution",
-                              "relevant_value_global", "counterfactual_local"])
+    sub.add_argument("--question", required=True, choices=list(DESCRIBE_NEEDS))
     sub.add_argument("--model", default=None, help="model .json for handle questions")
     sub.add_argument("--train-data", default=None, help="training dataset for refit questions")
     sub.add_argument("--feature", default=None)
@@ -458,8 +452,7 @@ def build_parser():
     sub = subs.add_parser("uncertainty", help="confidence intervals for a descriptor")
     _add_data_flags(sub)
     _add_learner_flags(sub)
-    sub.add_argument("--question", choices=["cpdp", "cpfi", "relevant_value_global"],
-                     default="cpdp")
+    sub.add_argument("--question", choices=list(UNCERTAINTY_NEEDS), default="cpdp")
     sub.add_argument("--mode", choices=["ee", "combined"], required=True)
     sub.add_argument("--model", default=None)
     sub.add_argument("--feature", default=None)
@@ -535,7 +528,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except DescryError as exc:
-        payload = exc.to_dict()
+        payload = dict(exc.to_dict(), operation=exc.operation or args.command)
     except Exception as exc:  # runtime failures also produce machine-readable JSON
         payload = {"error": type(exc).__name__, "module": "cli",
                    "operation": args.command, "message": str(exc)}

@@ -203,11 +203,16 @@ class Dataset:
     def feature_names(self):
         return [f.name for f in self.features]
 
-    def feature_index(self, name):
-        for i, f in enumerate(self.features):
-            if f.name == name:
-                return i
-        raise UnknownFeature(f"no feature named {name!r}")
+    def feature_index(self, feature):
+        """The index of a feature given by its name or by an index in 0..n-1."""
+        if isinstance(feature, str):
+            if feature not in self.feature_names:
+                raise UnknownFeature(f"no feature named {feature!r}")
+            return self.feature_names.index(feature)
+        j = int(feature)
+        if not 0 <= j < self.n:
+            raise ValueError(f"feature index {j} is outside 0..{self.n - 1} of {self.n} features")
+        return j
 
     def column(self, index):
         return self.rows[:, index]
@@ -366,6 +371,9 @@ def jitter_augment(d, feature, offsets, clamp=None):
     offsets = [float(o) for o in offsets]
     if not offsets:
         raise ValueError("offsets must be non-empty")
+    if clamp is not None and not (len(clamp) == 2 and np.isfinite(clamp).all()
+                                  and clamp[0] <= clamp[1]):
+        raise ValueError(f"clamp must be two finite numbers lo <= hi, got {list(clamp)}")
     j = d.feature_index(feature)
     col = d.numeric_column(j)
     codes = np.tile(d.codes, (len(offsets) + 1, 1))

@@ -148,8 +148,7 @@ def feature_grid(d, feature, grid, max_points):
     when it runs along another feature."""
     if grid is None:
         return build_grid(d, feature, max_points)
-    j = d.feature_index(feature) if isinstance(feature, str) else int(feature)
-    if j != grid.feature_index:
+    if d.feature_index(feature) != grid.feature_index:
         raise ValueError(f"feature {feature!r} does not match the grid along {grid.feature_index}")
     return grid
 
@@ -204,11 +203,8 @@ def ice(h, instance, feature, grid, d_eval, max_points=20):
 def _full_and_reduced(d, feature):
     """The index of `feature` (a name or an index), all of d's feature
     indices, and all but that one."""
-    n = d.n
-    j = d.feature_index(feature) if isinstance(feature, str) else int(feature)
-    if not 0 <= j < n:
-        raise ValueError(f"feature index {j} is outside 0..{n - 1} of {n} features")
-    full_set = tuple(range(n))
+    j = d.feature_index(feature)
+    full_set = tuple(range(d.n))
     return j, full_set, full_set[:j] + full_set[j + 1:]
 
 

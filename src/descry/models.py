@@ -75,21 +75,11 @@ class LearnerConfig:
         if not (0 < self.lr_decay <= 1):
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
-    def key(self):
-        return (self.learner, self.seed, self.knn_k, self.distance, self.hidden,
-                self.learning_rate, self.lr_decay, self.epochs, self.batch_size)
-
     def to_dict(self):
-        return {"learner": self.learner, "seed": self.seed, "knn_k": self.knn_k,
-                "distance": self.distance, "hidden": list(self.hidden),
-                "learning_rate": self.learning_rate, "lr_decay": self.lr_decay,
-                "epochs": self.epochs, "batch_size": self.batch_size}
+        return dict(vars(self), hidden=list(self.hidden))
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
         return cls(**d)
 
 
@@ -342,16 +332,13 @@ class PredictorHandle:
                 params[key] = [np.asarray(p, dtype=float) for p in params[key]]
         if d["kind"] == "knn":
             params["train_targets"] = np.asarray(params["train_targets"], dtype=float)
-            if params["distance"] == "gower":
-                params["train_codes"] = gower_encode(params["train_matrix"], schema)
-            else:
-                params["train_encoded"] = np.asarray(params["train_encoded"], dtype=float)
+            _knn_index(params, gower_encode(params["train_matrix"], schema), schema)
         return cls(input_schema=schema, output_kind=d["output_kind"], kind=d["kind"],
                    params=params, metadata=d.get("metadata", {}))
 
 
 # params kept in memory only: to_dict leaves them out, from_dict rebuilds them
-_DERIVED_PARAMS = ("train_codes",)
+_DERIVED_PARAMS = ("train_codes", "train_encoded")
 
 
 def _listed(value):
@@ -387,6 +374,15 @@ def _eval_knn(params, codes, features):
         index, _ = nearest(encode(codes, params["encoder"], features),
                            params["train_encoded"], params["k"])
     return _knn_aggregate(params["train_targets"][index], params["agg"])
+
+
+def _knn_index(params, codes, features):
+    """Set the matrix a knn handle searches, from its training codes: the
+    codes themselves under Gower, their encoding under Euclidean."""
+    if params["distance"] == "gower":
+        params["train_codes"] = codes
+    else:
+        params["train_encoded"] = encode(codes, params["encoder"], features)
 
 
 def _knn_aggregate(values, agg):
@@ -578,15 +574,12 @@ def _train_knn(config, d, loss):
         raise ValueError(f"knn_k={config.knn_k} exceeds training size {d.k}")
     agg = "mode" if loss == LossFunction.ZERO_ONE else "mean"
     params = {"k": config.knn_k, "distance": config.distance, "agg": agg,
-              "train_matrix": d.rows, "train_targets": d.targets,
-              "features": [f.to_dict() for f in d.features]}
+              "train_matrix": d.rows, "train_targets": d.targets}
     if config.distance == "gower":
         params["ranges"] = feature_ranges(d.codes, d.features)
-        params["train_codes"] = d.codes
     else:
-        encoder = build_encoder(d.features, d.codes, standardize=True)
-        params["encoder"] = encoder
-        params["train_encoded"] = encode(d.codes, encoder, d.features)
+        params["encoder"] = build_encoder(d.features, d.codes, standardize=True)
+    _knn_index(params, d.codes, d.features)
     meta = {"learner": "knn", "seed": config.seed, "k": config.knn_k,
             "distance": config.distance}
     return PredictorHandle(input_schema=list(d.features), output_kind="scalar",
@@ -742,7 +735,7 @@ def subset_model(config, d, loss, subset):
     """
     subset = tuple(sorted(int(j) for j in subset))
     return lru_get_or_build(_subset_cache, SUBSET_CACHE_SIZE,
-                            (config.key(), d.fingerprint, loss, subset),
+                            (config, d.fingerprint, loss, subset),
                             lambda: _fit_subset(config, d, loss, subset))
 
 
@@ -751,7 +744,7 @@ def subset_epe(config, d_train, d_eval, loss, subset):
     sage and cpfi are differences of these risks."""
     subset = tuple(sorted(int(j) for j in subset))
     return lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE,
-                            (config.key(), d_train.fingerprint, d_eval.fingerprint, loss, subset),
+                            (config, d_train.fingerprint, d_eval.fingerprint, loss, subset),
                             lambda: epe(subset_model(config, d_train, loss, subset),
                                         select_features(d_eval, subset), loss))
 

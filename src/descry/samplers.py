@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllGroupsEmpty, EmptyNeighborhood, UnknownFeature
+from .errors import AllGroupsEmpty, EmptyNeighborhood
 from .data import gower_decode, gower_encode
 from .models import feature_ranges, nearest
 from ._util import derive_seed, lru_get_or_build
@@ -56,9 +56,7 @@ def build_grid(d, feature, max_points=20):
     as observed values (inverted CDF) for an integer feature."""
     if max_points < 2:
         raise ValueError("max_points must be at least 2")
-    j = d.feature_index(feature) if isinstance(feature, str) else int(feature)
-    if not (0 <= j < d.n):
-        raise UnknownFeature(f"feature index {j} out of range", operation="build_grid")
+    j = d.feature_index(feature)
     spec = d.features[j]
     col = d.codes[:, j]
     distinct = np.unique(col)

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from descry.cli import main
+from descry.cli import DESCRIBE_NEEDS, UNCERTAINTY_NEEDS, main
+from descry.descriptors import QUESTIONS
+from descry._util import canonical_json
 
 
 def file_hashes(directory, suffixes=(".json", ".csv")):
@@ -76,6 +78,15 @@ class TestTrain:
                      "--out", out]) == 0
         training = json.load(open(os.path.join(out, "training.json")))
         assert training["train_epe"] >= 0.0
+
+    def test_training_json_lists_every_config_field(self, trained):
+        """training.json's config block holds every LearnerConfig field, and
+        nothing else, with hidden as a list."""
+        text = open(os.path.join(trained, "training.json")).read()
+        config = {"learner": "ols", "seed": 0, "knn_k": 5,
+                  "distance": "euclidean_standardized", "hidden": [32, 16, 8],
+                  "learning_rate": 0.01, "lr_decay": 0.5, "epochs": 300, "batch_size": 32}
+        assert text == canonical_json(dict(json.loads(text), config=config)) + "\n"
 
 
 class TestMlpOptions:
@@ -435,6 +446,61 @@ class TestConfigFile:
         error = json.loads(capsys.readouterr().err)
         assert error["operation"] == "config"
         assert error["error"] == "ValueError"
+
+
+class TestIngestRefusals:
+    """A malformed ingest option exits 1 with an error.json that names it,
+    and with the subcommand as its operation."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("g,h,y\n" + "\n".join(f"{i % 21},{i % 5},{i % 7}"
+                                                   for i in range(40)) + "\n")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({"columns": [
+            {"name": "g", "kind": "integer"}, {"name": "h", "kind": "numeric"},
+            {"name": "y", "kind": "integer"}]}))
+        return ["ingest", "--csv", str(csv_path), "--schema", str(schema_path),
+                "--target", "y"]
+
+    @staticmethod
+    def refused(out, argv, error, named, capsys):
+        assert main(argv + ["--out", out]) == 1
+        written = json.load(open(os.path.join(out, "error.json")))
+        assert written["error"] == error and named in written["message"]
+        assert written["operation"] == "ingest"
+        assert json.loads(capsys.readouterr().err) == written
+        assert not os.path.exists(os.path.join(out, "dataset.json"))
+        return written
+
+    def test_drop_keeps_the_other_columns(self, tmp_path, tiny):
+        out = str(tmp_path / "dropped")
+        assert main(tiny + ["--drop", "g", "--out", out]) == 0
+        data = json.load(open(os.path.join(out, "dataset.json")))
+        assert [f["name"] for f in data["schema"]["features"]] == ["h"]
+
+    @pytest.mark.parametrize("drop", ["x9", "g,x9", "h,"])
+    def test_drop_of_an_unknown_name(self, tmp_path, tiny, drop, capsys):
+        name = drop.split(",")[-1]
+        written = self.refused(str(tmp_path / "drop"), tiny + ["--drop", drop],
+                               "UnknownFeature", f"no feature named {name!r}", capsys)
+        assert written["module"] == "data"
+
+    @pytest.mark.parametrize("clamp", ["5,-5", "0", "0,1,2", "nan,1", "0,inf"])
+    def test_malformed_clamp(self, tmp_path, tiny, clamp, capsys):
+        self.refused(str(tmp_path / "clamp"), tiny + ["--jitter", "g", "--clamp", clamp],
+                     "ValueError", "clamp must be two finite numbers lo <= hi", capsys)
+
+    def test_unknown_center_names_the_subcommand(self, tmp_path, tiny, capsys):
+        written = self.refused(str(tmp_path / "center"), tiny + ["--center", "x9"],
+                               "UnknownFeature", "no feature named 'x9'", capsys)
+        assert written["module"] == "data"
+
+
+def test_question_lists_come_from_one_table():
+    assert list(DESCRIBE_NEEDS) == list(QUESTIONS)
+    assert set(UNCERTAINTY_NEEDS) <= set(QUESTIONS)
 
 
 class TestErrorHandling:

@@ -175,7 +175,10 @@ def test_knn_matches_per_query_reference(problem, knn_k, distance, loss):
     h = train(LearnerConfig(learner="knn", knn_k=min(knn_k, d.k), distance=distance), d, loss)
     with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
         predicted = h.predict_batch(queries)
-    expected = reference_eval_knn(h.to_dict()["params"], queries)
+    listed = h.to_dict()
+    params = dict(listed["params"], features=listed["input_schema"],
+                  train_encoded=h.params.get("train_encoded"))
+    expected = reference_eval_knn(params, queries)
     assert predicted.tolist() == expected.tolist()
 
 

@@ -125,6 +125,24 @@ class TestKnn:
         assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
         assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.rows).tobytes()
 
+    @pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
+    def test_model_json_holds_the_training_rows_once(self, distance):
+        """model.json keeps the rows in train_matrix only; a file that also
+        holds the schema copy and the Euclidean encoding still loads, and
+        predicts with the same bits."""
+        d = mixed_dataset()
+        h = train(LearnerConfig(learner="knn", knn_k=2, distance=distance), d, MSE)
+        written = h.to_dict()
+        assert not {"features", "train_encoded", "train_codes"} & set(written["params"])
+        old = json.loads(canonical_json(written))
+        old["params"]["features"] = [f.to_dict() for f in d.features]
+        if distance == "euclidean_standardized":
+            old["params"]["train_encoded"] = h.params["train_encoded"].tolist()
+        clone = PredictorHandle.from_dict(json.loads(canonical_json(old)))
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "zz"]], dtype=object)
+        assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
+        assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.codes).tobytes()
+
     def test_mode_for_zero_one(self):
         d = Dataset(features=[FeatureSpec(name="x", kind="numeric")],
                     target=FeatureSpec(name="y", kind="integer"),

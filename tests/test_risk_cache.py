@@ -113,3 +113,22 @@ def test_cpfi_after_sage_predicts_nothing_again():
     evaluations = [call for call in spy.call_args_list if len(call.args[0]) == d_eval.k]
     assert len(evaluations) == 2 ** d_train.n - 1  # every subset but the empty one
 
+
+def test_an_equal_config_shares_the_refits_and_risks():
+    """The caches key on the config's fields: an equal config built anew (with
+    hidden given as a list) finds the refit and the risk another one left;
+    a config that differs in one field does not."""
+    d_train, d_eval = dataset(6, 3), dataset(7, 3, k=30)
+    first = LearnerConfig(learner="knn", knn_k=3)
+    again = LearnerConfig(learner="knn", knn_k=3, hidden=[32, 16, 8])
+    assert again is not first and again == first and hash(again) == hash(first)
+    clear_subset_cache()
+    refit = subset_model(first, d_train, MSE, (0, 2))
+    risk = subset_epe(first, d_train, d_eval, MSE, (0, 2))
+    with mock.patch.object(models, "train", side_effect=AssertionError("refit")), \
+            mock.patch.object(models, "epe", side_effect=AssertionError("evaluated")):
+        assert subset_model(again, d_train, MSE, (0, 2)) is refit
+        assert subset_epe(again, d_train, d_eval, MSE, (2, 0)) == risk
+    other = LearnerConfig(learner="knn", knn_k=4)
+    assert subset_model(other, d_train, MSE, (0, 2)) is not refit
+    assert len(_subset_cache) == 2
