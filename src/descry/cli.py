@@ -61,10 +61,20 @@ def _load_dataset(args, path=None, schema_arg=None):
     return load_csv(path, schema, args.target, delimiter=args.delimiter)
 
 
+def _numbers(args, flag, kind=float):
+    """The comma-separated numbers a flag was given, each as `kind`."""
+    text = getattr(args, flag[2:].replace("-", "_"))
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _learner_config(args):
     return LearnerConfig(
         learner=args.learner, seed=args.seed, knn_k=args.knn_k,
-        distance=args.distance, hidden=args.hidden.split(","),
+        distance=args.distance, hidden=_numbers(args, "--hidden", int),
         learning_rate=args.learning_rate, lr_decay=args.lr_decay,
         epochs=args.epochs, batch_size=args.batch_size)
 
@@ -134,13 +144,15 @@ def _cmd_ingest(args):
         report["merge"] = merge_report
     if args.drop:
         dropped = {d.feature_index(name) for name in args.drop.split(",")}
+        if len(dropped) == d.n:
+            raise ValueError(f"--drop {args.drop!r} names every feature; keep at least one")
         d = select_features(d, set(range(d.n)) - dropped)
     if args.center:
         d, mean = center_feature(d, args.center)
         report["center"] = {"feature": args.center, "mean": mean}
     if args.jitter:
-        offsets = [float(o) for o in args.offsets.split(",")]
-        clamp = tuple(float(c) for c in args.clamp.split(",")) if args.clamp else None
+        offsets = _numbers(args, "--offsets")
+        clamp = tuple(_numbers(args, "--clamp")) if args.clamp else None
         d = jitter_augment(d, args.jitter, offsets, clamp=clamp)
         report["jitter"] = {"feature": args.jitter, "offsets": offsets,
                             "clamp": list(clamp) if clamp else None, "rows": d.k}
@@ -374,14 +386,14 @@ def _cmd_report(args):
 
 def _add_learner_flags(sub):
     sub.add_argument("--learner", choices=["ols", "knn", "mlp"], default="ols")
-    sub.add_argument("--knn-k", type=int, default=5)
+    sub.add_argument("--knn-k", type=int, default=LearnerConfig.knn_k)
     sub.add_argument("--distance", choices=["euclidean_standardized", "gower"],
-                     default="euclidean_standardized")
-    sub.add_argument("--hidden", default="32,16,8")
-    sub.add_argument("--learning-rate", type=float, default=0.01)
-    sub.add_argument("--lr-decay", type=float, default=0.5)
-    sub.add_argument("--epochs", type=int, default=300)
-    sub.add_argument("--batch-size", type=int, default=32)
+                     default=LearnerConfig.distance)
+    sub.add_argument("--hidden", default=",".join(map(str, LearnerConfig.hidden)))
+    sub.add_argument("--learning-rate", type=float, default=LearnerConfig.learning_rate)
+    sub.add_argument("--lr-decay", type=float, default=LearnerConfig.lr_decay)
+    sub.add_argument("--epochs", type=int, default=LearnerConfig.epochs)
+    sub.add_argument("--batch-size", type=int, default=LearnerConfig.batch_size)
 
 
 def _add_data_flags(sub):
@@ -441,10 +453,10 @@ def build_parser():
     sub.add_argument("--y-rel", type=float, default=None)
     sub.add_argument("--lambda", type=float, default=None)
     sub.add_argument("--loss", default="mse")
-    sub.add_argument("--max-points", type=int, default=20)
+    sub.add_argument("--max-points", type=int, default=DescriptorSpec.max_points)
     sub.add_argument("--band", type=float, default=None)
-    sub.add_argument("--mode", choices=["exact", "permutation_mc"], default="exact")
-    sub.add_argument("--mc-permutations", type=int, default=2000)
+    sub.add_argument("--mode", choices=["exact", "permutation_mc"], default=DescriptorSpec.mode)
+    sub.add_argument("--mc-permutations", type=int, default=DescriptorSpec.mc_permutations)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_describe)
@@ -458,16 +470,16 @@ def build_parser():
     sub.add_argument("--feature", default=None)
     sub.add_argument("--y-rel", type=float, default=None)
     sub.add_argument("--loss", default="mse")
-    sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--ee-replicates", type=int, default=100)
-    sub.add_argument("--me-replicates", type=int, default=30)
+    sub.add_argument("--alpha", type=float, default=CIConfig.alpha)
+    sub.add_argument("--ee-replicates", type=int, default=CIConfig.ee_replicates)
+    sub.add_argument("--me-replicates", type=int, default=CIConfig.me_replicates)
     sub.add_argument("--resample", choices=["bootstrap", "subsample"], default="bootstrap")
     sub.add_argument("--fraction", type=float, default=0.5,
                      help="subsample fraction, below 1; 0.5 makes refit spread match "
                           "full-sample variance")
     sub.add_argument("--quantile-family", choices=["student_t", "normal"],
-                     default="student_t")
-    sub.add_argument("--max-points", type=int, default=20)
+                     default=CIConfig.quantile_family)
+    sub.add_argument("--max-points", type=int, default=DescriptorSpec.max_points)
     sub.add_argument("--band", type=float, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
@@ -503,14 +515,10 @@ def _expand_config(argv):
     for key, value in sorted(flags.items()):
         if value is None or key in ("command", "func"):
             continue
-        flag = "--" + key.replace("_", "-")
         if key == "run_dirs":
             expanded.extend(str(v) for v in value)
-        elif isinstance(value, bool):
-            if value:
-                expanded.append(flag)
         else:
-            expanded.extend([flag, str(value)])
+            expanded.extend(["--" + key.replace("_", "-"), str(value)])
     return expanded + argv[:at] + argv[at + 2:]
 
 

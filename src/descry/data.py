@@ -50,16 +50,12 @@ class FeatureSpec:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.categories is not None:
             object.__setattr__(self, "categories", tuple(self.categories))
-        if self.jitter_offsets is not None:
-            object.__setattr__(self, "jitter_offsets", tuple(float(o) for o in self.jitter_offsets))
         if (self.kind == "categorical") != bool(self.categories):
             raise ValueError(f"feature {self.name!r}: categories required iff kind is categorical")
         if self.jitter_offsets is not None:
             if self.kind == "categorical":
                 raise ValueError(f"feature {self.name!r}: jitter offsets need a numeric kind")
-            offs = self.jitter_offsets
-            if any(o == 0.0 for o in offs) or len(set(offs)) != len(offs):
-                raise ValueError(f"feature {self.name!r}: jitter offsets must be nonzero and distinct")
+            object.__setattr__(self, "jitter_offsets", check_offsets(self.name, self.jitter_offsets))
 
     @property
     def is_numeric(self):
@@ -81,6 +77,16 @@ class FeatureSpec:
             categories=tuple(d["categories"]) if d.get("categories") else None,
             jitter_offsets=tuple(d["jitter_offsets"]) if d.get("jitter_offsets") else None,
         )
+
+
+def check_offsets(feature, offsets):
+    """Jitter offsets as floats, refused unless non-empty, finite, nonzero and distinct."""
+    offsets = tuple(float(o) for o in offsets)
+    if not (offsets and np.isfinite(offsets).all() and 0.0 not in offsets
+            and len(set(offsets)) == len(offsets)):
+        raise ValueError(f"feature {feature!r}: jitter offsets must be non-empty, finite, "
+                         f"nonzero and distinct, got {list(offsets)}")
+    return offsets
 
 
 def _parse_cell(raw, spec, row_idx):
@@ -368,13 +374,11 @@ def jitter_augment(d, feature, offsets, clamp=None):
     feature shifted by that offset (clamped to `clamp=(lo, hi)` if given).
     Untouched columns are copied bit-identically.
     """
-    offsets = [float(o) for o in offsets]
-    if not offsets:
-        raise ValueError("offsets must be non-empty")
+    j = d.feature_index(feature)
+    offsets = check_offsets(d.features[j].name, offsets)
     if clamp is not None and not (len(clamp) == 2 and np.isfinite(clamp).all()
                                   and clamp[0] <= clamp[1]):
         raise ValueError(f"clamp must be two finite numbers lo <= hi, got {list(clamp)}")
-    j = d.feature_index(feature)
     col = d.numeric_column(j)
     codes = np.tile(d.codes, (len(offsets) + 1, 1))
     for i, off in enumerate(offsets, start=1):

@@ -32,7 +32,7 @@ from .models import (
     subset_epe,
     subset_model,
 )
-from .samplers import build_grid, conditional_groups, get_support_checker, group_means
+from .samplers import build_grid, check_band, conditional_groups, get_support_checker, group_means
 from ._util import derive_seed
 
 QUESTIONS = (
@@ -71,13 +71,15 @@ class DescriptorSpec:
         if self.question in ("relevant_value_global", "counterfactual_local") \
                 and self.y_rel is None:
             raise ValueError(f"{self.question} requires y_rel")
-        if self.question == "counterfactual_local":
-            if self.lam is None or self.lam < 0:
-                raise ValueError("counterfactual_local requires lambda >= 0")
-        for name, value in (("y_rel", self.y_rel), ("lambda", self.lam)):
-            if value is not None:
-                _check_finite(name, value)
-        _check_band(self.band)
+        if self.question == "counterfactual_local" and self.lam is None:
+            raise ValueError("counterfactual_local requires lambda >= 0")
+        if self.y_rel is not None:
+            self.y_rel = _finite("y_rel", self.y_rel)
+        if self.lam is not None:
+            self.lam = _finite("lambda", self.lam)
+            if self.lam < 0:
+                raise ValueError(f"lambda must be non-negative, got {self.lam!r}")
+        check_band(self.band)
         if self.mode not in ("exact", "permutation_mc"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mc_permutations < 2:  # one permutation has no standard error
@@ -94,16 +96,10 @@ class DescriptorSpec:
         return d
 
 
-def _check_finite(name, value):
+def _finite(name, value):
     if value is None or not isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _check_band(band):
-    if band is not None:
-        _check_finite("band", band)
-        if band < 0:
-            raise ValueError(f"band must be non-negative, got {band!r}")
+    return float(value)
 
 
 @dataclass
@@ -158,8 +154,9 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
     over evaluation rows whose conditioned feature matches that point."""
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
-    _check_band(band)
     grid = feature_grid(d_eval, feature, grid, max_points)
+    spec = DescriptorSpec(question="cpdp", feature=grid.feature_index, band=band,
+                          max_points=max_points)
     members, dropped = conditional_groups(d_eval, grid, band=band)
     preds = h.predict_batch(d_eval.codes)
     means, sizes, kept = group_means(preds, members, np.ones(d_eval.k))
@@ -167,8 +164,6 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
     sq_dev = (preds[:, None] - means[kept]) ** 2 * members[:, kept]
     stderr = np.sqrt(sq_dev.sum(axis=0) / (sizes[kept] - 1)) / np.sqrt(sizes[kept])
     curve = [(grid.points[g], float(means[g]), int(sizes[g])) for g in kept]
-    spec = DescriptorSpec(question="cpdp", feature=grid.feature_index, band=band,
-                          max_points=max_points)
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
         "dropped_grid_points": dropped, "stderr": stderr.tolist(),
         "evaluation_size": d_eval.k, "sampler": "grouping"})
@@ -179,8 +174,10 @@ def ice(h, instance, feature, grid, d_eval, max_points=20):
     instance, plotted only where the spliced point stays on support. With
     grid None, the grid is built from d_eval."""
     grid = feature_grid(d_eval, feature, grid, max_points)
-    checker = _require_on_support(d_eval, instance, "ice")
     j = grid.feature_index
+    spec = DescriptorSpec(question="ice", feature=j, instance=list(instance),
+                          max_points=max_points)
+    checker = _require_on_support(d_eval, instance, "ice")
     spliced = np.repeat(gower_encode([instance], d_eval.features), len(grid.points), axis=0)
     spliced[:, j] = grid.codes(d_eval)
     on_support = checker.check_rows(spliced)
@@ -191,8 +188,6 @@ def ice(h, instance, feature, grid, d_eval, max_points=20):
                              operation="ice")
     preds = h.predict_batch(spliced[on_support])
     curve = [(point, float(pred), 1) for point, pred in zip(kept, preds)]
-    spec = DescriptorSpec(question="ice", feature=j, instance=list(instance),
-                          max_points=max_points)
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
         "off_support_grid_points": off_support, "evaluation_size": d_eval.k})
 
@@ -219,9 +214,9 @@ def cpfi(config, d_train, d_eval, feature, loss):
     """Conditional feature importance, refit form: how much worse the
     optimally reduced model predicts without the feature (a name or an index)."""
     j, full_set, reduced_set = cpfi_sets(d_train, feature)
+    spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
     full_epe = subset_epe(config, d_train, d_eval, loss, full_set)
     reduced_epe = subset_epe(config, d_train, d_eval, loss, reduced_set)
-    spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
     return DescriptorResult(spec=spec, scalar=reduced_epe - full_epe, diagnostics={
         "epe_full": full_epe, "epe_reduced": reduced_epe,
         "evaluation_size": d_eval.k})
@@ -231,12 +226,13 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
                                    feature, loss):
     """Instance-level analogue of cpfi: the loss paid at this instance by
     not knowing the feature (reduced minus full, helpful features positive)."""
-    _check_finite("observed_y", observed_y)
+    y = np.array([_finite("observed_y", observed_y)])
     j, full_set, reduced_set = _full_and_reduced(d_train, feature)
+    spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
+                          instance=list(instance), loss=loss)
     _require_on_support(d_eval, instance, "local_conditional_contribution")
     full = subset_model(config, d_train, loss, full_set)
     reduced = subset_model(config, d_train, loss, reduced_set)
-    y = np.array([observed_y], dtype=float)
     loss_full = float(pointwise_loss(
         loss, y, np.array([full.predict(instance)]),
         y_levels=full.params.get("y_levels"))[0])
@@ -244,8 +240,6 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     loss_reduced = float(pointwise_loss(
         loss, y, np.array([reduced.predict(reduced_instance)]),
         y_levels=reduced.params.get("y_levels"))[0])
-    spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
-                          instance=list(instance), loss=loss)
     return DescriptorResult(spec=spec, scalar=loss_reduced - loss_full, diagnostics={
         "loss_full": loss_full, "loss_reduced": loss_reduced})
 
@@ -292,8 +286,8 @@ def _shapley_permutation_mc(n, value_of, permutations, seed):
     return phi, stderr, values
 
 
-def _fair_contribution(n, value_of, mode, mc_permutations, seed, spec, extra=None):
-    if mode == "exact":
+def _fair_contribution(n, value_of, spec, extra=None):
+    if spec.mode == "exact":
         if n > EXACT_MODE_LIMIT:
             raise TooManyFeaturesForExact(
                 f"{n} features exceeds the exact-mode limit {EXACT_MODE_LIMIT}",
@@ -301,7 +295,8 @@ def _fair_contribution(n, value_of, mode, mc_permutations, seed, spec, extra=Non
         phi, values = _shapley_exact(n, value_of)
         diagnostics = {}
     else:
-        phi, stderr, values = _shapley_permutation_mc(n, value_of, mc_permutations, seed)
+        phi, stderr, values = _shapley_permutation_mc(n, value_of, spec.mc_permutations,
+                                                      spec.seed)
         diagnostics = {"mc_stderr": stderr.tolist()}
     diagnostics.update(value_empty=values[()], value_full=values[tuple(range(n))])
     if extra:
@@ -319,7 +314,7 @@ def sage(config, d_train, d_eval, loss, mode="exact", mc_permutations=2000, seed
                           mc_permutations=mc_permutations, seed=seed)
     return _fair_contribution(
         d_train.n, lambda subset: -subset_epe(config, d_train, d_eval, loss, subset),
-        mode, mc_permutations, seed, spec, extra={"evaluation_size": d_eval.k})
+        spec, extra={"evaluation_size": d_eval.k})
 
 
 def shapley_local(config, d_train, d_eval, instance, mode="exact",
@@ -335,7 +330,7 @@ def shapley_local(config, d_train, d_eval, instance, mode="exact",
     def value_of(subset):
         return subset_model(config, d_train, loss, subset).predict([instance[j] for j in subset])
 
-    return _fair_contribution(d_train.n, value_of, mode, mc_permutations, seed, spec)
+    return _fair_contribution(d_train.n, value_of, spec)
 
 
 # -- relevant values and counterfactuals ---------------------------------------
@@ -369,11 +364,11 @@ def relevant_value_global(h, d_eval, y_rel):
     """Realistic conditions under which the model output comes closest to a
     relevant target value: exhaustive scan over evaluation rows, then local
     perturbations of the best rows that still pass the support check."""
-    _check_finite("y_rel", y_rel)
+    spec = DescriptorSpec(question="relevant_value_global", y_rel=y_rel)
     if d_eval.k == 0:
         raise ValueError("evaluation dataset is empty")
     preds = h.predict_batch(d_eval.codes)
-    objective = np.abs(preds - float(y_rel))
+    objective = np.abs(preds - spec.y_rel)
     best_idx = int(np.argmin(objective))
     best_obj = float(objective[best_idx])
     best_x = list(gower_decode(d_eval.codes[[best_idx]], d_eval.features)[0])
@@ -385,13 +380,12 @@ def relevant_value_global(h, d_eval, y_rel):
     perturbed_used = False
     if candidates:
         cand_preds = h.predict_batch(gower_encode(candidates, d_eval.features))
-        cand_obj = np.abs(cand_preds - float(y_rel))
+        cand_obj = np.abs(cand_preds - spec.y_rel)
         ci = int(np.argmin(cand_obj))
         if float(cand_obj[ci]) < best_obj:
             best_obj, best_x = float(cand_obj[ci]), list(candidates[ci])
             best_idx, perturbed_used = None, True
 
-    spec = DescriptorSpec(question="relevant_value_global", y_rel=float(y_rel))
     return DescriptorResult(spec=spec, point={
         "x": best_x, "objective": best_obj, "row_index": best_idx,
         "from_perturbation": perturbed_used,
@@ -402,10 +396,8 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
     """Realistic conditions similar to the instance under which the model
     output comes closest to the target: minimize |m(x') - y_rel| plus a
     Gower-distance penalty over supported candidates."""
-    _check_finite("y_rel", y_rel)
-    _check_finite("lambda", lam)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
+                          y_rel=y_rel, lam=lam)
     checker = _require_on_support(d_eval, instance, "counterfactual_local")
 
     def candidate(i):  # the instance as given, an evaluation row, or a perturbation
@@ -414,7 +406,7 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
         return list(instance) if i == 0 else list(perturbed[i - 1 - d_eval.k])
 
     codes = np.vstack([gower_encode([instance], d_eval.features), d_eval.codes])
-    gap = np.abs(h.predict_batch(codes) - float(y_rel))
+    gap = np.abs(h.predict_batch(codes) - spec.y_rel)
     top = np.argsort(gap, kind="stable")[:PERTURB_TOP_ROWS]
     perturbed = _perturbations(d_eval, [candidate(i) for i in top])
     codes = np.vstack([codes, gower_encode(perturbed, d_eval.features)])
@@ -425,13 +417,11 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
                                    operation="counterfactual_local")
     supported = codes[on_support]
     preds = h.predict_batch(supported)
-    gaps = np.abs(preds - float(y_rel))
+    gaps = np.abs(preds - spec.y_rel)
     dists = gower_distances(supported, list(instance), d_eval.features, checker.ranges)
-    objectives = gaps + lam * dists
+    objectives = gaps + spec.lam * dists
     best = int(np.argmin(objectives))
 
-    spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
-                          y_rel=float(y_rel), lam=float(lam))
     return DescriptorResult(spec=spec, point={
         "x": candidate(on_support[best]),
         "objective": float(objectives[best]),

@@ -52,8 +52,7 @@ def _band_polygon(canvas, xs, los, his, color):
             f'stroke="{color}" stroke-width="1.2" stroke-dasharray="6,4"/>')
 
 
-def curve_svg(curve, title="", x_label="", y_label="", ci_ee=None, ci_me_ee=None,
-              group_sizes=None):
+def curve_svg(curve, title="", x_label="", y_label="", ci_ee=None, ci_me_ee=None):
     """Render a descriptor curve (list of (x, estimate, size) rows) to SVG text."""
     xs = [float(v) for v, _, _ in curve]
     ys = [float(e) for _, e, _ in curve]
@@ -114,7 +113,7 @@ def curve_svg(curve, title="", x_label="", y_label="", ci_ee=None, ci_me_ee=None
                      f'fill="#222222"/>')
 
     # group-size rug
-    sizes = group_sizes if group_sizes is not None else [g for _, _, g in curve]
+    sizes = [g for _, _, g in curve]
     max_size = max(sizes) if sizes and max(sizes) > 0 else 1
     bar_w = max(2.0, canvas.plot_w / max(len(xs), 1) * 0.5)
     for x, size in zip(xs, sizes):

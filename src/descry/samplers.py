@@ -81,16 +81,21 @@ def default_band(d, grid):
     return float(np.median(gaps) / 2.0)
 
 
+def check_band(band):
+    """Refuse a band that is neither None (default_band) nor finite and >= 0."""
+    if band is not None and not (np.isfinite(band) and band >= 0):
+        raise ValueError(f"band must be a finite non-negative number, got {band!r}")
+
+
 def grid_membership(d, grid, band=None):
     """Row-by-grid-point match matrix (k x G bool): row i belongs to point g.
 
     Numeric membership is |x_p - g| <= band (default_band when None);
     categorical and integer grids match exactly when band is 0.
     """
+    check_band(band)
     if band is None:
         band = default_band(d, grid)
-    if band < 0:
-        raise ValueError("band must be non-negative")
     j = grid.feature_index
     col, points = d.codes[:, j, None], grid.codes(d)
     if band == 0 or d.features[j].kind == "categorical":

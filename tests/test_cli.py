@@ -109,6 +109,15 @@ class TestMlpOptions:
         assert error["error"] == "ValueError"
         assert field in error["message"]
 
+    @pytest.mark.parametrize("hidden", ["8,a", "8.5", ""])
+    def test_malformed_hidden_names_its_flag(self, tmp_path, small, hidden):
+        out = str(tmp_path / "mlp")
+        assert main(["train", "--data", small, "--learner", "mlp", "--hidden", hidden,
+                     "--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert error["error"] == "ValueError"
+        assert error["message"] == f"--hidden takes comma-separated int values, got {hidden!r}"
+
     def test_diverging_training_writes_a_finite_model(self, tmp_path, small):
         out = str(tmp_path / "mlp")
         # at this rate the first epochs overflow to inf or NaN
@@ -491,6 +500,24 @@ class TestIngestRefusals:
     def test_malformed_clamp(self, tmp_path, tiny, clamp, capsys):
         self.refused(str(tmp_path / "clamp"), tiny + ["--jitter", "g", "--clamp", clamp],
                      "ValueError", "clamp must be two finite numbers lo <= hi", capsys)
+
+    @pytest.mark.parametrize("drop", ["g,h", "h,g,h"])
+    def test_drop_of_every_feature(self, tmp_path, tiny, drop, capsys):
+        self.refused(str(tmp_path / "drop"), tiny + ["--drop", drop], "ValueError",
+                     f"--drop {drop!r} names every feature", capsys)
+
+    @pytest.mark.parametrize("flag, value", [("--offsets", "1,x"), ("--offsets", "1,,2"),
+                                             ("--clamp", "a,1")])
+    def test_malformed_number_names_its_flag(self, tmp_path, tiny, flag, value, capsys):
+        self.refused(str(tmp_path / "number"), tiny + ["--jitter", "g", flag, value],
+                     "ValueError", f"{flag} takes comma-separated float values, got {value!r}",
+                     capsys)
+
+    @pytest.mark.parametrize("offsets", ["1,0", "1,1", "-0.0", "2,inf"])
+    def test_jitter_offsets_follow_the_schema_rule(self, tmp_path, tiny, offsets, capsys):
+        self.refused(str(tmp_path / "offsets"), tiny + ["--jitter", "h", "--offsets", offsets],
+                     "ValueError", "feature 'h': jitter offsets must be non-empty, finite, "
+                     "nonzero and distinct", capsys)
 
     def test_unknown_center_names_the_subcommand(self, tmp_path, tiny, capsys):
         written = self.refused(str(tmp_path / "center"), tiny + ["--center", "x9"],

@@ -280,7 +280,7 @@ def test_rows_and_slices_match_the_object_view(data_rows, picks, data):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(mixed_data(), st.lists(st.sampled_from([1.0, -1.0, 2.5, -0.0]), min_size=1,
+@given(mixed_data(), st.lists(st.sampled_from([1.0, -1.0, 2.5, -2.5]), min_size=1,
                               max_size=3, unique=True), st.data())
 def test_center_and_jitter_match_the_object_view(data_rows, offsets, data):
     d, given_rows = data_rows
