@@ -29,6 +29,9 @@ from .plots import write_curve_svg
 from .uncertainty import CIConfig, ci_combined, ci_estimation
 from ._util import canonical_json, write_json
 
+# `ingest --jitter` offsets when neither --offsets nor the schema gives any
+JITTER_OFFSETS = (1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
+
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -135,6 +138,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_ingest(args):
+    stray = [flag for flag in ("--offsets", "--clamp") if getattr(args, flag[2:]) is not None]
+    if stray and not args.jitter:
+        raise ValueError(f"{' and '.join(stray)} given without --jitter")
     schema = _load_schema(args.schema)
     d = load_csv(args.csv, schema, args.target, delimiter=args.delimiter)
     report = {"rows": d.k}
@@ -151,7 +157,8 @@ def _cmd_ingest(args):
         d, mean = center_feature(d, args.center)
         report["center"] = {"feature": args.center, "mean": mean}
     if args.jitter:
-        offsets = _numbers(args, "--offsets")
+        offsets = _numbers(args, "--offsets") if args.offsets is not None else \
+            d.features[d.feature_index(args.jitter)].jitter_offsets or JITTER_OFFSETS
         clamp = tuple(_numbers(args, "--clamp")) if args.clamp else None
         d = jitter_augment(d, args.jitter, offsets, clamp=clamp)
         report["jitter"] = {"feature": args.jitter, "offsets": offsets,
@@ -427,7 +434,9 @@ def build_parser():
     sub.add_argument("--drop", default=None, help="comma-separated feature names to drop")
     sub.add_argument("--center", default=None)
     sub.add_argument("--jitter", default=None)
-    sub.add_argument("--offsets", default="1,-1,2,-2,3,-3")
+    sub.add_argument("--offsets", default=None,
+                     help="comma-separated jitter offsets (default: the jittered feature's "
+                          "schema jitter_offsets, else 1,-1,2,-2,3,-3)")
     sub.add_argument("--clamp", default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
@@ -511,6 +520,12 @@ def _expand_config(argv):
     else:
         raw = dict(raw)
         command, flags = raw.pop("command"), raw
+    before = argv[:at]
+    if before and not before[0].startswith("-"):      # `descry <command> --config ...`
+        if before[0] != command:
+            raise ValueError(f"--config holds a {command!r} run, but the command line "
+                             f"asks for {before[0]!r}")
+        before = before[1:]
     expanded = [command]
     for key, value in sorted(flags.items()):
         if value is None or key in ("command", "func"):
@@ -519,7 +534,7 @@ def _expand_config(argv):
             expanded.extend(str(v) for v in value)
         else:
             expanded.extend(["--" + key.replace("_", "-"), str(value)])
-    return expanded + argv[:at] + argv[at + 2:]
+    return expanded + before + argv[at + 2:]
 
 
 def main(argv=None):

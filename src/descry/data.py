@@ -34,6 +34,8 @@ STUDENT_JOIN_KEYS = (
     "school", "sex", "age", "address", "famsize", "Pstatus",
     "Medu", "Fedu", "Mjob", "Fjob", "reason", "nursery", "internet",
 )
+# The feature that carries the Portuguese final grade after merge_students.
+POR_GRADE_NAME = "G3_por"
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,8 @@ class Dataset:
         return Dataset(self.features, self.target,
                        **{k: getattr(self, k) if v is None else v for k, v in changes.items()})
 
-    def take(self, indices, provenance=None):
-        if provenance not in (None, *PROVENANCES):
-            raise ValueError(f"unknown provenance {provenance!r}")
-        return self._slice(np.asarray(indices, dtype=int), slice(None),
-                           provenance=provenance or self.provenance)
+    def take(self, indices):
+        return self._slice(np.asarray(indices, dtype=int), slice(None))
 
     @property
     def fingerprint(self):
@@ -278,9 +277,9 @@ class Dataset:
             seed=d.get("seed"),
         )
 
-    def write_csv(self, path, delimiter=","):
+    def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
+            writer = csv.writer(fh)
             writer.writerow(self.feature_names + [self.target.name])
             for row, y in zip(self.rows, self.targets):
                 writer.writerow([v if isinstance(v, str) else fmt_number(v) for v in row]
@@ -426,7 +425,7 @@ def select_features(d, indices):
     return d._slice(slice(None), indices, features=[d.features[j] for j in indices])
 
 
-def merge_students(math_d, por_d, por_grade_name="G3_por"):
+def merge_students(math_d, por_d):
     """Pair the mathematics and Portuguese datasets student-by-student.
 
     Rows are joined on the 13 identity attributes; the Portuguese target
@@ -458,7 +457,7 @@ def merge_students(math_d, por_d, por_grade_name="G3_por"):
             ambiguous += 1
     dropped_por = por_d.k - len(used_por)
 
-    grade_spec = FeatureSpec(name=por_grade_name, kind=por_d.target.kind,
+    grade_spec = FeatureSpec(name=POR_GRADE_NAME, kind=por_d.target.kind,
                              jitter_offsets=por_d.target.jitter_offsets)
     merged = Dataset(
         features=list(math_d.features) + [grade_spec],

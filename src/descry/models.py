@@ -457,7 +457,7 @@ def pointwise_loss(loss, y_true, preds, y_levels=None):
         return (y_true != np.asarray(preds, dtype=float)).astype(float)
     if loss == LossFunction.KL:
         levels = np.asarray(y_levels, dtype=float)
-        idx = np.array([int(np.argmin(np.abs(levels - y))) for y in y_true])
+        idx = np.argmin(np.abs(levels - y_true[:, None]), axis=1)
         q = np.take_along_axis(np.asarray(preds, dtype=float), idx[:, None], axis=1)[:, 0]
         return -np.log(np.clip(q, 1e-300, None))
     raise IncompatibleLoss(f"unknown loss {loss}", operation="pointwise_loss")

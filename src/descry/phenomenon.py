@@ -23,7 +23,8 @@ import numpy as np
 
 from .data import Dataset, FeatureSpec
 from .errors import UnsupportedCombination
-from .models import LossFunction, PredictorHandle, _eval_poly_response
+from .models import (CLASSIFICATION_LOSSES, REGRESSION_LOSSES, LossFunction,
+                     PredictorHandle, _eval_poly_response)
 from ._util import derive_seed
 
 KINDS = ("linear_gaussian", "nonlinear_independent", "discrete_classification")
@@ -56,13 +57,7 @@ def _sample_marginal(marginal, count, rng):
 
 def _check_term(powers):
     items = {int(i): int(p) for i, p in powers.items()}
-    if len(items) == 1:
-        (_, p), = items.items()
-        if 1 <= p <= 3:
-            return items
-    elif len(items) == 2 and all(p == 1 for p in items.values()):
-        return items
-    elif len(items) == 0:
+    if sorted(items.values()) in ([], [1], [2], [3], [1, 1]):
         return items
     raise UnsupportedCombination(
         f"response term {powers!r} outside the whitelist (univariate monomials "
@@ -142,17 +137,13 @@ class Phenomenon:
         return self.kind != "discrete_classification"
 
     def feature_specs(self):
-        if self.kind == "discrete_classification":
-            kinds = ["integer" if all(v == int(v) for v in lv) else "numeric"
-                     for lv in self.x_levels]
-            return [FeatureSpec(name=f"x{j + 1}", kind=kinds[j]) for j in range(self.n)]
-        return [FeatureSpec(name=f"x{j + 1}", kind="numeric") for j in range(self.n)]
+        levels = [None] * self.n if self.is_regression else self.x_levels
+        return [FeatureSpec(name=f"x{j + 1}", kind=_level_kind(lv))
+                for j, lv in enumerate(levels)]
 
     def target_spec(self):
-        if self.kind == "discrete_classification":
-            kind = "integer" if all(v == int(v) for v in self.y_levels) else "numeric"
-            return FeatureSpec(name="y", kind=kind)
-        return FeatureSpec(name="y", kind="numeric")
+        return FeatureSpec(name="y", kind=_level_kind(None if self.is_regression
+                                                      else self.y_levels))
 
     # -- serialization ------------------------------------------------------
 
@@ -180,7 +171,25 @@ class Phenomenon:
         return cls(name=d.get("name", ""), **kw)
 
 
+def _level_kind(levels):
+    """Schema kind of a variable: integer when every level is whole, numeric
+    for continuous variables (levels None)."""
+    whole = levels is not None and all(v == int(v) for v in levels)
+    return "integer" if whole else "numeric"
+
+
 # -- sampling ----------------------------------------------------------------
+
+
+def _draw_cells(probs, count, rng):
+    """Coordinates of `count` cells drawn from the probability table `probs`."""
+    cells = rng.choice(probs.size, size=count, p=probs.reshape(-1))
+    return list(np.unravel_index(cells, probs.shape))
+
+
+def _level_rows(p, coords):
+    """Feature rows holding the X levels at the given table coordinates."""
+    return np.column_stack([np.asarray(lv)[c] for lv, c in zip(p.x_levels, coords)])
 
 
 def sample(p, k, seed):
@@ -191,19 +200,14 @@ def sample(p, k, seed):
     if p.kind == "linear_gaussian":
         x = rng.multivariate_normal(p.mu, p.sigma, size=k, method="cholesky")
         y = p.beta0 + x @ p.beta
-        if p.noise_sd > 0:
-            y = y + rng.normal(0.0, p.noise_sd, size=k)
     elif p.kind == "nonlinear_independent":
         x = np.column_stack([_sample_marginal(m, k, rng) for m in p.marginals])
         y = _eval_poly_response({"intercept": p.intercept, "terms": p.terms}, x, None)
-        if p.noise_sd > 0:
-            y = y + rng.normal(0.0, p.noise_sd, size=k)
     else:
-        flat = p.table.reshape(-1)
-        cells = rng.choice(flat.size, size=k, p=flat)
-        coords = np.unravel_index(cells, p.table.shape)
-        x = np.column_stack([np.asarray(p.x_levels[j])[coords[j]] for j in range(p.n)])
-        y = np.asarray(p.y_levels)[coords[-1]]
+        coords = _draw_cells(p.table, k, rng)
+        x, y = _level_rows(p, coords), np.asarray(p.y_levels)[coords[-1]]
+    if p.is_regression and p.noise_sd > 0:
+        y = y + rng.normal(0.0, p.noise_sd, size=k)
     return Dataset(features=p.feature_specs(), target=p.target_spec(),
                    rows=x, targets=y, provenance="synthetic", seed=seed)
 
@@ -216,13 +220,12 @@ def sample_conditional(p, feature_index, value, count, seed):
     j = feature_index
     if p.kind == "linear_gaussian":
         rest = [i for i in range(p.n) if i != j]
-        mean = p.mu[rest] + p.sigma[rest, j] / p.sigma[j, j] * (value - p.mu[j])
-        cov = p.sigma[np.ix_(rest, rest)] - np.outer(p.sigma[rest, j], p.sigma[j, rest]) / p.sigma[j, j]
-        draws = rng.multivariate_normal(mean, cov, size=count, method="cholesky") \
-            if rest else np.zeros((count, 0))
-        x = np.empty((count, p.n))
-        x[:, j] = value
-        x[:, rest] = draws
+        s = p.sigma
+        cov = s[np.ix_(rest, rest)] - np.outer(s[rest, j], s[j, rest]) / s[j, j]
+        mean = _gaussian_conditional_mean(p, j, value)
+        x = np.tile(mean, (count, 1))
+        if rest:
+            x[:, rest] = rng.multivariate_normal(mean[rest], cov, size=count, method="cholesky")
         return x
     if p.kind == "nonlinear_independent":
         x = np.empty((count, p.n))
@@ -230,20 +233,23 @@ def sample_conditional(p, feature_index, value, count, seed):
             x[:, i] = value if i == j else _sample_marginal(m, count, rng)
         return x
     # discrete: condition the joint table on X_j = value
-    levels = p.x_levels[j]
     try:
-        code = levels.index(float(value))
+        code = p.x_levels[j].index(float(value))
     except ValueError:
         raise UnsupportedCombination(f"{value!r} is not a level of feature {j}") from None
-    joint_x = p.table.sum(axis=-1)
-    sliced = np.take(joint_x, code, axis=j)
-    flat = sliced.reshape(-1)
-    if flat.sum() <= 0:
+    sliced = np.take(p.table.sum(axis=-1), code, axis=j)
+    if sliced.sum() <= 0:
         raise UnsupportedCombination(f"conditioning value {value!r} has zero probability")
-    cells = rng.choice(flat.size, size=count, p=flat / flat.sum())
-    coords = list(np.unravel_index(cells, sliced.shape))
+    coords = _draw_cells(sliced / sliced.sum(), count, rng)
     coords.insert(j, np.full(count, code, dtype=int))
-    return np.column_stack([np.asarray(p.x_levels[i])[coords[i]] for i in range(p.n)])
+    return _level_rows(p, coords)
+
+
+def _gaussian_conditional_mean(p, j, value):
+    """E[X | X_j = value] under a linear_gaussian phenomenon."""
+    mean = p.mu + p.sigma[:, j] / p.sigma[j, j] * (value - p.mu[j])
+    mean[j] = value
+    return mean
 
 
 # -- response polynomial helpers ---------------------------------------------
@@ -273,16 +279,20 @@ def _terms_with_intercept(p):
     return [(p.intercept, {})] + [(t["coef"], dict(t["powers"])) for t in p.terms]
 
 
-def _condition_terms(marginals, terms, subset):
-    """E[poly | X_subset]: integrate out off-subset factors term by term."""
+def _condition_terms(marginals, terms, subset, at=None):
+    """E[poly | X_subset]: integrate out off-subset factors term by term.
+    With `at`, the kept factors are also evaluated at X_subset = at, in the
+    same left-to-right product, so every term comes back as a constant."""
     conditioned = []
     for coef, powers in terms:
         kept, scale = {}, coef
         for idx, power in powers.items():
-            if idx in subset:
+            if idx not in subset:
+                scale *= _raw_moment(marginals[idx], power)
+            elif at is None:
                 kept[idx] = power
             else:
-                scale *= _raw_moment(marginals[idx], power)
+                scale *= at ** power
         conditioned.append((scale, kept))
     return conditioned
 
@@ -296,11 +306,17 @@ class OptimalPredictorSpec:
     loss: LossFunction
 
     def __post_init__(self):
-        regression = self.phenomenon.is_regression
-        if self.loss in (LossFunction.MSE, LossFunction.MAE) and not regression:
-            raise UnsupportedCombination(f"{self.loss.value} needs a regression phenomenon")
-        if self.loss in (LossFunction.ZERO_ONE, LossFunction.KL) and regression:
-            raise UnsupportedCombination(f"{self.loss.value} needs discrete_classification")
+        _check_loss(self.phenomenon, self.loss, "optimal_predictor")
+
+
+def _check_loss(p, loss, operation):
+    """Regression phenomena admit MSE and MAE; discrete_classification
+    admits 0-1 and KL."""
+    admitted = REGRESSION_LOSSES if p.is_regression else CLASSIFICATION_LOSSES
+    if loss not in admitted:
+        raise UnsupportedCombination(
+            f"loss {loss.value} does not apply to a {p.kind} phenomenon, which admits "
+            + " and ".join(a.value for a in admitted), operation=operation)
 
 
 def optimal_predictor(spec):
@@ -342,16 +358,10 @@ def true_conditional_expectation(p, feature_index, value):
             operation="true_conditional_expectation")
     j = feature_index
     if p.kind == "linear_gaussian":
-        cond_mean = p.mu + p.sigma[:, j] / p.sigma[j, j] * (value - p.mu[j])
-        cond_mean[j] = value
-        return float(p.beta0 + p.beta @ cond_mean)
-    total = p.intercept
-    for t in p.terms:
-        value_term = t["coef"]
-        for idx, power in t["powers"].items():
-            value_term *= value ** power if idx == j else _raw_moment(p.marginals[idx], power)
-        total += value_term
-    return float(total)
+        return float(p.beta0 + p.beta @ _gaussian_conditional_mean(p, j, value))
+    conditioned = _condition_terms(p.marginals, _terms_with_intercept(p), {j}, at=value)
+    # -0.0 is the additive identity, so this is intercept + term + ... in order
+    return float(sum((scale for scale, _ in conditioned), -0.0))
 
 
 def _linear_gaussian_residual_variance(p, subset):
@@ -371,12 +381,7 @@ def true_epe(p, loss, feature_subset):
     subset = set(int(j) for j in feature_subset)
     if not all(0 <= j < p.n for j in subset):
         raise ValueError("feature_subset indices out of range")
-    if p.is_regression and loss not in (LossFunction.MSE, LossFunction.MAE):
-        raise UnsupportedCombination(f"{loss.value} on a regression phenomenon",
-                                     operation="true_epe")
-    if not p.is_regression and loss not in (LossFunction.ZERO_ONE, LossFunction.KL):
-        raise UnsupportedCombination(f"{loss.value} on discrete_classification",
-                                     operation="true_epe")
+    _check_loss(p, loss, "true_epe")
 
     if p.kind == "linear_gaussian":
         residual_var = _linear_gaussian_residual_variance(p, subset)
@@ -400,23 +405,12 @@ def true_epe(p, loss, feature_subset):
 
     # discrete_classification: exact enumeration over the joint table
     axes_rest = tuple(j for j in range(p.n) if j not in subset)
-    joint_s = p.table.sum(axis=axes_rest) if axes_rest else p.table
+    joint_s = p.table.sum(axis=axes_rest, keepdims=True)
     if loss == LossFunction.ZERO_ONE:
         return float(1.0 - joint_s.max(axis=-1).sum())
-    # forward KL of P(Y|X) against P(Y|X_S), averaged over P(X)
-    flat = p.table.reshape(-1, len(p.y_levels))
-    shapes = tuple(len(lv) for lv in p.x_levels)
-    total = 0.0
-    for cell in range(flat.shape[0]):
-        row = flat[cell]
-        px = row.sum()
-        if px <= 0:
-            continue
-        coords = np.unravel_index(cell, shapes)
-        s_coords = tuple(coords[j] for j in range(p.n) if j in sorted(subset))
-        row_s = joint_s[s_coords] if subset else joint_s
-        ps = row_s.sum()
-        for yi in range(len(p.y_levels)):
-            if row[yi] > 0:
-                total += row[yi] * math.log((row[yi] / px) / (row_s[yi] / ps))
-    return float(total)
+    # forward KL of P(Y|X) against P(Y|X_S), averaged over P(X); cells of
+    # probability 0, zero-probability x rows among them, add nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (p.table / p.table.sum(axis=-1, keepdims=True)) \
+            / (joint_s / joint_s.sum(axis=-1, keepdims=True))
+        return float(np.where(p.table > 0, p.table * np.log(ratio), 0.0).sum())

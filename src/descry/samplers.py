@@ -174,14 +174,13 @@ class SupportChecker:
     nearest-neighbor (Gower) distance. Positive density is unobservable;
     this conjunction is the weakest testable stand-in."""
 
-    def __init__(self, d, quantile_band=SUPPORT_QUANTILE_BAND):
+    def __init__(self, d):
         self.d = d
-        self.quantile_band = float(quantile_band)
         self.ranges = feature_ranges(d.codes, d.features)
         self.encoded = d.codes
         # the [q, 1-q] quantile band of a numeric feature; None for a
         # categorical one, whose observed values are its support
-        levels = [self.quantile_band, 1.0 - self.quantile_band]
+        levels = [SUPPORT_QUANTILE_BAND, 1.0 - SUPPORT_QUANTILE_BAND]
         self.bounds = [None if f.kind == "categorical" else np.quantile(self.encoded[:, j], levels)
                        for j, f in enumerate(d.features)]
         self.nn_threshold = self._self_distance_percentile()
@@ -191,7 +190,7 @@ class SupportChecker:
         if k < 2:
             return 0.0
         # seeded by k and the band, not the content: a new hash moves no threshold
-        rng = np.random.default_rng(derive_seed(0, "support-self", k, self.quantile_band))
+        rng = np.random.default_rng(derive_seed(0, "support-self", k, SUPPORT_QUANTILE_BAND))
         queries = np.arange(k) if k <= SELF_DISTANCE_SAMPLE \
             else np.sort(rng.choice(k, size=SELF_DISTANCE_SAMPLE, replace=False))
         # the nearest row other than the query itself is one of the two nearest
@@ -217,12 +216,11 @@ class SupportChecker:
 _checker_cache = OrderedDict()
 
 
-def get_support_checker(d, quantile_band=SUPPORT_QUANTILE_BAND):
-    return lru_get_or_build(_checker_cache, CHECKER_CACHE_SIZE,
-                            (d.fingerprint, float(quantile_band)),
-                            lambda: SupportChecker(d, quantile_band))
+def get_support_checker(d):
+    return lru_get_or_build(_checker_cache, CHECKER_CACHE_SIZE, d.fingerprint,
+                            lambda: SupportChecker(d))
 
 
-def support_check(d, x, quantile_band=SUPPORT_QUANTILE_BAND):
+def support_check(d, x):
     """True iff x passes the quantile-band and nearest-neighbor tests."""
-    return get_support_checker(d, quantile_band).check(list(x))
+    return get_support_checker(d).check(list(x))

@@ -450,6 +450,25 @@ class TestConfigFile:
         data = json.load(open(os.path.join(out, "dataset.json")))
         assert len(data["rows"]) == 60
 
+    def test_config_after_its_own_command(self, tmp_path, phenomenon_spec):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--spec", phenomenon_spec, "--k", "80",
+                     "--seed", "2", "--out", out]) == 0
+        first = file_hashes(out)
+        assert main(["simulate", "--config", os.path.join(out, "manifest.json")]) == 0
+        assert file_hashes(out) == first
+
+    def test_config_after_another_command_is_runtime_error(self, tmp_path, phenomenon_spec,
+                                                           capsys):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--spec", phenomenon_spec, "--k", "80",
+                     "--seed", "2", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", os.path.join(out, "manifest.json")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["operation"] == "config" and error["error"] == "ValueError"
+        assert "'simulate'" in error["message"] and "'train'" in error["message"]
+
     def test_config_without_path_is_runtime_error(self, capsys):
         assert main(["--config"]) == 1
         error = json.loads(capsys.readouterr().err)
@@ -519,6 +538,13 @@ class TestIngestRefusals:
                      "ValueError", "feature 'h': jitter offsets must be non-empty, finite, "
                      "nonzero and distinct", capsys)
 
+    @pytest.mark.parametrize("flags", [["--offsets", "1,x"], ["--clamp", "5,-5"],
+                                       ["--offsets", "1", "--clamp", "0,1"]])
+    def test_jitter_flags_without_jitter(self, tmp_path, tiny, flags, capsys):
+        named = " and ".join(f for f in flags if f.startswith("--"))
+        self.refused(str(tmp_path / "stray"), tiny + flags, "ValueError",
+                     f"{named} given without --jitter", capsys)
+
     def test_unknown_center_names_the_subcommand(self, tmp_path, tiny, capsys):
         written = self.refused(str(tmp_path / "center"), tiny + ["--center", "x9"],
                                "UnknownFeature", "no feature named 'x9'", capsys)
@@ -578,3 +604,23 @@ class TestStudentSchemaIngest:
         data = json.load(open(os.path.join(out, "dataset.json")))
         assert len(data["rows"]) == 120
         assert data["provenance"] == "augmented"
+
+    @pytest.mark.parametrize("schema_offsets, rows, offsets", [
+        ([1, -1], 120, [1.0, -1.0]),
+        (None, 280, [1.0, -1.0, 2.0, -2.0, 3.0, -3.0]),
+    ])
+    def test_offsets_default_to_the_schema(self, tmp_path, schema_offsets, rows, offsets):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("g,y\n" + "\n".join(f"{i % 21},{i % 7}" for i in range(40)) + "\n")
+        g = {"name": "g", "kind": "integer"}
+        if schema_offsets:
+            g["jitter_offsets"] = schema_offsets
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({"columns": [g, {"name": "y", "kind": "integer"}]}))
+        out = str(tmp_path / "ingested")
+        assert main(["ingest", "--csv", str(csv_path), "--schema", str(schema_path),
+                     "--target", "y", "--jitter", "g", "--out", out]) == 0
+        assert len(json.load(open(os.path.join(out, "dataset.json")))["rows"]) == rows
+        report = json.load(open(os.path.join(out, "ingest_report.json")))
+        assert report["jitter"]["offsets"] == offsets
+        assert json.load(open(os.path.join(out, "manifest.json")))["config"]["offsets"] is None

@@ -18,7 +18,7 @@ from descry import models
 from descry.models import (
     build_encoder, encode, feature_ranges, gower_distances, gower_encode, nearest,
 )
-from descry.samplers import SupportChecker
+from descry.samplers import SUPPORT_QUANTILE_BAND, SupportChecker
 
 CATEGORIES = ("a", "b", "c", "d")
 UNDECLARED = "zz"
@@ -160,7 +160,7 @@ def test_support_check_matches_per_query_reference(problem):
     ranges = feature_ranges(d.codes, d.features)
     threshold = reference_threshold(d, ranges)
     assert checker.nn_threshold == threshold
-    expected = [reference_check(d, list(x), checker.quantile_band, ranges, threshold)
+    expected = [reference_check(d, list(x), SUPPORT_QUANTILE_BAND, ranges, threshold)
                 for x in queries]
     assert batched.tolist() == expected
     assert single == expected

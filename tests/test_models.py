@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descry import (
     Dataset, FeatureSpec, LearnerConfig, LossFunction, OptimalPredictorSpec,
@@ -9,7 +11,9 @@ from descry import (
     subset_model, train, true_epe,
 )
 from descry.errors import IncompatibleLoss, SchemaMismatch
-from descry.models import PredictorHandle, build_encoder, clear_subset_cache, encode
+from descry.models import (
+    PredictorHandle, build_encoder, clear_subset_cache, encode, pointwise_loss,
+)
 from descry._util import canonical_json
 
 MSE, MAE = LossFunction.MSE, LossFunction.MAE
@@ -311,6 +315,23 @@ class TestEpe:
         observed_gap = epe(m_empty, select_features(d, []), KL) - epe(m_full, d, KL)
         population_gap = true_epe(p, KL, set()) - true_epe(p, KL, {0, 1})
         assert observed_gap == pytest.approx(population_gap, abs=0.02)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n_levels=st.integers(1, 4), k=st.integers(0, 30))
+    def test_kl_row_loss_matches_per_row_lookup(self, data, n_levels, k):
+        # levels may repeat and targets may fall between them: ties go to
+        # the first level, as in the per-row argmin this replaced
+        values = st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+        levels = np.array(data.draw(st.lists(values, min_size=n_levels, max_size=n_levels)))
+        y_true = np.array(data.draw(st.lists(values, min_size=k, max_size=k)), dtype=float)
+        preds = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-310, 0.2, 0.5, 1.0]),
+                                            min_size=k * n_levels,
+                                            max_size=k * n_levels))).reshape(k, n_levels)
+        idx = np.array([int(np.argmin(np.abs(levels - y))) for y in y_true], dtype=int)
+        q = preds[np.arange(k), idx]
+        expected = -np.log(np.clip(q, 1e-300, None))
+        got = pointwise_loss(KL, y_true, preds, levels.tolist())
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestModelDistance:

@@ -134,8 +134,7 @@ class TestSupportCheck:
     def test_fresh_sample_acceptance_rate(self, benchmark_phenomenon):
         d = sample(benchmark_phenomenon, 4000, seed=7)
         fresh = sample(benchmark_phenomenon, 1000, seed=8)
-        accepted = sum(support_check(d, list(row), quantile_band=0.005)
-                       for row in fresh.rows)
+        accepted = sum(support_check(d, list(row)) for row in fresh.rows)
         assert accepted >= 950
 
     def test_categorical_membership(self):
