@@ -499,33 +499,42 @@ def build_parser():
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_report)
 
+    parser.commands = tuple(subs.choices)
     return parser
 
 
-def _expand_config(argv):
+def _expand_config(argv, commands):
     """Replace `--config file.json` with the flags it encodes.
 
     The file is either a flat {"command": ..., "<flag>": value} object or a
     manifest written by a previous run; explicit flags given after --config
-    still win because argparse keeps the last occurrence.
+    still win because argparse keeps the last occurrence. The command may
+    also be named before `--config` or right after its path (one of
+    `commands`), but it must be the file's own.
     """
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
     if at + 1 == len(argv):
         raise ValueError("--config needs a file path")
-    raw = _read_json(argv[at + 1])
-    if "config" in raw and "command" in raw:           # a run manifest
+    path = argv[at + 1]
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or "command" not in raw:
+        raise ValueError(f"--config file {path} has no \"command\" key")
+    if "config" in raw:                                # a run manifest
         command, flags = raw["command"], raw["config"]
     else:
         raw = dict(raw)
         command, flags = raw.pop("command"), raw
-    before = argv[:at]
+    before, after = argv[:at], argv[at + 2:]
+    named = None
     if before and not before[0].startswith("-"):      # `descry <command> --config ...`
-        if before[0] != command:
-            raise ValueError(f"--config holds a {command!r} run, but the command line "
-                             f"asks for {before[0]!r}")
-        before = before[1:]
+        named, before = before[0], before[1:]
+    elif after and after[0] in commands:              # `descry --config ... <command>`
+        named, after = after[0], after[1:]
+    if named is not None and named != command:
+        raise ValueError(f"--config holds a {command!r} run, but the command line "
+                         f"asks for {named!r}")
     expanded = [command]
     for key, value in sorted(flags.items()):
         if value is None or key in ("command", "func"):
@@ -534,14 +543,14 @@ def _expand_config(argv):
             expanded.extend(str(v) for v in value)
         else:
             expanded.extend(["--" + key.replace("_", "-"), str(value)])
-    return expanded + before + argv[at + 2:]
+    return expanded + before + after
 
 
 def main(argv=None):
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config(argv)
+        argv = _expand_config(argv, parser.commands)
     except (OSError, KeyError, ValueError) as exc:
         sys.stderr.write(canonical_json({
             "error": type(exc).__name__, "module": "cli", "operation": "config",

@@ -184,6 +184,11 @@ class SupportChecker:
         self.bounds = [None if f.kind == "categorical" else np.quantile(self.encoded[:, j], levels)
                        for j, f in enumerate(d.features)]
         self.nn_threshold = self._self_distance_percentile()
+        # each reference row's hash with its index in the low bits, sorted:
+        # the exact-copy lookup of check_rows
+        self.index_mask = np.uint64((1 << max(d.k - 1, 1).bit_length()) - 1)
+        self.keys = np.sort(_row_hashes(self.encoded) & ~self.index_mask
+                            | np.arange(d.k, dtype=np.uint64))
 
     def _self_distance_percentile(self):
         k = self.d.k
@@ -198,19 +203,42 @@ class SupportChecker:
         others = np.where(index[:, 0] == queries, dist[:, 1], dist[:, 0])
         return float(np.quantile(others, 0.99))
 
+    def _copies(self, x):
+        """Which code rows equal a reference row. The first reference row of
+        a row's hash decides; a hash miss or a collision answers False."""
+        high = _row_hashes(x) & ~self.index_mask
+        key = self.keys[np.minimum(np.searchsorted(self.keys, high), len(self.keys) - 1)]
+        match = (key & self.index_mask).astype(np.intp)
+        return ((key & ~self.index_mask) == high) & (self.encoded[match] == x).all(axis=1)
+
     def check_rows(self, rows):
-        """The support check of each row (or code row), as a bool array."""
+        """The support check of each row (or code row), as a bool array.
+        A row that passes the band test and equals a reference row sits at
+        Gower distance 0 from it, within the threshold, with no scan."""
         x = gower_encode(rows, self.d.features)
         ok = np.ones(len(x), dtype=bool)
         for j, bound in enumerate(self.bounds):
             ok &= np.isin(x[:, j], self.encoded[:, j]) if bound is None \
                 else (bound[0] <= x[:, j]) & (x[:, j] <= bound[1])
-        _, dist = nearest(x[ok], self.encoded, 1, self.ranges)
-        ok[ok] = dist[:, 0] <= self.nn_threshold
+        scan = np.flatnonzero(ok)
+        scan = scan[~self._copies(x[scan])]
+        _, dist = nearest(x[scan], self.encoded, 1, self.ranges)
+        ok[scan] = dist[:, 0] <= self.nn_threshold
         return ok
 
     def check(self, x):
         return bool(self.check_rows([x])[0])
+
+
+def _row_hashes(codes):
+    """A uint64 hash of each code row (FNV-1a over its 64-bit cells), equal
+    for rows of equal values: adding 0.0 maps -0.0 to 0.0."""
+    bits = (codes + 0.0).view(np.uint64)
+    h = np.full(len(codes), 0xcbf29ce484222325, dtype=np.uint64)
+    for column in bits.T:
+        h ^= column
+        h *= np.uint64(0x100000001b3)
+    return h
 
 
 _checker_cache = OrderedDict()

@@ -469,6 +469,35 @@ class TestConfigFile:
         assert error["operation"] == "config" and error["error"] == "ValueError"
         assert "'simulate'" in error["message"] and "'train'" in error["message"]
 
+    def test_config_before_its_own_command(self, tmp_path, phenomenon_spec):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--spec", phenomenon_spec, "--k", "80",
+                     "--seed", "2", "--out", out]) == 0
+        first = file_hashes(out)
+        assert main(["--config", os.path.join(out, "manifest.json"), "simulate"]) == 0
+        assert file_hashes(out) == first
+
+    def test_config_before_another_command_is_runtime_error(self, tmp_path, phenomenon_spec,
+                                                            capsys):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--spec", phenomenon_spec, "--k", "80",
+                     "--seed", "2", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["--config", os.path.join(out, "manifest.json"), "train"]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ValueError", "module": "cli", "operation": "config",
+                         "message": "--config holds a 'simulate' run, but the command "
+                                    "line asks for 'train'"}
+
+    @pytest.mark.parametrize("content", [{"spec": "x", "k": 10}, ["command"], 5])
+    def test_flat_config_without_command_is_runtime_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["--config", str(cfg)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ValueError", "module": "cli", "operation": "config",
+                         "message": f'--config file {cfg} has no "command" key'}
+
     def test_config_without_path_is_runtime_error(self, capsys):
         assert main(["--config"]) == 1
         error = json.loads(capsys.readouterr().err)

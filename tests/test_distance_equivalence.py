@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, train
-from descry import models
+from descry import models, samplers
+from descry.data import gower_decode
 from descry.models import (
     build_encoder, encode, feature_ranges, gower_distances, gower_encode, nearest,
 )
@@ -338,3 +339,123 @@ def test_callers_sort_no_whole_distance_row(distance):
     assert width <= 2
     assert widest_sort(checker.check_rows, x[:40] + 0.01)[0] <= 1
     assert widest_sort(h.predict_batch, x[:40] + 0.01)[0] <= 5
+
+
+
+def in_band(d, x):
+    """The band test of each code row: an observed category, and a numeric
+    value inside the column's [q, 1 - q] quantiles."""
+    ok = np.ones(len(x), dtype=bool)
+    for j, spec in enumerate(d.features):
+        col = d.codes[:, j]
+        if spec.kind == "categorical":
+            ok &= np.isin(x[:, j], col)
+        else:
+            lo, hi = np.quantile(col, [SUPPORT_QUANTILE_BAND, 1.0 - SUPPORT_QUANTILE_BAND])
+            ok &= (lo <= x[:, j]) & (x[:, j] <= hi)
+    return ok
+
+
+def band_then_scan(d, x):
+    """The support check without the copy lookup: the band test, then the
+    nearest-row distance of every row that passes it."""
+    ok = in_band(d, x)
+    _, dist = nearest(x[ok], d.codes, 1, feature_ranges(d.codes, d.features))
+    ok[ok] = dist[:, 0] <= SupportChecker(d).nn_threshold
+    return ok
+
+
+@st.composite
+def copy_problem(draw):
+    """Small integer-valued columns (many ties, zeros to flip to -0.0), a
+    categorical and possibly a constant column, repeated reference rows,
+    and code-row queries: copies, -0.0 variants, one-ulp near-copies, rows
+    inside the data's box, and rows that may step outside it or carry an
+    undeclared category."""
+    kinds = draw(st.permutations(
+        ["categorical", *draw(st.lists(st.sampled_from(["numeric", "integer", "constant"]),
+                                       min_size=1, max_size=4))]))
+    features = [FeatureSpec(name=f"x{j}", kind=kind, categories=CATEGORIES)
+                if kind == "categorical" else
+                FeatureSpec(name=f"x{j}", kind="numeric" if kind == "constant" else kind)
+                for j, kind in enumerate(kinds)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 30))
+    codes = rng.integers(-1, 3, size=(k, len(kinds))).astype(float)
+    for j, kind in enumerate(kinds):
+        if kind == "categorical":
+            codes[:, j] = rng.integers(0, draw(st.integers(1, len(CATEGORIES))), size=k)
+        elif kind == "constant":
+            codes[:, j] = 0.0
+        elif kind == "numeric" and draw(st.booleans()):
+            codes[:, j] += rng.normal(size=k).round(2)
+    if draw(st.booleans()):
+        codes = codes[rng.integers(0, k, size=k)]  # repeated rows
+    copies = codes[rng.integers(0, k, size=draw(st.integers(0, 12)))]
+    signed = np.where(copies == 0.0, -0.0, copies)
+    near = copies.copy()
+    cells = (np.arange(len(near)), rng.integers(0, len(kinds), size=len(near)))
+    near[cells] = np.nextafter(near[cells], rng.choice([-np.inf, np.inf], size=len(near)))
+    outside = rng.integers(-2, 5, size=(draw(st.integers(0, 4)), len(kinds))).astype(float)
+    inside = rng.uniform(codes.min(axis=0), codes.max(axis=0),
+                         size=(draw(st.integers(0, 8)), len(kinds))).round(1)
+    queries = np.vstack([copies, signed, near, outside, inside])
+    d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                rows=gower_decode(codes, features), targets=np.zeros(k), provenance="observed")
+    return d, queries[rng.permutation(len(queries))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(copy_problem(), st.booleans())
+def test_copy_lookup_matches_band_then_scan(problem, colliding):
+    """A query equal to a reference row skips the scan with the scan's own
+    answer. With every hash made equal, each query's only candidate is
+    reference row 0, and every other query must fall back to the scan."""
+    d, queries = problem
+    expected = band_then_scan(d, queries)
+    hashes = (lambda codes: np.zeros(len(codes), dtype=np.uint64)) if colliding \
+        else samplers._row_hashes
+    with mock.patch.object(samplers, "_row_hashes", hashes):
+        checker = SupportChecker(d)
+        assert checker.check_rows(queries).tolist() == expected.tolist()
+        assert checker.check_rows(queries[:0]).tolist() == []
+
+
+def test_one_row_checker_passes_only_its_own_row():
+    features = [FeatureSpec(name="x", kind="numeric"),
+                FeatureSpec(name="c", kind="categorical", categories=CATEGORIES)]
+    d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                rows=[[0.0, "b"]], targets=[1.0], provenance="observed")
+    checker = SupportChecker(d)
+    assert checker.nn_threshold == 0.0
+    queries = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0], [np.nextafter(0.0, 1.0), 1.0]])
+    assert checker.check_rows(queries).tolist() == [True, True, False, False]
+    assert band_then_scan(d, queries).tolist() == [True, True, False, False]
+    assert checker.check_rows(np.empty((0, 2))).tolist() == []
+
+
+def test_scan_runs_only_on_rows_that_copy_no_reference_row():
+    """A counterfactual's candidates (the instance, every evaluation row and
+    perturbations) send to nearest only the rows that pass the band test
+    and equal no reference row."""
+    rng = np.random.default_rng(5)
+    features = [FeatureSpec(name="x1", kind="numeric"), FeatureSpec(name="x2", kind="integer"),
+                FeatureSpec(name="c", kind="categorical", categories=CATEGORIES)]
+    codes = np.column_stack([rng.normal(size=300), rng.integers(0, 9, size=300),
+                             rng.integers(0, 3, size=300)])
+    d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                rows=gower_decode(codes, features), targets=np.zeros(300), provenance="observed")
+    queries = np.vstack([codes[7] + [0.001, 0.0, 0.0], codes, codes[:40] + [0.05, 1.0, 0.0]])
+    copies = (queries[:, None] == codes).all(axis=2).any(axis=1)
+    assert copies.sum() == 300
+    checker = SupportChecker(d)
+    scanned = []
+
+    def recording_nearest(x, *args):
+        scanned.append(x.copy())
+        return nearest(x, *args)
+    with mock.patch.object(samplers, "nearest", recording_nearest):
+        result = checker.check_rows(queries)
+    assert result.tolist() == band_then_scan(d, queries).tolist()
+    assert len(scanned) == 1
+    assert np.array_equal(scanned[0], queries[in_band(d, queries) & ~copies])
