@@ -18,10 +18,7 @@ from .data import (
     Dataset, FeatureSpec, ResamplePlan, center_feature, jitter_augment,
     load_csv, merge_students, select_features, student_schema,
 )
-from .descriptors import (
-    DescriptorSpec, counterfactual_local, cpdp, cpfi, ice,
-    local_conditional_contribution, relevant_value_global, sage, shapley_local,
-)
+from .descriptors import QUESTIONS, DescriptorSpec
 from .errors import DescryError, MissingManifest
 from .models import LearnerConfig, LossFunction, PredictorHandle, epe, train
 from .phenomenon import Phenomenon, sample
@@ -87,14 +84,6 @@ def _write_manifest(outdir, args):
     write_json(os.path.join(outdir, "manifest.json"), {
         "command": args.command, "config": config,
         "version": __version__, "seed": getattr(args, "seed", None)})
-
-
-def _resolve_feature(d, name_or_index):
-    try:
-        name_or_index = int(name_or_index)
-    except ValueError:
-        pass
-    return d.feature_index(name_or_index)
 
 
 def _parse_instance(raw):
@@ -185,88 +174,59 @@ def _cmd_train(args):
     return 0
 
 
-# the inputs each describe question cannot do without, by flag
-DESCRIBE_NEEDS = {
-    "cpdp": ("--model", "--feature"),
-    "ice": ("--model", "--feature", "--instance"),
-    "cpfi": ("--train-data", "--feature"),
-    "sage": ("--train-data",),
-    "shapley_local": ("--train-data", "--instance"),
-    "local_conditional_contribution": ("--train-data", "--feature", "--instance",
-                                       "--observed-y"),
-    "relevant_value_global": ("--model", "--y-rel"),
-    "counterfactual_local": ("--model", "--instance", "--y-rel", "--lambda"),
-}
-
-
-def _check_needs(what, needs, args):
-    missing = [flag for flag in needs if getattr(args, flag[2:].replace("-", "_")) is None]
+def _check_needs(what, names, args):
+    """Refuse a run without a flag (named by its argparse dest) that `what` needs."""
+    missing = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is None]
     if missing:
         raise ValueError(f"{what} needs {', '.join(missing)}")
 
 
+def _spec(args, d, **fields):
+    """The question the flags ask, with --feature (a name, or an index) resolved on d."""
+    feature = args.feature
+    if feature is not None:
+        try:
+            feature = int(feature)
+        except ValueError:
+            pass
+        feature = d.feature_index(feature)
+    return DescriptorSpec(question=args.question, feature=feature, loss=args.loss,
+                          y_rel=args.y_rel, seed=args.seed, max_points=args.max_points,
+                          band=args.band, **fields)
+
+
 def _cmd_describe(args):
-    _check_needs(args.question, DESCRIBE_NEEDS[args.question], args)
+    question = QUESTIONS[args.question]
+    _check_needs(args.question, (question.reads,) + question.needs, args)
     d_eval = _load_dataset(args)
-    loss = LossFunction(args.loss)
     os.makedirs(args.out, exist_ok=True)
 
     handle = _load_model(args.model) if args.model else None
     config = _learner_config(args) if args.train_data else None
     d_train = _load_dataset(args, path=args.train_data) if args.train_data else None
-    feature = _resolve_feature(d_eval, args.feature) if args.feature is not None else None
     instance = _parse_instance(args.instance) if args.instance else None
+    spec = _spec(args, d_eval, instance=instance, lam=getattr(args, "lambda"), mode=args.mode,
+                 mc_permutations=args.mc_permutations)
 
-    q = args.question
-    if q == "cpdp":
-        result = cpdp(handle, d_eval, feature, band=args.band, max_points=args.max_points)
-        _curve_outputs(args.out, result, d_eval.features[feature].name, "estimate")
-    elif q == "ice":
-        result = ice(handle, instance, feature, None, d_eval, max_points=args.max_points)
-        _curve_outputs(args.out, result, d_eval.features[feature].name, "prediction")
+    source = handle if question.reads == "model" else config
+    result = question.answer(spec, source, d_train, d_eval, args.observed_y)
+    if question.y_label:
+        _curve_outputs(args.out, result, d_eval.features[spec.feature].name, question.y_label)
     else:
-        if q == "cpfi":
-            result = cpfi(config, d_train, d_eval, feature, loss)
-        elif q == "sage":
-            result = sage(config, d_train, d_eval, loss, mode=args.mode,
-                          mc_permutations=args.mc_permutations, seed=args.seed)
-        elif q == "shapley_local":
-            result = shapley_local(config, d_train, d_eval, instance, mode=args.mode,
-                                   mc_permutations=args.mc_permutations, seed=args.seed,
-                                   loss=loss)
-        elif q == "local_conditional_contribution":
-            result = local_conditional_contribution(
-                config, d_train, d_eval, instance, args.observed_y, feature, loss)
-        elif q == "relevant_value_global":
-            result = relevant_value_global(handle, d_eval, args.y_rel)
-        else:
-            result = counterfactual_local(handle, d_eval, instance, args.y_rel,
-                                          getattr(args, "lambda"))
         write_json(os.path.join(args.out, "result.json"), result.to_dict())
     _write_manifest(args.out, args)
     return 0
 
 
-# the inputs each uncertainty question cannot do without, by flag; --mode ee also needs --model
-UNCERTAINTY_NEEDS = {
-    "cpdp": ("--feature",),
-    "cpfi": ("--feature",),
-    "relevant_value_global": ("--y-rel",),
-}
-
-
 def _cmd_uncertainty(args):
-    _check_needs(args.question, UNCERTAINTY_NEEDS[args.question], args)
+    question = QUESTIONS[args.question]
+    _check_needs(args.question, question.needs, args)
+    if args.mode not in question.intervals:   # combined only: the question reads refits
+        raise ValueError(f"{args.question} intervals refit the learner; use --mode combined")
     if args.mode == "ee":
-        if args.question == "cpfi":
-            raise ValueError("cpfi intervals refit the learner; use --mode combined")
-        _check_needs("--mode ee", ("--model",), args)
+        _check_needs("--mode ee", ("model",), args)
     d = _load_dataset(args)
-    loss = LossFunction(args.loss)
-    feature = _resolve_feature(d, args.feature) if args.feature is not None else None
-    spec = DescriptorSpec(question=args.question, feature=feature, loss=loss,
-                          y_rel=args.y_rel, seed=args.seed, max_points=args.max_points,
-                          band=args.band)
+    spec = _spec(args, d)
     plan = ResamplePlan(method=args.resample, fraction=args.fraction,
                         replicates=max(args.ee_replicates, args.me_replicates),
                         seed=args.seed)
@@ -275,17 +235,13 @@ def _cmd_uncertainty(args):
                    quantile_family=args.quantile_family)
 
     if args.mode == "ee":
-        handle = _load_model(args.model)
-        report = ci_estimation(handle, d, spec, cfg)
+        report = ci_estimation(_load_model(args.model), d, spec, cfg)
     else:
-        config = _learner_config(args)
-        report = ci_combined(config, d, spec, cfg)
+        report = ci_combined(_learner_config(args), d, spec, cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    out = report.to_dict()
-    out["question"] = args.question
-    out["mode"] = args.mode
-    write_json(os.path.join(args.out, "report.json"), out)
+    write_json(os.path.join(args.out, "report.json"),
+               dict(report.to_dict(), question=args.question, mode=args.mode))
     with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.csv_lines()) + "\n")
     if report.grid is not None and not any(isinstance(v, str) for v in report.grid.points):
@@ -298,7 +254,7 @@ def _cmd_uncertainty(args):
                      if report.ci_me_ee is not None else None)
             write_curve_svg(os.path.join(args.out, "plot.svg"), curve,
                             title=f"{args.question} ({args.mode})",
-                            x_label=d.features[feature].name, y_label="estimate",
+                            x_label=d.features[spec.feature].name, y_label=question.y_label,
                             ci_ee=report.ci_ee[keep].tolist(), ci_me_ee=ci_me)
     _write_manifest(args.out, args)
     return 0
@@ -453,7 +409,7 @@ def build_parser():
     sub = subs.add_parser("describe", help="answer a formalized question")
     _add_data_flags(sub)
     _add_learner_flags(sub)
-    sub.add_argument("--question", required=True, choices=list(DESCRIBE_NEEDS))
+    sub.add_argument("--question", required=True, choices=list(QUESTIONS))
     sub.add_argument("--model", default=None, help="model .json for handle questions")
     sub.add_argument("--train-data", default=None, help="training dataset for refit questions")
     sub.add_argument("--feature", default=None)
@@ -473,7 +429,8 @@ def build_parser():
     sub = subs.add_parser("uncertainty", help="confidence intervals for a descriptor")
     _add_data_flags(sub)
     _add_learner_flags(sub)
-    sub.add_argument("--question", choices=list(UNCERTAINTY_NEEDS), default="cpdp")
+    sub.add_argument("--question", default="cpdp",
+                     choices=[name for name, q in QUESTIONS.items() if q.intervals])
     sub.add_argument("--mode", choices=["ee", "combined"], required=True)
     sub.add_argument("--model", default=None)
     sub.add_argument("--feature", default=None)

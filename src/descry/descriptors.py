@@ -29,18 +29,15 @@ from .models import (
     LossFunction,
     gower_distances,
     pointwise_loss,
+    row_losses,
     subset_epe,
     subset_model,
 )
-from .samplers import build_grid, check_band, conditional_groups, get_support_checker, group_means
+from .samplers import (
+    build_grid, check_band, conditional_groups, get_support_checker, grid_membership, group_means,
+)
 from ._util import derive_seed
 
-QUESTIONS = (
-    "cpdp", "ice", "cpfi", "sage", "shapley_local",
-    "local_conditional_contribution", "relevant_value_global", "counterfactual_local",
-)
-LOCAL_QUESTIONS = ("ice", "shapley_local", "local_conditional_contribution",
-                   "counterfactual_local")
 EXACT_MODE_LIMIT = 12
 
 
@@ -66,13 +63,9 @@ class DescriptorSpec:
             raise ValueError(f"unknown question {self.question!r}")
         if isinstance(self.loss, str):
             self.loss = LossFunction(self.loss)
-        if self.question in LOCAL_QUESTIONS and self.instance is None:
-            raise ValueError(f"{self.question} requires an instance")
-        if self.question in ("relevant_value_global", "counterfactual_local") \
-                and self.y_rel is None:
-            raise ValueError(f"{self.question} requires y_rel")
-        if self.question == "counterfactual_local" and self.lam is None:
-            raise ValueError("counterfactual_local requires lambda >= 0")
+        for need in QUESTIONS[self.question].needs:   # observed_y is no spec field
+            if need != "observed_y" and getattr(self, "lam" if need == "lambda" else need) is None:
+                raise ValueError(f"{self.question} requires {need}")
         if self.y_rel is not None:
             self.y_rel = _finite("y_rel", self.y_rel)
         if self.lam is not None:
@@ -428,3 +421,61 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
         "prediction_gap": float(gaps[best]),
         "gower_distance": float(dists[best]),
     }, diagnostics={"candidates_scanned": len(on_support)})
+
+
+# -- the questions ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Question:
+    """A question's facts, stated once. `answer` calls its descriptor by the
+    module name, so that a patched name (a tracer's) is the one called."""
+
+    reads: str              # "model", or refits on "train_data"
+    needs: tuple            # the inputs it cannot do without, in flag order
+    answer: object          # (spec, handle or learner config, d_train, d_eval, observed_y)
+    y_label: str = None     # its curve's y axis; None when the answer is no curve
+    intervals: tuple = ()   # "ee" (the model held fixed), "combined" (refits)
+    # an interval reads one model per column set (spec, d), full first, and
+    # averages row_values (spec, grid, views, handles): per-row values and a
+    # k x G group membership; without them it answers on each replicate's rows
+    row_values: object = None
+    column_sets: object = lambda spec, d: [tuple(range(d.n))]
+
+
+# answer's arguments: s spec, h handle or c learner config, t d_train, d d_eval, y observed_y
+QUESTIONS = {
+    "cpdp": Question(
+        "model", ("feature",),
+        lambda s, h, t, d, y: cpdp(h, d, s.feature, s.grid, s.band, s.max_points),
+        y_label="estimate", intervals=("ee", "combined"),
+        row_values=lambda s, grid, views, hs: (  # predictions, grouped by grid point
+            hs[0].predict_batch(views[0].codes),
+            grid_membership(views[0], grid, s.band).astype(float))),
+    "ice": Question(
+        "model", ("feature", "instance"),
+        lambda s, h, t, d, y: ice(h, s.instance, s.feature, s.grid, d, s.max_points),
+        y_label="prediction"),
+    "cpfi": Question(
+        "train_data", ("feature",), lambda s, c, t, d, y: cpfi(c, t, d, s.feature, s.loss),
+        intervals=("combined",), column_sets=lambda s, d: cpfi_sets(d, s.feature)[1:],
+        row_values=lambda s, grid, views, hs: (  # reduced-minus-full losses, one group
+            row_losses(hs[1], views[1], s.loss) - row_losses(hs[0], views[0], s.loss),
+            np.ones((views[0].k, 1)))),
+    "sage": Question(
+        "train_data", (), lambda s, c, t, d, y: sage(c, t, d, s.loss, s.mode,
+                                                      s.mc_permutations, s.seed)),
+    "shapley_local": Question(
+        "train_data", ("instance",), lambda s, c, t, d, y: shapley_local(
+            c, t, d, s.instance, s.mode, s.mc_permutations, s.seed, s.loss)),
+    "local_conditional_contribution": Question(
+        "train_data", ("feature", "instance", "observed_y"),
+        lambda s, c, t, d, y: local_conditional_contribution(c, t, d, s.instance, y,
+                                                             s.feature, s.loss)),
+    "relevant_value_global": Question(
+        "model", ("y_rel",), lambda s, h, t, d, y: relevant_value_global(h, d, s.y_rel),
+        intervals=("ee", "combined")),
+    "counterfactual_local": Question(
+        "model", ("instance", "y_rel", "lambda"),
+        lambda s, h, t, d, y: counterfactual_local(h, d, s.instance, s.y_rel, s.lam)),
+}

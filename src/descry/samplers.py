@@ -118,15 +118,16 @@ def _retained(sizes):
     return sizes >= MIN_GROUP_SIZE
 
 
-def group_means(values, members, weights):
+def group_means(values, members, weights, operation="cpdp", groups="every grid point"):
     """Per group (a column of the k x G membership matrix), the mean of the
     values with row i counted weights[i] times; NaN, and not kept, where the
-    weighted group size is below MIN_GROUP_SIZE. Returns (means, sizes, kept)."""
+    weighted group size is below MIN_GROUP_SIZE. Returns (means, sizes, kept).
+    With none kept, the error names the operation and its groups."""
     sizes = weights @ members
     kept = _retained(sizes)
     if not kept.any():
-        raise AllGroupsEmpty("every grid point fell below the minimum group size",
-                             operation="cpdp")
+        raise AllGroupsEmpty(f"{groups} fell below the minimum group size",
+                             operation=operation)
     means = (weights * values) @ members / np.maximum(sizes, 1)
     means[~kept] = np.nan
     return means, sizes, kept

@@ -17,15 +17,15 @@ from itertools import repeat, tee
 import numpy as np
 
 from .data import ResamplePlan, resample, resample_indices, select_features
-from .descriptors import cpfi_sets, feature_grid, relevant_value_global
+from .descriptors import QUESTIONS, feature_grid
 from .errors import (
     InsufficientReplicates,
     NoOracleAvailable,
     NoReferenceAvailable,
 )
-from .models import row_losses, train_each
+from .models import train_each
 from .phenomenon import true_conditional_expectation
-from .samplers import grid_membership, group_means
+from .samplers import group_means
 from ._util import derive_seed
 
 MIN_REPLICATES = 20
@@ -113,32 +113,23 @@ class UncertaintyReport:
 # -- descriptor evaluation on a fixed grid -------------------------------------
 
 
-CURVE_QUESTIONS = ("cpdp",)
-
-
-def _check_question(spec, operation, questions):
-    """Refuse, by name and before any work, a question the operation has no
-    value for; cpfi refits the learner, which ci_estimation holds fixed."""
-    if spec.question in questions:
+def _check_question(spec, operation, mode):
+    """Refuse, by name and before any work, a question without `mode`
+    intervals; mode None (the error measurements, which compare curves)
+    takes a curve with intervals. Combined-only questions read refits."""
+    question = QUESTIONS[spec.question]
+    if (mode in question.intervals) if mode else (question.y_label and question.intervals):
         return
-    if spec.question == "cpfi" and operation == "ci_estimation":
-        raise ValueError("cpfi intervals refit the learner, which ci_estimation holds "
-                         "fixed; use ci_combined (--mode combined)")
+    if mode == "ee" and question.intervals:
+        raise ValueError(f"{spec.question} intervals refit the learner, which {operation} "
+                         "holds fixed; use ci_combined (--mode combined)")
     raise ValueError(f"{operation} does not support the question {spec.question!r}")
 
 
 def _resolve_grid(spec, d):
-    if spec.question not in CURVE_QUESTIONS:
+    if QUESTIONS[spec.question].y_label is None:
         return None
     return feature_grid(d, spec.feature, spec.grid, spec.max_points)
-
-
-def _column_sets(spec, d):
-    """The feature columns of each model the question reads: all of d's, and
-    for cpfi also all but spec.feature."""
-    if spec.question != "cpfi":
-        return [tuple(range(d.n))]
-    return list(cpfi_sets(d, spec.feature)[1:])
 
 
 def _refits(config, datasets, loss, column_sets):
@@ -149,51 +140,48 @@ def _refits(config, datasets, loss, column_sets):
                  for ds, cols in zip(copies, column_sets)))
 
 
-def _row_values(spec, grid, views, handles):
-    """The question on views (the data on each of _column_sets, full first)
-    as per-row values and a k x G membership matrix, so that a replicate's
-    value is their group mean under its row counts: predictions grouped by
-    grid point (cpdp), or reduced-minus-full row losses in one group (cpfi)."""
-    d = views[0]
-    if d.k == 0:
+def _group_means(spec, grid, views, handles, samples):
+    """The question's row values on views (the data on each of its column
+    sets, full first) averaged per group over each row sample of the
+    iterable (row indices, a repeated row counted each time), one vector
+    each: aligned to the grid, NaN where a point was dropped, or of length 1
+    for a one-group question."""
+    k = views[0].k
+    if k == 0:
         raise ValueError("evaluation dataset is empty")
-    if spec.question == "cpdp":
-        return handles[0].predict_batch(d.codes), grid_membership(d, grid, spec.band).astype(float)
-    full, reduced = (row_losses(h, view, spec.loss) for h, view in zip(handles, views))
-    return reduced - full, np.ones((d.k, 1))
+    values, members = QUESTIONS[spec.question].row_values(spec, grid, views, handles)
+    groups = "every grid point" if grid is not None else "the evaluation rows"
+    means = []
+    for rows in samples:
+        if not rows.size:
+            raise ValueError("evaluation dataset is empty")
+        weights = np.bincount(rows, minlength=k).astype(float)
+        means.append(group_means(values, members, weights, spec.question, groups)[0])
+    return np.array(means)
 
 
 def _descriptor_vector(spec, grid, handles, views):
-    """The question on views (see _row_values) as a vector aligned to the grid
-    (cpdp, NaN where a point was dropped) or a length-1 vector (scalar ones)."""
-    if spec.question == "relevant_value_global":
-        return np.array([relevant_value_global(handles[0], views[0], spec.y_rel).point["objective"]])
-    values, members = _row_values(spec, grid, views, handles)
-    return group_means(values, members, np.ones(views[0].k))[0]
-
-
-def _curve_on_grid(h, d_eval, spec, grid):
-    """cPDP values aligned to a fixed grid; NaN where a point was dropped."""
-    return _descriptor_vector(spec, grid, [h], [d_eval])
+    """The question on views (see _group_means); one without row values
+    gives its answer's objective."""
+    question = QUESTIONS[spec.question]
+    if question.row_values is None:
+        return np.array([question.answer(spec, handles[0], None, views[0], None)
+                         .point["objective"]])
+    return _group_means(spec, grid, views, handles, [np.arange(views[0].k)])[0]
 
 
 def _replicate_curves(spec, grid, views, plan, handles):
     """The question on each replicate of views[0] under plan, one row each.
-    For cpdp and cpfi a replicate is its row-count vector, weighting the
-    per-row values (equal to a Dataset copy's value up to summation order);
-    relevant_value_global's support check needs the copy's own rows."""
+    A replicate is its row counts, weighting the row values (equal to a
+    Dataset copy's value up to summation order); a question without row
+    values (a search's support check needs the copy's own rows) is answered
+    on the copy."""
     replicates, d = range(plan.replicates), views[0]
-    if spec.question == "relevant_value_global":
+    if QUESTIONS[spec.question].row_values is None:
         return np.stack([_descriptor_vector(spec, grid, handles, [resample(d, plan, r)])
                          for r in replicates])
-    values, members = _row_values(spec, grid, views, handles)
-    curves = np.empty((plan.replicates, members.shape[1]))
-    for r in replicates:
-        rows = resample_indices(d.k, plan, r)
-        if not rows.size:
-            raise ValueError("evaluation dataset is empty")
-        curves[r] = group_means(values, members, np.bincount(rows, minlength=d.k).astype(float))[0]
-    return curves
+    return _group_means(spec, grid, views, handles,
+                        (resample_indices(d.k, plan, r) for r in replicates))
 
 
 def _grid_mean_sq(a, b):
@@ -210,7 +198,7 @@ def _grid_mean_sq(a, b):
 def estimation_error(h, sampler_full, d_eval, spec):
     """Squared distance between the descriptor on a full-knowledge reference
     sample and on the finite evaluation data, averaged over the grid."""
-    _check_question(spec, "estimation_error", CURVE_QUESTIONS)
+    _check_question(spec, "estimation_error", None)
     if sampler_full is None:
         raise NoReferenceAvailable(
             "estimation error needs a full-knowledge reference sample; with "
@@ -218,22 +206,22 @@ def estimation_error(h, sampler_full, d_eval, spec):
             operation="estimation_error")
     reference = sampler_full.source
     grid = _resolve_grid(spec, reference)
-    ref_curve = _curve_on_grid(h, reference, spec, grid)
-    est_curve = _curve_on_grid(h, d_eval, spec, grid)
+    ref_curve = _descriptor_vector(spec, grid, [h], [reference])
+    est_curve = _descriptor_vector(spec, grid, [h], [d_eval])
     return _grid_mean_sq(ref_curve, est_curve)
 
 
 def model_error(h, oracle, sampler, d_eval, spec):
     """Squared distance between the descriptors of the trained and the
     optimal model, both computed with the same reference sampler."""
-    _check_question(spec, "model_error", CURVE_QUESTIONS)
+    _check_question(spec, "model_error", None)
     if oracle is None:
         raise NoOracleAvailable("model error needs the optimal predictor",
                                 operation="model_error")
     reference = sampler.source if sampler is not None else d_eval
     grid = _resolve_grid(spec, reference)
-    oracle_curve = _curve_on_grid(oracle, reference, spec, grid)
-    model_curve = _curve_on_grid(h, reference, spec, grid)
+    oracle_curve = _descriptor_vector(spec, grid, [oracle], [reference])
+    model_curve = _descriptor_vector(spec, grid, [h], [reference])
     return _grid_mean_sq(oracle_curve, model_curve)
 
 
@@ -248,7 +236,7 @@ def bias_variance_me(config, p, k, replicates, spec, seed, reference_size=50000)
     """
     from .phenomenon import sample as sample_phenomenon
 
-    _check_question(spec, "bias_variance_me", CURVE_QUESTIONS)
+    _check_question(spec, "bias_variance_me", None)
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     reference = sample_phenomenon(p, reference_size, derive_seed(seed, "bv-reference"))
@@ -258,7 +246,7 @@ def bias_variance_me(config, p, k, replicates, spec, seed, reference_size=50000)
 
     d_trains = (sample_phenomenon(p, k, derive_seed(seed, "bv-train", r))
                 for r in range(replicates))
-    curves = np.array([_curve_on_grid(handle, reference, spec, grid)
+    curves = np.array([_descriptor_vector(spec, grid, [handle], [reference])
                        for handle in train_each(config, d_trains, spec.loss)])
 
     with warnings.catch_warnings():
@@ -293,7 +281,7 @@ def ci_estimation(h, d_eval, spec, cfg):
     """Pointwise CI for estimation error only: the model is held fixed and
     the evaluation data is resampled; half-width is the chosen quantile times
     the replicate standard deviation."""
-    _check_question(spec, "ci_estimation", ("cpdp", "relevant_value_global"))
+    _check_question(spec, "ci_estimation", "ee")
     _check_replicates(cfg.ee_replicates, "ci_estimation")
     grid = _resolve_grid(spec, d_eval)
     point = _descriptor_vector(spec, grid, [h], [d_eval])
@@ -325,11 +313,11 @@ def ci_combined(config, d, spec, cfg):
     Training and evaluation resamples overlap, which is flagged because it
     can bias the variance downward.
     """
-    _check_question(spec, "ci_combined", ("cpdp", "cpfi", "relevant_value_global"))
+    _check_question(spec, "ci_combined", "combined")
     _check_replicates(cfg.ee_replicates, "ci_combined")
     _check_replicates(cfg.me_replicates, "ci_combined")
     grid = _resolve_grid(spec, d)
-    column_sets = _column_sets(spec, d)
+    column_sets = QUESTIONS[spec.question].column_sets(spec, d)
     views = [select_features(d, cols) for cols in column_sets]
     point = _descriptor_vector(spec, grid, next(_refits(config, [d], spec.loss, column_sets)), views)
 

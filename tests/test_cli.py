@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from descry.cli import DESCRIBE_NEEDS, UNCERTAINTY_NEEDS, main
+from descry.cli import build_parser, main
 from descry.descriptors import QUESTIONS
 from descry._util import canonical_json
 
@@ -220,10 +220,18 @@ class TestDescribeRefusals:
         self.refused(str(tmp_path / question), argv + [flag, value], named)
 
     @pytest.mark.parametrize("question, dropped", [
-        ("cpdp", "--model"), ("relevant_value_global", "--model"),
-        ("sage", "--train-data"), ("cpfi", "--train-data"),
-        ("ice", "--instance"), ("shapley_local", "--instance"),
-        ("counterfactual_local", "--lambda")])
+        ("cpdp", "--model"), ("cpdp", "--feature"),
+        ("ice", "--model"), ("ice", "--feature"), ("ice", "--instance"),
+        ("cpfi", "--train-data"), ("cpfi", "--feature"),
+        ("sage", "--train-data"),
+        ("shapley_local", "--train-data"), ("shapley_local", "--instance"),
+        ("local_conditional_contribution", "--train-data"),
+        ("local_conditional_contribution", "--feature"),
+        ("local_conditional_contribution", "--instance"),
+        ("local_conditional_contribution", "--observed-y"),
+        ("relevant_value_global", "--model"), ("relevant_value_global", "--y-rel"),
+        ("counterfactual_local", "--model"), ("counterfactual_local", "--instance"),
+        ("counterfactual_local", "--y-rel"), ("counterfactual_local", "--lambda")])
     def test_missing_input_names_its_flag(self, tmp_path, simulated, trained,
                                           question, dropped):
         flags = {"--model": os.path.join(trained, "model.json"),
@@ -236,6 +244,43 @@ class TestDescribeRefusals:
         for flag, value in flags.items():
             argv += [flag, value]
         self.refused(str(tmp_path / question), argv, f"{question} needs {dropped}")
+
+    @pytest.mark.parametrize("question, message", [
+        ("cpdp", "cpdp needs --model, --feature"),
+        ("ice", "ice needs --model, --feature, --instance"),
+        ("cpfi", "cpfi needs --train-data, --feature"),
+        ("sage", "sage needs --train-data"),
+        ("shapley_local", "shapley_local needs --train-data, --instance"),
+        ("local_conditional_contribution", "local_conditional_contribution needs "
+                                           "--train-data, --feature, --instance, --observed-y"),
+        ("relevant_value_global", "relevant_value_global needs --model, --y-rel"),
+        ("counterfactual_local", "counterfactual_local needs --model, --instance, --y-rel, "
+                                 "--lambda")])
+    def test_every_input_missing_names_them_in_flag_order(self, tmp_path, simulated,
+                                                          question, message):
+        out = str(tmp_path / question)
+        self.refused(out, ["describe", "--question", question,
+                           "--data", os.path.join(simulated, "dataset.json")], message)
+        assert json.load(open(os.path.join(out, "error.json")))["message"] == message
+
+    @pytest.mark.parametrize("question, flag, value, named", [
+        ("sage", "--band", "nan", "band must be a finite non-negative number, got nan"),
+        ("ice", "--band", "-0.5", "band must be a finite non-negative number, got -0.5"),
+        ("cpfi", "--y-rel", "inf", "y_rel must be a finite number, got inf"),
+        ("cpdp", "--lambda", "-1", "lambda must be non-negative, got -1.0"),
+        ("relevant_value_global", "--lambda", "nan", "lambda must be a finite number, got nan"),
+        ("counterfactual_local", "--mc-permutations", "1",
+         "mc_permutations must be at least 2, got 1")])
+    def test_malformed_value_is_refused_when_the_question_does_not_read_it(
+            self, tmp_path, simulated, trained, question, flag, value, named):
+        data = os.path.join(simulated, "dataset.json")
+        out = str(tmp_path / question)
+        self.refused(out, [
+            "describe", "--question", question, "--learner", "ols", "--data", data,
+            "--train-data", data, "--model", os.path.join(trained, "model.json"),
+            "--feature", "x1", "--instance", "[0.1, -0.2]", "--y-rel", "2.0",
+            "--lambda", "0.5", flag, value], named)
+        assert json.load(open(os.path.join(out, "error.json")))["message"] == named
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_observed_y(self, tmp_path, simulated, value):
@@ -581,8 +626,12 @@ class TestIngestRefusals:
 
 
 def test_question_lists_come_from_one_table():
-    assert list(DESCRIBE_NEEDS) == list(QUESTIONS)
-    assert set(UNCERTAINTY_NEEDS) <= set(QUESTIONS)
+    subs = build_parser()._subparsers._group_actions[0].choices
+    choices = {command: next(a.choices for a in subs[command]._actions if a.dest == "question")
+               for command in ("describe", "uncertainty")}
+    assert choices["describe"] == list(QUESTIONS)
+    assert choices["uncertainty"] == [q for q in QUESTIONS if QUESTIONS[q].intervals]
+    assert choices["uncertainty"] == ["cpdp", "cpfi", "relevant_value_global"]
 
 
 class TestErrorHandling:

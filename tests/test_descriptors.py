@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from descry import (
-    Dataset, FeatureSpec, Grid, LearnerConfig, LossFunction, OptimalPredictorSpec,
+    DescriptorSpec, Dataset, FeatureSpec, Grid, LearnerConfig, LossFunction, OptimalPredictorSpec,
     Phenomenon, PredictorHandle, build_grid, counterfactual_local, cpdp, cpfi, ice,
     local_conditional_contribution, model_distance, optimal_predictor,
     relevant_value_global, sage, sample, shapley_local, subset_model, support_check,
@@ -294,6 +294,30 @@ class TestLocalConditionalContribution:
         assert abs(result.scalar) < 0.01
 
 
+    @pytest.mark.parametrize("config", [OLS, LearnerConfig(learner="knn", knn_k=3)])
+    def test_mean_over_rows_is_cpfi(self, config):
+        # mean over rows of (reduced - full) loss = EPE(reduced) - EPE(full),
+        # up to summation order; small integer features keep every row on support
+        rng = np.random.default_rng(4)
+        features = [FeatureSpec(name=f"g{j}", kind="integer") for j in range(3)]
+
+        def grades(k):
+            x = rng.integers(0, 4, size=(k, 3)).astype(float)
+            y = x @ [2.0, -1.0, 0.5] + rng.normal(0, 1, k)
+            return Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
+                           rows=x, targets=y, provenance="synthetic")
+
+        d_train, d_eval = grades(120), grades(80)
+        rows = [list(row) for row in d_eval.rows]
+        assert all(support_check(d_eval, row) for row in rows)
+        for feature in range(3):
+            local = [local_conditional_contribution(config, d_train, d_eval, row, y,
+                                                    feature, MSE).scalar
+                     for row, y in zip(rows, d_eval.targets)]
+            expected = cpfi(config, d_train, d_eval, feature, MSE).scalar
+            assert abs(np.mean(local) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 class TestRelevantValue:
     def test_achievable_target(self, benchmark_phenomenon):
         d_eval = sample(benchmark_phenomenon, 2000, seed=127)
@@ -420,6 +444,36 @@ class TestRefusedArguments:
             cpfi(OLS, d, d, "no_such_feature", MSE)
         with pytest.raises(UnknownFeature, match="no_such_feature"):
             local_conditional_contribution(OLS, d, d, x, 0.0, "no_such_feature", MSE)
+
+
+class TestSpecRequires:
+    """A DescriptorSpec refuses a question without an input it needs, named
+    by the question's entry in descriptors.QUESTIONS."""
+
+    @pytest.mark.parametrize("question, given, message", [
+        ("cpdp", {}, "cpdp requires feature"),
+        ("ice", {"instance": [0.0, 0.0]}, "ice requires feature"),
+        ("ice", {"feature": 0}, "ice requires instance"),
+        ("cpfi", {}, "cpfi requires feature"),
+        ("shapley_local", {}, "shapley_local requires instance"),
+        ("local_conditional_contribution", {"instance": [0.0, 0.0]},
+         "local_conditional_contribution requires feature"),
+        ("local_conditional_contribution", {"feature": 0},
+         "local_conditional_contribution requires instance"),
+        ("relevant_value_global", {}, "relevant_value_global requires y_rel"),
+        ("counterfactual_local", {"y_rel": 1.0, "lam": 0.5},
+         "counterfactual_local requires instance"),
+        ("counterfactual_local", {"instance": [0.0, 0.0], "lam": 0.5},
+         "counterfactual_local requires y_rel"),
+        ("counterfactual_local", {"instance": [0.0, 0.0], "y_rel": 1.0},
+         "counterfactual_local requires lambda")])
+    def test_missing_field_is_named(self, question, given, message):
+        with pytest.raises(ValueError) as info:
+            DescriptorSpec(question=question, **given)
+        assert str(info.value) == message
+
+    def test_sage_needs_no_field(self):
+        assert DescriptorSpec(question="sage").to_dict()["question"] == "sage"
 
 
 class TestIntegerFeatures:

@@ -9,7 +9,9 @@ from descry import (
     model_error, optimal_predictor, sample, true_conditional_expectation,
 )
 from descry.descriptors import DescriptorSpec
-from descry.errors import InsufficientReplicates, NoOracleAvailable, NoReferenceAvailable
+from descry.errors import (
+    AllGroupsEmpty, InsufficientReplicates, NoOracleAvailable, NoReferenceAvailable,
+)
 from descry.samplers import build_grid
 
 MSE = LossFunction.MSE
@@ -40,20 +42,62 @@ def test_quantile_has_the_bits_of_scipy_stats(alpha, replicates, family):
 
 
 @pytest.mark.parametrize("operation, question, named", [
+    ("estimation_error", "ice", "estimation_error does not support the question 'ice'"),
     ("estimation_error", "cpfi", "estimation_error does not support the question 'cpfi'"),
-    ("estimation_error", "relevant_value_global", "question 'relevant_value_global'"),
+    ("estimation_error", "sage", "estimation_error does not support the question 'sage'"),
+    ("estimation_error", "shapley_local",
+     "estimation_error does not support the question 'shapley_local'"),
+    ("estimation_error", "local_conditional_contribution",
+     "estimation_error does not support the question 'local_conditional_contribution'"),
+    ("estimation_error", "relevant_value_global",
+     "estimation_error does not support the question 'relevant_value_global'"),
+    ("estimation_error", "counterfactual_local",
+     "estimation_error does not support the question 'counterfactual_local'"),
+    ("model_error", "ice", "model_error does not support the question 'ice'"),
     ("model_error", "cpfi", "model_error does not support the question 'cpfi'"),
-    ("model_error", "relevant_value_global", "question 'relevant_value_global'"),
+    ("model_error", "sage", "model_error does not support the question 'sage'"),
+    ("model_error", "shapley_local", "model_error does not support the question 'shapley_local'"),
+    ("model_error", "local_conditional_contribution",
+     "model_error does not support the question 'local_conditional_contribution'"),
+    ("model_error", "relevant_value_global",
+     "model_error does not support the question 'relevant_value_global'"),
+    ("model_error", "counterfactual_local",
+     "model_error does not support the question 'counterfactual_local'"),
+    ("bias_variance_me", "ice", "bias_variance_me does not support the question 'ice'"),
     ("bias_variance_me", "cpfi", "bias_variance_me does not support the question 'cpfi'"),
-    ("ci_estimation", "cpfi", "use ci_combined (--mode combined)"),
+    ("bias_variance_me", "sage", "bias_variance_me does not support the question 'sage'"),
+    ("bias_variance_me", "shapley_local",
+     "bias_variance_me does not support the question 'shapley_local'"),
+    ("bias_variance_me", "local_conditional_contribution",
+     "bias_variance_me does not support the question 'local_conditional_contribution'"),
+    ("bias_variance_me", "relevant_value_global",
+     "bias_variance_me does not support the question 'relevant_value_global'"),
+    ("bias_variance_me", "counterfactual_local",
+     "bias_variance_me does not support the question 'counterfactual_local'"),
+    ("ci_estimation", "ice", "ci_estimation does not support the question 'ice'"),
+    ("ci_estimation", "cpfi", "cpfi intervals refit the learner, which ci_estimation holds "
+                              "fixed; use ci_combined (--mode combined)"),
     ("ci_estimation", "sage", "ci_estimation does not support the question 'sage'"),
-    ("ci_combined", "sage", "ci_combined does not support the question 'sage'")])
+    ("ci_estimation", "shapley_local",
+     "ci_estimation does not support the question 'shapley_local'"),
+    ("ci_estimation", "local_conditional_contribution",
+     "ci_estimation does not support the question 'local_conditional_contribution'"),
+    ("ci_estimation", "counterfactual_local",
+     "ci_estimation does not support the question 'counterfactual_local'"),
+    ("ci_combined", "ice", "ci_combined does not support the question 'ice'"),
+    ("ci_combined", "sage", "ci_combined does not support the question 'sage'"),
+    ("ci_combined", "shapley_local", "ci_combined does not support the question 'shapley_local'"),
+    ("ci_combined", "local_conditional_contribution",
+     "ci_combined does not support the question 'local_conditional_contribution'"),
+    ("ci_combined", "counterfactual_local",
+     "ci_combined does not support the question 'counterfactual_local'")])
 def test_unsupported_question_is_refused_by_name(setup, operation, question, named):
+    """Every refused pair of the five operations and the eight questions."""
     from unittest import mock
     from descry import models
     p, reference, _, oracle, _ = setup
-    spec = DescriptorSpec(question=question, feature=0 if question == "cpfi" else None,
-                          y_rel=1.0, loss=MSE)
+    spec = DescriptorSpec(question=question, feature=0, instance=[0.0, 0.0], y_rel=1.0,
+                          lam=0.5, loss=MSE)
     sampler = ConditionalSampler(source=reference)
     cfg = CIConfig(ee_replicates=20, me_replicates=20)
     run = {"estimation_error": lambda: estimation_error(oracle, sampler, reference, spec),
@@ -65,7 +109,7 @@ def test_unsupported_question_is_refused_by_name(setup, operation, question, nam
     with mock.patch.object(models, "_train_ols", side_effect=AssertionError("refit")):
         with pytest.raises(ValueError) as info:
             run()
-    assert named in str(info.value)
+    assert str(info.value) == named
 
 
 class TestEstimationError:
@@ -87,8 +131,8 @@ class TestEstimationError:
         for i in range(n_sets):
             d_eval = sample(p, 1500, seed=300 + i)
             errors.append(estimation_error(oracle, sampler, d_eval, spec))
-            from descry.uncertainty import _curve_on_grid
-            curves.append(_curve_on_grid(oracle, d_eval, spec, grid))
+            from descry.uncertainty import _descriptor_vector
+            curves.append(_descriptor_vector(spec, grid, [oracle], [d_eval]))
         curves = np.array(curves)
         mean_ee = np.mean(errors)
         variance_part = np.nanmean(np.nanvar(curves, axis=0, ddof=0))
@@ -173,7 +217,7 @@ class TestBiasVariance:
         bias_sq, variance = bias_variance_me(OLS, p, k=250, replicates=replicates,
                                              spec=spec, seed=44, reference_size=10000)
         # recompute per-replicate ME with the same derived seeds
-        from descry.uncertainty import _curve_on_grid
+        from descry.uncertainty import _descriptor_vector
         from descry import train
         from descry._util import derive_seed
         from descry.phenomenon import sample as psample
@@ -183,7 +227,7 @@ class TestBiasVariance:
         for r in range(replicates):
             d_train = psample(p, 250, derive_seed(44, "bv-train", r))
             handle = train(OLS, d_train, MSE)
-            curve = _curve_on_grid(handle, ref, spec, grid)
+            curve = _descriptor_vector(spec, grid, [handle], [ref])
             mes.append((curve - truth) ** 2)
         mean_me = np.nanmean(np.array(mes), axis=0)
         assert np.allclose(mean_me, bias_sq + variance, rtol=1e-8, atol=1e-12)
@@ -207,6 +251,18 @@ class TestCiEstimation:
         report = ci_estimation(flat, d_eval, spec, cfg)
         widths = report.ci_ee[:, 1] - report.ci_ee[:, 0]
         assert np.nanmax(widths) < 1e-12
+
+    def test_scalar_question_relevant_value_global(self, setup):
+        # the point is the descriptor's own objective; replicates re-run it
+        from descry import relevant_value_global
+        p, _, _, oracle, _ = setup
+        d_eval = sample(p, 300, seed=804)
+        spec = DescriptorSpec(question="relevant_value_global", y_rel=1.0, loss=MSE)
+        report = ci_estimation(oracle, d_eval, spec, CIConfig(ee_replicates=20))
+        assert report.grid is None and report.ci_me_ee is None
+        (point,), ((lo, hi),) = report.point_estimates, report.ci_ee
+        assert point == relevant_value_global(oracle, d_eval, 1.0).point["objective"]
+        assert np.all(np.isfinite([lo, hi])) and lo <= point <= hi
 
     def test_alpha_monotonicity(self, setup):
         p, _, _, oracle, spec = setup
@@ -364,6 +420,34 @@ class TestReplicateErrors:
                  "message": "every grid point fell below the minimum group size"}
         self._check(tmp_path, benchmark_phenomenon, k=60, seed=1, band=0.05, fraction=0.5,
                     ee_error=error, combined_error=error)
+
+    @pytest.mark.parametrize("k, fraction", [(4, 0.5), (8, 0.5)])
+    def test_cpfi_below_the_minimum_group_size(self, tmp_path, benchmark_phenomenon,
+                                               k, fraction):
+        # cpfi has one group, all evaluation rows: too few in the data itself
+        # (4 rows), or in each half-sample (8 rows, 4 per replicate)
+        import json
+        import os
+        from descry._util import write_json
+        from descry.cli import main
+
+        d = sample(benchmark_phenomenon, k, seed=1)
+        spec = DescriptorSpec(question="cpfi", feature=0, loss=MSE)
+        plan = ResamplePlan(method="subsample", fraction=fraction, replicates=20, seed=0)
+        cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
+        expected = {"error": "AllGroupsEmpty", "module": "descriptors", "operation": "cpfi",
+                    "message": "the evaluation rows fell below the minimum group size"}
+        with pytest.raises(AllGroupsEmpty) as info:
+            ci_combined(OLS, d, spec, cfg)
+        assert info.value.to_dict() == expected
+
+        data, out = str(tmp_path / "d.json"), str(tmp_path / "out")
+        write_json(data, d.to_dict())
+        assert main(["uncertainty", "--question", "cpfi", "--mode", "combined", "--data", data,
+                     "--feature", "x1", "--learner", "ols", "--resample", "subsample",
+                     "--fraction", str(fraction), "--ee-replicates", "20",
+                     "--me-replicates", "20", "--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == expected
 
     def test_empty_replicate(self, tmp_path, benchmark_phenomenon):
         # floor(0.05 * 10) = 0 rows; in combined mode the empty training
