@@ -19,7 +19,7 @@ from .data import (
     load_csv, merge_students, select_features, student_schema,
 )
 from .descriptors import QUESTIONS, DescriptorSpec
-from .errors import DescryError, MissingManifest
+from .errors import DescryError, MissingManifest, error_report
 from .models import LearnerConfig, LossFunction, PredictorHandle, epe, train
 from .phenomenon import Phenomenon, sample
 from .plots import write_curve_svg
@@ -35,30 +35,34 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _load(flag, path, what, build):
+    """build(the JSON in path), refusing a file of another kind by its flag."""
+    raw = _read_json(path)
+    try:
+        return build(raw)
+    except (KeyError, TypeError) as exc:
+        found = f"it has no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{flag} {path} is not a {what} file: {found}") from None
+
+
 def _load_schema(arg):
     if arg == "student":
         return student_schema()
-    raw = _read_json(arg)
-    columns = raw["columns"] if isinstance(raw, dict) else raw
-    return [FeatureSpec.from_dict(c) for c in columns]
+    return _load("--schema", arg, "schema", lambda raw: [
+        FeatureSpec.from_dict(c) for c in (raw["columns"] if isinstance(raw, dict) else raw)])
 
 
-def _load_model(path):
-    try:
-        return PredictorHandle.from_dict(_read_json(path))
-    except KeyError as exc:
-        raise ValueError(f"--model {path} is not a model file: it has no key {exc}") from None
+def _load_model(args):
+    return _load("--model", args.model, "model", PredictorHandle.from_dict)
 
 
-def _load_dataset(args, path=None, schema_arg=None):
-    path = path or args.data
+def _load_dataset(args, flag="--data"):
+    path = getattr(args, flag[2:].replace("-", "_"))
     if path.endswith(".json"):
-        return Dataset.from_dict(_read_json(path))
-    schema_arg = schema_arg or getattr(args, "schema", None)
-    if schema_arg is None:
+        return _load(flag, path, "dataset", Dataset.from_dict)
+    if args.schema is None:
         raise DescryError("CSV input needs --schema", operation=args.command)
-    schema = _load_schema(schema_arg)
-    return load_csv(path, schema, args.target, delimiter=args.delimiter)
+    return load_csv(path, _load_schema(args.schema), args.target, delimiter=args.delimiter)
 
 
 def _numbers(args, flag, kind=float):
@@ -87,22 +91,29 @@ def _write_manifest(outdir, args):
 
 
 def _parse_instance(raw):
-    if raw.startswith("@"):
-        return _read_json(raw[1:])
-    return json.loads(raw)
+    instance = _read_json(raw[1:]) if raw.startswith("@") else json.loads(raw)
+    if not isinstance(instance, list):
+        raise ValueError(f"--instance takes a JSON array, or @file.json holding one, "
+                         f"got {raw}")
+    return instance
+
+
+def _write_csv(path, header, rows):
+    """A CSV file: a label as it is, an int as digits, any other number as repr(float)."""
+    def cell(x):
+        return x if isinstance(x, str) else str(x) if isinstance(x, int) else repr(float(x))
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _curve_outputs(outdir, result, x_label, y_label):
     write_json(os.path.join(outdir, "result.json"), result.to_dict())
     stderr = result.diagnostics.get("stderr")
-    lines = ["grid,estimate,group_size" + (",stderr" if stderr else "")]
-    for i, (v, e, g) in enumerate(result.curve):
-        row = f"{v if isinstance(v, str) else repr(float(v))},{repr(float(e))},{g}"
-        if stderr:
-            row += f",{repr(float(stderr[i]))}"
-        lines.append(row)
-    with open(os.path.join(outdir, "curve.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(outdir, "curve.csv"),
+               ["grid", "estimate", "group_size"] + (["stderr"] if stderr else []),
+               [row + ((stderr[i],) if stderr else ()) for i, row in enumerate(result.curve)])
     numeric = all(not isinstance(v, str) for v, _, _ in result.curve)
     if numeric:
         write_curve_svg(os.path.join(outdir, "plot.svg"), result.curve,
@@ -117,7 +128,7 @@ def _curve_outputs(outdir, result, x_label, y_label):
 
 
 def _cmd_simulate(args):
-    p = Phenomenon.from_dict(_read_json(args.spec))
+    p = _load("--spec", args.spec, "phenomenon", Phenomenon.from_dict)
     d = sample(p, args.k, args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "dataset.json"), d.to_dict())
@@ -201,9 +212,9 @@ def _cmd_describe(args):
     d_eval = _load_dataset(args)
     os.makedirs(args.out, exist_ok=True)
 
-    handle = _load_model(args.model) if args.model else None
+    handle = _load_model(args) if args.model else None
     config = _learner_config(args) if args.train_data else None
-    d_train = _load_dataset(args, path=args.train_data) if args.train_data else None
+    d_train = _load_dataset(args, "--train-data") if args.train_data else None
     instance = _parse_instance(args.instance) if args.instance else None
     spec = _spec(args, d_eval, instance=instance, lam=getattr(args, "lambda"), mode=args.mode,
                  mc_permutations=args.mc_permutations)
@@ -235,15 +246,21 @@ def _cmd_uncertainty(args):
                    quantile_family=args.quantile_family)
 
     if args.mode == "ee":
-        report = ci_estimation(_load_model(args.model), d, spec, cfg)
+        report = ci_estimation(_load_model(args), d, spec, cfg)
     else:
         report = ci_combined(_learner_config(args), d, spec, cfg)
 
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "report.json"),
                dict(report.to_dict(), question=args.question, mode=args.mode))
-    with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report.csv_lines()) + "\n")
+    combined = report.ci_me_ee is not None
+    points = report.grid.points if report.grid is not None else [""]
+    values = np.column_stack([report.point_estimates, report.ci_ee]
+                             + ([report.ci_me_ee] if combined else []))
+    _write_csv(os.path.join(args.out, "report.csv"),
+               ["grid", "estimate", "ci_ee_lo", "ci_ee_hi"]
+               + (["ci_me_ee_lo", "ci_me_ee_hi"] if combined else []),
+               [[v, *values[i]] for i, v in enumerate(points)])
     if report.grid is not None and not any(isinstance(v, str) for v in report.grid.points):
         keep = [i for i, v in enumerate(report.point_estimates)
                 if np.isfinite(v) and np.all(np.isfinite(report.ci_ee[i]))]
@@ -509,18 +526,13 @@ def main(argv=None):
     try:
         argv = _expand_config(argv, parser.commands)
     except (OSError, KeyError, ValueError) as exc:
-        sys.stderr.write(canonical_json({
-            "error": type(exc).__name__, "module": "cli", "operation": "config",
-            "message": str(exc)}) + "\n")
+        sys.stderr.write(canonical_json(error_report(exc, "config")) + "\n")
         return 1
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DescryError as exc:
-        payload = dict(exc.to_dict(), operation=exc.operation or args.command)
     except Exception as exc:  # runtime failures also produce machine-readable JSON
-        payload = {"error": type(exc).__name__, "module": "cli",
-                   "operation": args.command, "message": str(exc)}
+        payload = error_report(exc, args.command)
     sys.stderr.write(canonical_json(payload) + "\n")
     out = getattr(args, "out", None)
     if out:

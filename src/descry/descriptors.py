@@ -119,13 +119,13 @@ class DescriptorResult:
         return {"spec": self.spec.to_dict(), **payload, "diagnostics": self.diagnostics}
 
 
-def _require_on_support(d_eval, instance, operation):
-    if len(instance) != d_eval.n:
-        raise ValueError(f"instance has {len(instance)} values, but the data has "
+def _require_on_support(d_eval, spec):
+    if len(spec.instance) != d_eval.n:
+        raise ValueError(f"instance has {len(spec.instance)} values, but the data has "
                          f"{d_eval.n} features")
     checker = get_support_checker(d_eval)
-    if not checker.check(list(instance)):
-        raise OffSupportInstance("instance fails the support check", operation=operation)
+    if not checker.check(spec.instance):
+        raise OffSupportInstance("instance fails the support check", operation=spec.question)
     return checker
 
 
@@ -170,7 +170,7 @@ def ice(h, instance, feature, grid, d_eval, max_points=20):
     j = grid.feature_index
     spec = DescriptorSpec(question="ice", feature=j, instance=list(instance),
                           max_points=max_points)
-    checker = _require_on_support(d_eval, instance, "ice")
+    checker = _require_on_support(d_eval, spec)
     spliced = np.repeat(gower_encode([instance], d_eval.features), len(grid.points), axis=0)
     spliced[:, j] = grid.codes(d_eval)
     on_support = checker.check_rows(spliced)
@@ -178,7 +178,7 @@ def ice(h, instance, feature, grid, d_eval, max_points=20):
     off_support = [point for point, ok in zip(grid.points, on_support) if not ok]
     if not kept:
         raise AllGroupsEmpty("no grid point is on support for this instance",
-                             operation="ice")
+                             operation=spec.question)
     preds = h.predict_batch(spliced[on_support])
     curve = [(point, float(pred), 1) for point, pred in zip(kept, preds)]
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
@@ -223,7 +223,7 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     j, full_set, reduced_set = _full_and_reduced(d_train, feature)
     spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
                           instance=list(instance), loss=loss)
-    _require_on_support(d_eval, instance, "local_conditional_contribution")
+    _require_on_support(d_eval, spec)
     full = subset_model(config, d_train, loss, full_set)
     reduced = subset_model(config, d_train, loss, reduced_set)
     loss_full = float(pointwise_loss(
@@ -318,7 +318,7 @@ def shapley_local(config, d_train, d_eval, instance, mode="exact",
     constant."""
     spec = DescriptorSpec(question="shapley_local", instance=list(instance), loss=loss,
                           mode=mode, mc_permutations=mc_permutations, seed=seed)
-    _require_on_support(d_eval, instance, "shapley_local")
+    _require_on_support(d_eval, spec)
 
     def value_of(subset):
         return subset_model(config, d_train, loss, subset).predict([instance[j] for j in subset])
@@ -391,7 +391,7 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
     Gower-distance penalty over supported candidates."""
     spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
                           y_rel=y_rel, lam=lam)
-    checker = _require_on_support(d_eval, instance, "counterfactual_local")
+    checker = _require_on_support(d_eval, spec)
 
     def candidate(i):  # the instance as given, an evaluation row, or a perturbation
         if 0 < i <= d_eval.k:
@@ -407,7 +407,7 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
     on_support = np.flatnonzero(checker.check_rows(codes))
     if not on_support.size:
         raise NoSupportedCandidate("no candidate passes the support check",
-                                   operation="counterfactual_local")
+                                   operation=spec.question)
     supported = codes[on_support]
     preds = h.predict_batch(supported)
     gaps = np.abs(preds - spec.y_rel)

@@ -1,14 +1,31 @@
-"""Exception hierarchy shared by all descry modules.
+"""Exceptions shared by all descry modules, and the report the CLI writes
+for any error.
 
-Every error carries the module and operation it originated from so the CLI
-can emit machine-readable error reports.
+An error may carry the operation it refused. Its module is read from its
+traceback: `error_report` names the descry module whose code raised it.
 """
+
+
+def error_report(exc, operation=""):
+    """{"error", "module", "operation", "message"} for a raised exception.
+
+    `module` is the innermost descry module on the traceback (None when
+    no descry code raised it); `operation` is the error's own when it
+    states one, else the one given."""
+    module = None
+    tb = exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("descry."):
+            module = name[len("descry."):]
+        tb = tb.tb_next
+    return {"error": type(exc).__name__, "module": module,
+            "operation": getattr(exc, "operation", "") or operation, "message": str(exc)}
 
 
 class DescryError(Exception):
     """Base class for all descry errors."""
 
-    module = "descry"
     operation = ""
 
     def __init__(self, message, operation=""):
@@ -16,132 +33,96 @@ class DescryError(Exception):
         if operation:
             self.operation = operation
 
-    def to_dict(self):
-        return {
-            "error": type(self).__name__,
-            "module": self.module,
-            "operation": self.operation,
-            "message": str(self),
-        }
-
 
 # -- data ------------------------------------------------------------------
 
-class DataError(DescryError):
-    module = "data"
-
-
-class MissingColumn(DataError):
+class MissingColumn(DescryError):
     pass
 
 
-class TypeMismatch(DataError):
+class TypeMismatch(DescryError):
     pass
 
 
-class EmptyFile(DataError):
+class EmptyFile(DescryError):
     pass
 
 
-class UnknownFeature(DataError):
+class UnknownFeature(DescryError):
     pass
 
 
-class NonNumericFeature(DataError):
+class NonNumericFeature(DescryError):
     pass
 
 
-class DegenerateSplit(DataError):
+class DegenerateSplit(DescryError):
     pass
 
 
-class IndexOutOfRange(DataError):
+class IndexOutOfRange(DescryError):
     pass
 
 
 # -- phenomenon ------------------------------------------------------------
 
-class PhenomenonError(DescryError):
-    module = "phenomenon"
-
-
-class UnsupportedCombination(PhenomenonError):
+class UnsupportedCombination(DescryError):
     pass
 
 
 # -- models ----------------------------------------------------------------
 
-class ModelError(DescryError):
-    module = "models"
-
-
-class SingularDesign(ModelError):
+class SingularDesign(DescryError):
     pass
 
 
-class IncompatibleLoss(ModelError):
+class IncompatibleLoss(DescryError):
     pass
 
 
-class SchemaMismatch(ModelError):
+class SchemaMismatch(DescryError):
     pass
 
 
 # -- samplers --------------------------------------------------------------
 
-class SamplerError(DescryError):
-    module = "samplers"
-
-
-class EmptyNeighborhood(SamplerError):
+class EmptyNeighborhood(DescryError):
     pass
 
 
 # -- descriptors -----------------------------------------------------------
 
-class DescriptorError(DescryError):
-    module = "descriptors"
-
-
-class AllGroupsEmpty(DescriptorError):
+class AllGroupsEmpty(DescryError):
     pass
 
 
-class OffSupportInstance(DescriptorError):
+class OffSupportInstance(DescryError):
     pass
 
 
-class TooManyFeaturesForExact(DescriptorError):
+class TooManyFeaturesForExact(DescryError):
     pass
 
 
-class NoSupportedCandidate(DescriptorError):
+class NoSupportedCandidate(DescryError):
     pass
 
 
 # -- uncertainty -----------------------------------------------------------
 
-class UncertaintyError(DescryError):
-    module = "uncertainty"
-
-
-class NoReferenceAvailable(UncertaintyError):
+class NoReferenceAvailable(DescryError):
     pass
 
 
-class NoOracleAvailable(UncertaintyError):
+class NoOracleAvailable(DescryError):
     pass
 
 
-class InsufficientReplicates(UncertaintyError):
+class InsufficientReplicates(DescryError):
     pass
 
 
 # -- cli -------------------------------------------------------------------
 
-class CliError(DescryError):
-    module = "cli"
-
-
-class MissingManifest(CliError):
+class MissingManifest(DescryError):
     pass

@@ -93,22 +93,6 @@ class UncertaintyReport:
             d["ci_me_ee"] = self.ci_me_ee.tolist()
         return d
 
-    def csv_lines(self):
-        header = "grid,estimate,ci_ee_lo,ci_ee_hi"
-        combined = self.ci_me_ee is not None
-        if combined:
-            header += ",ci_me_ee_lo,ci_me_ee_hi"
-        lines = [header]
-        points = list(self.grid.points) if self.grid is not None else [""]
-        for i, point in enumerate(points):
-            row = [point if isinstance(point, str) else repr(float(point)),
-                   repr(float(self.point_estimates[i])),
-                   repr(float(self.ci_ee[i][0])), repr(float(self.ci_ee[i][1]))]
-            if combined:
-                row += [repr(float(self.ci_me_ee[i][0])), repr(float(self.ci_me_ee[i][1]))]
-            lines.append(",".join(row))
-        return lines
-
 
 # -- descriptor evaluation on a fixed grid -------------------------------------
 

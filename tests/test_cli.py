@@ -311,6 +311,17 @@ class TestDescribeRefusals:
             "--data", data, "--model", data, "--feature", "x1"],
             f"--model {data} is not a model file: it has no key 'input_schema'")
 
+    @pytest.mark.parametrize("value", ['"abc"', "5", "@{data}", "null"])
+    def test_instance_that_is_not_an_array(self, tmp_path, simulated, trained, value):
+        data = os.path.join(simulated, "dataset.json")
+        value = value.format(data=data)
+        message = f"--instance takes a JSON array, or @file.json holding one, got {value}"
+        out = str(tmp_path / "ice")
+        self.refused(out, [
+            "describe", "--question", "ice", "--data", data, "--feature", "x1",
+            "--model", os.path.join(trained, "model.json"), "--instance", value], message)
+        assert json.load(open(os.path.join(out, "error.json")))["message"] == message
+
     @pytest.mark.parametrize("question", ["cpfi", "cpdp"])
     @pytest.mark.parametrize("feature", ["2", "7", "-1"])
     def test_feature_index_outside_the_features(self, tmp_path, simulated, trained,
@@ -410,7 +421,7 @@ class TestUncertainty:
                      "--resample", "subsample", "--fraction", "1.0",
                      "--out", out]) == 1
         error = json.load(open(os.path.join(out, "error.json")))
-        assert error == {"error": "ValueError", "module": "cli", "operation": "uncertainty",
+        assert error == {"error": "ValueError", "module": "data", "operation": "uncertainty",
                          "message": "subsample fraction must be below 1"}
 
     def test_insufficient_replicates_is_runtime_error(self, tmp_path, simulated, trained):
@@ -650,6 +661,56 @@ class TestErrorHandling:
         assert code == 1
         error = json.load(open(os.path.join(out, "error.json")))
         assert set(error) >= {"error", "module", "operation", "message"}
+
+    @pytest.mark.parametrize("module, argv, operation, message", [
+        ("data", ["describe", "--question", "cpdp", "--model", "MODEL", "--data", "DATA",
+                  "--feature", "7"], "describe", "feature index 7 is outside 0..1 of 2 features"),
+        ("phenomenon", ["simulate", "--spec", "SPEC", "--k", "0"], "simulate",
+         "k must be at least 1"),
+        ("models", ["train", "--data", "DATA", "--learner", "mlp", "--epochs", "0"], "train",
+         "epochs must be at least 1, got 0"),
+        ("samplers", ["describe", "--question", "cpdp", "--model", "MODEL", "--data", "DATA",
+                      "--feature", "x1", "--band", "nan"], "describe",
+         "band must be a finite non-negative number, got nan"),
+        ("descriptors", ["describe", "--question", "sage", "--train-data", "DATA",
+                         "--data", "DATA", "--mode", "permutation_mc",
+                         "--mc-permutations", "1"], "describe",
+         "mc_permutations must be at least 2, got 1"),
+        ("uncertainty", ["uncertainty", "--mode", "ee", "--model", "MODEL", "--data", "DATA",
+                         "--feature", "x1", "--alpha", "2"], "uncertainty",
+         "alpha must be in (0, 1)"),
+        ("cli", ["train", "--data", "DATA", "--hidden", "a"], "train",
+         "--hidden takes comma-separated int values, got 'a'")])
+    def test_error_json_names_the_module_that_raised(self, tmp_path, phenomenon_spec, simulated,
+                                                     trained, module, argv, operation, message):
+        paths = {"SPEC": phenomenon_spec, "DATA": os.path.join(simulated, "dataset.json"),
+                 "MODEL": os.path.join(trained, "model.json")}
+        out = str(tmp_path / "err")
+        assert main([paths.get(a, a) for a in argv] + ["--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "ValueError", "module": module, "operation": operation,
+            "message": message}
+
+    @pytest.mark.parametrize("argv, flag, path, found", [
+        (["describe", "--question", "cpdp", "--model", "MODEL", "--data", "MODEL",
+          "--feature", "x1"], "--data", "MODEL", "dataset file: it has no key 'schema'"),
+        (["describe", "--question", "cpfi", "--train-data", "MODEL", "--data", "DATA",
+          "--feature", "x1"], "--train-data", "MODEL", "dataset file: it has no key 'schema'"),
+        (["train", "--data", "CSV", "--schema", "DATA", "--target", "y"], "--schema", "DATA",
+         "schema file: it has no key 'columns'"),
+        (["simulate", "--spec", "DATA", "--k", "10"], "--spec", "DATA",
+         "phenomenon file: Phenomenon.__init__() got an unexpected keyword argument "
+         "'provenance'")])
+    def test_file_of_the_wrong_kind_is_refused_by_its_flag(self, tmp_path, simulated, trained,
+                                                           argv, flag, path, found):
+        paths = {"DATA": os.path.join(simulated, "dataset.json"),
+                 "CSV": os.path.join(simulated, "dataset.csv"),
+                 "MODEL": os.path.join(trained, "model.json")}
+        out = str(tmp_path / "err")
+        assert main([paths.get(a, a) for a in argv] + ["--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert (error["error"], error["message"]) == \
+            ("ValueError", f"{flag} {paths[path]} is not a {found}")
 
     def test_non_finite_json_dataset_is_runtime_error(self, tmp_path, simulated, capsys):
         raw = json.load(open(os.path.join(simulated, "dataset.json")))

@@ -9,9 +9,9 @@ from descry import (
     true_conditional_expectation,
 )
 from descry.errors import (
-    AllGroupsEmpty, OffSupportInstance, TooManyFeaturesForExact, UnknownFeature,
+    AllGroupsEmpty, OffSupportInstance, TooManyFeaturesForExact, UnknownFeature, error_report,
 )
-from descry.samplers import conditional_groups
+from descry.samplers import conditional_groups, group_means
 
 MSE = LossFunction.MSE
 OLS = LearnerConfig(learner="ols", seed=0)
@@ -55,6 +55,28 @@ class TestCpdp:
         h = constant_handle(d.features, 0.0)
         with pytest.raises(AllGroupsEmpty):
             cpdp(h, d, 0)
+
+    def test_error_report_names_the_module_under_a_wrapper(self, monkeypatch):
+        # group_means, wrapped outside descry as a tracer wraps it, raises in samplers
+        import descry.descriptors
+        called = []
+
+        def wrapped(*args, **kwargs):
+            called.append(True)
+            return group_means(*args, **kwargs)
+
+        monkeypatch.setattr(descry.descriptors, "group_means", wrapped)
+        rows = [[float(i), 0.0] for i in range(4)]
+        d = Dataset(features=[FeatureSpec(name="x1", kind="integer"),
+                              FeatureSpec(name="x2", kind="numeric")],
+                    target=FeatureSpec(name="y", kind="numeric"),
+                    rows=rows, targets=[0.0] * 4, provenance="observed")
+        with pytest.raises(AllGroupsEmpty) as info:
+            cpdp(constant_handle(d.features, 0.0), d, 0)
+        assert called
+        assert error_report(info.value, "describe") == {
+            "error": "AllGroupsEmpty", "module": "samplers", "operation": "cpdp",
+            "message": "every grid point fell below the minimum group size"}
 
     def test_continuity_surrogate(self, benchmark_phenomenon):
         # close models yield close curves: the cPDP gap is bounded by

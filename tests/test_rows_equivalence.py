@@ -128,8 +128,10 @@ def reference_write_csv(path, d, rows):
 
 def reference_ice(h, instance, feature, d_eval, rows, max_points):
     grid = feature_grid(d_eval, feature, None, max_points)
-    checker = _require_on_support(d_eval, instance, "ice")
     j = grid.feature_index
+    spec = DescriptorSpec(question="ice", feature=j, instance=list(instance),
+                          max_points=max_points)
+    checker = _require_on_support(d_eval, spec)
     spliced = np.array([list(instance)] * len(grid.points), dtype=rows.dtype)
     spliced[:, j] = grid.points
     on_support = checker.check_rows(spliced)
@@ -139,8 +141,6 @@ def reference_ice(h, instance, feature, d_eval, rows, max_points):
         raise AllGroupsEmpty("no grid point is on support for this instance", operation="ice")
     preds = h.predict_batch(spliced[on_support])
     curve = [(point, float(pred), 1) for point, pred in zip(kept, preds)]
-    spec = DescriptorSpec(question="ice", feature=j, instance=list(instance),
-                          max_points=max_points)
     return DescriptorResult(spec=spec, curve=curve, diagnostics={
         "off_support_grid_points": off_support, "evaluation_size": d_eval.k})
 
@@ -169,7 +169,9 @@ def reference_relevant_value_global(h, d_eval, rows, y_rel):
 
 
 def reference_counterfactual_local(h, d_eval, rows, instance, y_rel, lam):
-    checker = _require_on_support(d_eval, instance, "counterfactual_local")
+    spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
+                          y_rel=float(y_rel), lam=float(lam))
+    checker = _require_on_support(d_eval, spec)
     candidates = [list(instance)] + [list(r) for r in rows]
     codes = np.vstack([gower_encode(candidates[:1], d_eval.features), d_eval.codes])
     gap = np.abs(h.predict_batch(codes) - float(y_rel))
@@ -186,8 +188,6 @@ def reference_counterfactual_local(h, d_eval, rows, instance, y_rel, lam):
     dists = gower_distances(supported, list(instance), d_eval.features, checker.ranges)
     objectives = gaps + lam * dists
     best = int(np.argmin(objectives))
-    spec = DescriptorSpec(question="counterfactual_local", instance=list(instance),
-                          y_rel=float(y_rel), lam=float(lam))
     return DescriptorResult(spec=spec, point={
         "x": list(candidates[on_support[best]]),
         "objective": float(objectives[best]),

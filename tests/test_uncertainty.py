@@ -11,6 +11,7 @@ from descry import (
 from descry.descriptors import DescriptorSpec
 from descry.errors import (
     AllGroupsEmpty, InsufficientReplicates, NoOracleAvailable, NoReferenceAvailable,
+    error_report,
 )
 from descry.samplers import build_grid
 
@@ -416,7 +417,7 @@ class TestReplicateErrors:
     def test_replicate_without_grid_points(self, tmp_path, benchmark_phenomenon):
         # the full data keeps a group of >= 5 rows within 0.05 of a quantile
         # point; half-samples do not
-        error = {"error": "AllGroupsEmpty", "module": "descriptors", "operation": "cpdp",
+        error = {"error": "AllGroupsEmpty", "module": "samplers", "operation": "cpdp",
                  "message": "every grid point fell below the minimum group size"}
         self._check(tmp_path, benchmark_phenomenon, k=60, seed=1, band=0.05, fraction=0.5,
                     ee_error=error, combined_error=error)
@@ -435,11 +436,11 @@ class TestReplicateErrors:
         spec = DescriptorSpec(question="cpfi", feature=0, loss=MSE)
         plan = ResamplePlan(method="subsample", fraction=fraction, replicates=20, seed=0)
         cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
-        expected = {"error": "AllGroupsEmpty", "module": "descriptors", "operation": "cpfi",
+        expected = {"error": "AllGroupsEmpty", "module": "samplers", "operation": "cpfi",
                     "message": "the evaluation rows fell below the minimum group size"}
         with pytest.raises(AllGroupsEmpty) as info:
             ci_combined(OLS, d, spec, cfg)
-        assert info.value.to_dict() == expected
+        assert error_report(info.value) == expected
 
         data, out = str(tmp_path / "d.json"), str(tmp_path / "out")
         write_json(data, d.to_dict())
@@ -452,9 +453,9 @@ class TestReplicateErrors:
     def test_empty_replicate(self, tmp_path, benchmark_phenomenon):
         # floor(0.05 * 10) = 0 rows; in combined mode the empty training
         # replicate fails first
-        def error(message):
-            return {"error": "ValueError", "module": "cli", "operation": "uncertainty",
+        def error(module, message):
+            return {"error": "ValueError", "module": module, "operation": "uncertainty",
                     "message": message}
         self._check(tmp_path, benchmark_phenomenon, k=10, seed=1, band=100.0, fraction=0.05,
-                    ee_error=error("evaluation dataset is empty"),
-                    combined_error=error("training dataset is empty"))
+                    ee_error=error("uncertainty", "evaluation dataset is empty"),
+                    combined_error=error("models", "training dataset is empty"))
