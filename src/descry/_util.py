@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import threading
 
 import numpy as np
 
@@ -25,22 +24,15 @@ def thread_cap():
     return 1
 
 
-_lru_lock = threading.Lock()
-
-
 def lru_get_or_build(cache, size, key, build):
     """cache[key], built on a miss, in an OrderedDict kept to its `size` most
-    recently used entries; threads racing on one key all get the first stored."""
-    with _lru_lock:
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
-    value = build()
-    with _lru_lock:
-        value = cache.setdefault(key, value)
+    recently used entries."""
+    if key in cache:
         cache.move_to_end(key)
-        while len(cache) > size:
-            cache.popitem(last=False)
+        return cache[key]
+    value = cache[key] = build()
+    while len(cache) > size:
+        cache.popitem(last=False)
     return value
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime error (with machine-readable error JSON),
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,14 +31,24 @@ from ._util import canonical_json, write_json
 JITTER_OFFSETS = (1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
 
 
-def _read_json(path):
+def _decode(text, flag, source):
+    """The JSON value in text, refusing text that does not parse by its flag
+    and its source (a path, or the flag's own value)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} {source} is not valid JSON: {exc}") from None
+
+
+def _read_json(path, flag=None):
+    """The JSON in path; with a flag, a file that does not parse names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh) if flag is None else _decode(fh.read(), flag, path)
 
 
 def _load(flag, path, what, build):
     """build(the JSON in path), refusing a file of another kind by its flag."""
-    raw = _read_json(path)
+    raw = _read_json(path, flag)
     try:
         return build(raw)
     except (KeyError, TypeError) as exc:
@@ -91,7 +102,10 @@ def _write_manifest(outdir, args):
 
 
 def _parse_instance(raw):
-    instance = _read_json(raw[1:]) if raw.startswith("@") else json.loads(raw)
+    if raw.startswith("@"):
+        instance = _read_json(raw[1:], "--instance")
+    else:   # an empty value is no array either
+        instance = _decode(raw, "--instance", raw) if raw else None
     if not isinstance(instance, list):
         raise ValueError(f"--instance takes a JSON array, or @file.json holding one, "
                          f"got {raw}")
@@ -215,7 +229,7 @@ def _cmd_describe(args):
     handle = _load_model(args) if args.model else None
     config = _learner_config(args) if args.train_data else None
     d_train = _load_dataset(args, "--train-data") if args.train_data else None
-    instance = _parse_instance(args.instance) if args.instance else None
+    instance = None if args.instance is None else _parse_instance(args.instance)
     spec = _spec(args, d_eval, instance=instance, lam=getattr(args, "lambda"), mode=args.mode,
                  mc_permutations=args.mc_permutations)
 
@@ -383,7 +397,9 @@ def _add_data_flags(sub):
     sub.add_argument("--delimiter", default=",")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The CLI's parser, built once per process: no flag has a mutable default."""
     parser = argparse.ArgumentParser(prog="descry",
                                      description="conditional model descriptors with "
                                                  "uncertainty quantification")
@@ -492,7 +508,7 @@ def _expand_config(argv, commands):
     if at + 1 == len(argv):
         raise ValueError("--config needs a file path")
     path = argv[at + 1]
-    raw = _read_json(path)
+    raw = _read_json(path, "--config")
     if not isinstance(raw, dict) or "command" not in raw:
         raise ValueError(f"--config file {path} has no \"command\" key")
     if "config" in raw:                                # a run manifest

@@ -21,6 +21,11 @@ MIN_GROUP_SIZE = 5
 # the support check's per-feature band: a point must lie in [q, 1 - q] of each numeric feature
 SUPPORT_QUANTILE_BAND = 0.005
 SELF_DISTANCE_SAMPLE = 1000
+# the threshold's build: at most this many reference rows, one in eight,
+# bound every sampled row's nearest-other distance; a scan gives this many
+# rows their exact distance
+SELF_DISTANCE_SUBSET = 256
+SELF_DISTANCE_BATCH = 32
 # support checkers kept for reuse, each holding its dataset and threshold
 CHECKER_CACHE_SIZE = 8
 
@@ -192,6 +197,12 @@ class SupportChecker:
                             | np.arange(d.k, dtype=np.uint64))
 
     def _self_distance_percentile(self):
+        """The 0.99 quantile of the sampled rows' distances to their nearest
+        other row. np.quantile reads only the `need` largest of them, so each
+        starts at an upper bound, its nearest other row among a fixed subset,
+        and the largest bounds are scanned exactly, a batch at a time, until
+        the need-th largest exact distance is at least every bound left: the
+        need largest values are then exact, and the others no larger."""
         k = self.d.k
         if k < 2:
             return 0.0
@@ -199,10 +210,33 @@ class SupportChecker:
         rng = np.random.default_rng(derive_seed(0, "support-self", k, SUPPORT_QUANTILE_BAND))
         queries = np.arange(k) if k <= SELF_DISTANCE_SAMPLE \
             else np.sort(rng.choice(k, size=SELF_DISTANCE_SAMPLE, replace=False))
+        # the quantile interpolates sorted positions floor(0.99 (q - 1)) and the next
+        need = len(queries) - int(0.99 * (len(queries) - 1))
+        size = min(k, SELF_DISTANCE_SUBSET, max(k // 8, SELF_DISTANCE_BATCH))
+        subset = np.linspace(0, k - 1, size).astype(np.intp)
+        values = self._nearest_other(queries, subset)
+        exact = np.full(len(queries), len(subset) == k)
+        while not exact.all():
+            pending = np.flatnonzero(~exact)
+            if np.count_nonzero(exact) >= need and \
+                    np.partition(values[exact], -need)[-need] >= values[pending].max():
+                break
+            if len(pending) > SELF_DISTANCE_BATCH:
+                pending = pending[np.argpartition(values[pending], -SELF_DISTANCE_BATCH)
+                                [-SELF_DISTANCE_BATCH:]]
+            values[pending] = self._nearest_other(queries[pending])
+            exact[pending] = True
+        return float(np.quantile(values, 0.99))
+
+    def _nearest_other(self, queries, rows=None):
+        """The distance from each query row to its nearest other row among
+        `rows` (all rows when None); inf when `rows` holds no other row."""
+        reference = self.encoded if rows is None else self.encoded[rows]
         # the nearest row other than the query itself is one of the two nearest
-        index, dist = nearest(self.encoded[queries], self.encoded, 2, self.ranges)
-        others = np.where(index[:, 0] == queries, dist[:, 1], dist[:, 0])
-        return float(np.quantile(others, 0.99))
+        count = min(2, len(reference))
+        index, dist = nearest(self.encoded[queries], reference, count, self.ranges)
+        first = index[:, 0] if rows is None else rows[index[:, 0]]
+        return np.where(first == queries, dist[:, 1] if count == 2 else np.inf, dist[:, 0])
 
     def _copies(self, x):
         """Which code rows equal a reference row. The first reference row of

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -311,7 +312,7 @@ class TestDescribeRefusals:
             "--data", data, "--model", data, "--feature", "x1"],
             f"--model {data} is not a model file: it has no key 'input_schema'")
 
-    @pytest.mark.parametrize("value", ['"abc"', "5", "@{data}", "null"])
+    @pytest.mark.parametrize("value", ['"abc"', "5", "@{data}", "null", ""])
     def test_instance_that_is_not_an_array(self, tmp_path, simulated, trained, value):
         data = os.path.join(simulated, "dataset.json")
         value = value.format(data=data)
@@ -636,6 +637,34 @@ class TestIngestRefusals:
         assert written["module"] == "data"
 
 
+def test_one_parser_serves_every_run(tmp_path, phenomenon_spec, monkeypatch, capsys):
+    """main builds the parser once per process, and a parser that has run
+    commands prints the help text a fresh one prints."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    for seed in ("1", "2"):
+        assert main(["simulate", "--spec", phenomenon_spec, "--k", "20", "--seed", seed,
+                     "--out", str(tmp_path / seed)]) == 0
+    assert built.count("descry") == 1
+    monkeypatch.undo()
+    build_parser.cache_clear()
+    fresh = build_parser.__wrapped__()
+    for command in ((), *((name,) for name in fresh.commands)):
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        with pytest.raises(SystemExit):
+            fresh.parse_args([*command, "--help"])
+        cached, expected = capsys.readouterr().out.split("usage: descry")[1:]
+        assert cached == expected
+
+
 def test_question_lists_come_from_one_table():
     subs = build_parser()._subparsers._group_actions[0].choices
     choices = {command: next(a.choices for a in subs[command]._actions if a.dest == "question")
@@ -711,6 +740,52 @@ class TestErrorHandling:
         error = json.load(open(os.path.join(out, "error.json")))
         assert (error["error"], error["message"]) == \
             ("ValueError", f"{flag} {paths[path]} is not a {found}")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["describe", "--question", "cpdp", "--model", "MODEL", "--data", "BAD",
+          "--feature", "x1"], "--data"),
+        (["describe", "--question", "cpfi", "--train-data", "BAD", "--data", "DATA",
+          "--feature", "x1"], "--train-data"),
+        (["describe", "--question", "cpdp", "--model", "BAD", "--data", "DATA",
+          "--feature", "x1"], "--model"),
+        (["train", "--data", "CSV", "--schema", "BAD", "--target", "y"], "--schema"),
+        (["simulate", "--spec", "BAD", "--k", "10"], "--spec"),
+        (["describe", "--question", "ice", "--model", "MODEL", "--data", "DATA",
+          "--feature", "x1", "--instance", "@BAD"], "--instance")])
+    def test_json_that_does_not_parse_is_refused_by_its_flag(self, tmp_path, simulated,
+                                                             trained, argv, flag):
+        bad = tmp_path / "truncated.json"
+        bad.write_text('{"schema": [0.1,')
+        paths = {"BAD": str(bad), "@BAD": f"@{bad}",
+                 "DATA": os.path.join(simulated, "dataset.json"),
+                 "CSV": os.path.join(simulated, "dataset.csv"),
+                 "MODEL": os.path.join(trained, "model.json")}
+        out = str(tmp_path / "err")
+        assert main([paths.get(a, a) for a in argv] + ["--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "ValueError", "module": "cli", "operation": argv[0],
+            "message": f"{flag} {bad} is not valid JSON: "
+                       "Expecting value: line 1 column 17 (char 16)"}
+
+    def test_inline_instance_that_does_not_parse_is_refused_by_its_flag(
+            self, tmp_path, simulated, trained):
+        out = str(tmp_path / "err")
+        assert main(["describe", "--question", "ice", "--feature", "x1",
+                     "--model", os.path.join(trained, "model.json"),
+                     "--data", os.path.join(simulated, "dataset.json"),
+                     "--instance", "[0.1,", "--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert (error["error"], error["message"]) == ("ValueError", (
+            "--instance [0.1, is not valid JSON: Expecting value: line 1 column 6 (char 5)"))
+
+    def test_config_that_does_not_parse_is_refused_by_its_flag(self, tmp_path, capsys):
+        bad = tmp_path / "run.json"
+        bad.write_text('{"command": "simulate",')
+        assert main(["--config", str(bad)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "module": "cli", "operation": "config",
+            "message": f"--config {bad} is not valid JSON: Expecting property name "
+                       "enclosed in double quotes: line 1 column 24 (char 23)"}
 
     def test_non_finite_json_dataset_is_runtime_error(self, tmp_path, simulated, capsys):
         raw = json.load(open(os.path.join(simulated, "dataset.json")))

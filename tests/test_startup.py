@@ -35,3 +35,24 @@ def test_python_m_descry_runs_the_cli():
     proc = run_python("-m", "descry", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"descry {descry.__version__}"
+
+
+def test_knn_and_the_support_checker_load_no_scipy():
+    """Training and predicting a knn model and building a support checker
+    import no scipy module: `scipy.spatial` alone would add about 31 MB to a
+    process's peak resident memory."""
+    probe = (
+        "import sys, numpy as np, descry\n"
+        "from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, train\n"
+        "from descry.samplers import SupportChecker\n"
+        "x = np.random.default_rng(0).normal(size=(1500, 3))\n"
+        "d = Dataset(features=[FeatureSpec(name=f'x{j}', kind='numeric') for j in range(3)],\n"
+        "            target=FeatureSpec(name='y', kind='numeric'), rows=x,\n"
+        "            targets=x.sum(axis=1), provenance='observed')\n"
+        "h = train(LearnerConfig(learner='knn'), d, LossFunction.MSE)\n"
+        "h.predict_batch(x[:50])\n"
+        "SupportChecker(d).check_rows(x[:50] + 0.01)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
