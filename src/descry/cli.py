@@ -1,12 +1,14 @@
 """Command-line pipeline: ingest, simulate, train, describe, uncertainty, report.
 
-Every run writes a manifest (config echo, version, seeds) into its output
-directory, and identical manifests reproduce byte-identical JSON/CSV output.
+`main` owns each run's output directory: it writes a manifest (config echo,
+version, seeds) after a success and error.json after a failure, never both,
+and identical manifests reproduce byte-identical JSON/CSV output.
 Exit codes: 0 success, 1 runtime error (with machine-readable error JSON),
 2 usage error.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -33,17 +35,17 @@ JITTER_OFFSETS = (1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
 
 def _decode(text, flag, source):
     """The JSON value in text, refusing text that does not parse by its flag
-    and its source (a path, or the flag's own value)."""
+    (or the label of the file) and its source (a path, or the flag's own value)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} {source} is not valid JSON: {exc}") from None
 
 
-def _read_json(path, flag=None):
-    """The JSON in path; with a flag, a file that does not parse names it."""
+def _read_json(path, flag):
+    """The JSON in path; a file that does not parse is refused by its flag and path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh) if flag is None else _decode(fh.read(), flag, path)
+        return _decode(fh.read(), flag, path)
 
 
 def _load(flag, path, what, build):
@@ -122,16 +124,24 @@ def _write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_dataset(outdir, d):
+    write_json(os.path.join(outdir, "dataset.json"), d.to_dict())
+    d.write_csv(os.path.join(outdir, "dataset.csv"))
+
+
+def _plot(outdir, curve, title, x_label, y_label, **bands):
+    """plot.svg of a curve, drawn only when it has points on a numeric grid."""
+    if curve and not any(isinstance(v, str) for v, _, _ in curve):
+        write_curve_svg(os.path.join(outdir, "plot.svg"), curve, title=title,
+                        x_label=x_label, y_label=y_label, **bands)
+
+
 def _curve_outputs(outdir, result, x_label, y_label):
-    write_json(os.path.join(outdir, "result.json"), result.to_dict())
     stderr = result.diagnostics.get("stderr")
     _write_csv(os.path.join(outdir, "curve.csv"),
                ["grid", "estimate", "group_size"] + (["stderr"] if stderr else []),
                [row + ((stderr[i],) if stderr else ()) for i, row in enumerate(result.curve)])
-    numeric = all(not isinstance(v, str) for v, _, _ in result.curve)
-    if numeric:
-        write_curve_svg(os.path.join(outdir, "plot.svg"), result.curve,
-                        title=result.spec.question, x_label=x_label, y_label=y_label)
+    _plot(outdir, result.curve, result.spec.question, x_label, y_label)
     dropped = result.diagnostics.get("dropped_grid_points",
                                      result.diagnostics.get("off_support_grid_points", []))
     write_json(os.path.join(outdir, "sparse_regions.json"),
@@ -143,12 +153,7 @@ def _curve_outputs(outdir, result, x_label, y_label):
 
 def _cmd_simulate(args):
     p = _load("--spec", args.spec, "phenomenon", Phenomenon.from_dict)
-    d = sample(p, args.k, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "dataset.json"), d.to_dict())
-    d.write_csv(os.path.join(args.out, "dataset.csv"))
-    _write_manifest(args.out, args)
-    return 0
+    _write_dataset(args.out, sample(p, args.k, args.seed))
 
 
 def _cmd_ingest(args):
@@ -177,12 +182,8 @@ def _cmd_ingest(args):
         d = jitter_augment(d, args.jitter, offsets, clamp=clamp)
         report["jitter"] = {"feature": args.jitter, "offsets": offsets,
                             "clamp": list(clamp) if clamp else None, "rows": d.k}
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "dataset.json"), d.to_dict())
-    d.write_csv(os.path.join(args.out, "dataset.csv"))
+    _write_dataset(args.out, d)
     write_json(os.path.join(args.out, "ingest_report.json"), report)
-    _write_manifest(args.out, args)
-    return 0
 
 
 def _cmd_train(args):
@@ -190,13 +191,10 @@ def _cmd_train(args):
     config = _learner_config(args)
     loss = LossFunction(args.loss)
     handle = train(config, d, loss)
-    os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "model.json"), handle.to_dict())
     write_json(os.path.join(args.out, "training.json"),
                {"config": config.to_dict(), "loss": loss.value,
                 "train_epe": epe(handle, d, loss), "rows": d.k})
-    _write_manifest(args.out, args)
-    return 0
 
 
 def _check_needs(what, names, args):
@@ -224,8 +222,6 @@ def _cmd_describe(args):
     question = QUESTIONS[args.question]
     _check_needs(args.question, (question.reads,) + question.needs, args)
     d_eval = _load_dataset(args)
-    os.makedirs(args.out, exist_ok=True)
-
     handle = _load_model(args) if args.model else None
     config = _learner_config(args) if args.train_data else None
     d_train = _load_dataset(args, "--train-data") if args.train_data else None
@@ -235,12 +231,9 @@ def _cmd_describe(args):
 
     source = handle if question.reads == "model" else config
     result = question.answer(spec, source, d_train, d_eval, args.observed_y)
+    write_json(os.path.join(args.out, "result.json"), result.to_dict())
     if question.y_label:
         _curve_outputs(args.out, result, d_eval.features[spec.feature].name, question.y_label)
-    else:
-        write_json(os.path.join(args.out, "result.json"), result.to_dict())
-    _write_manifest(args.out, args)
-    return 0
 
 
 def _cmd_uncertainty(args):
@@ -264,7 +257,6 @@ def _cmd_uncertainty(args):
     else:
         report = ci_combined(_learner_config(args), d, spec, cfg)
 
-    os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "report.json"),
                dict(report.to_dict(), question=args.question, mode=args.mode))
     combined = report.ci_me_ee is not None
@@ -275,20 +267,14 @@ def _cmd_uncertainty(args):
                ["grid", "estimate", "ci_ee_lo", "ci_ee_hi"]
                + (["ci_me_ee_lo", "ci_me_ee_hi"] if combined else []),
                [[v, *values[i]] for i, v in enumerate(points)])
-    if report.grid is not None and not any(isinstance(v, str) for v in report.grid.points):
+    if report.grid is not None:
         keep = [i for i, v in enumerate(report.point_estimates)
                 if np.isfinite(v) and np.all(np.isfinite(report.ci_ee[i]))]
-        if keep:
-            curve = [(report.grid.points[i], float(report.point_estimates[i]), 1)
-                     for i in keep]
-            ci_me = (report.ci_me_ee[keep].tolist()
-                     if report.ci_me_ee is not None else None)
-            write_curve_svg(os.path.join(args.out, "plot.svg"), curve,
-                            title=f"{args.question} ({args.mode})",
-                            x_label=d.features[spec.feature].name, y_label=question.y_label,
-                            ci_ee=report.ci_ee[keep].tolist(), ci_me_ee=ci_me)
-    _write_manifest(args.out, args)
-    return 0
+        _plot(args.out, [(report.grid.points[i], float(report.point_estimates[i]), 1)
+                         for i in keep],
+              f"{args.question} ({args.mode})", d.features[spec.feature].name, question.y_label,
+              ci_ee=report.ci_ee[keep].tolist(),
+              ci_me_ee=report.ci_me_ee[keep].tolist() if combined else None)
 
 
 def _cmd_report(args):
@@ -297,19 +283,21 @@ def _cmd_report(args):
     for run_dir in args.run_dirs:
         manifest_path = os.path.join(run_dir, "manifest.json")
         if not os.path.exists(manifest_path):
-            raise MissingManifest(f"{run_dir} has no manifest.json", operation="report")
-        manifest = _read_json(manifest_path)
+            failed = os.path.exists(os.path.join(run_dir, "error.json"))
+            raise MissingManifest(f"{run_dir} has no manifest.json" + (
+                "; its error.json records a failed run" if failed else ""), operation="report")
+        manifest = _read_json(manifest_path, "run file")
         entry = {"dir": run_dir, "manifest": manifest}
         result_path = os.path.join(run_dir, "result.json")
         report_path = os.path.join(run_dir, "report.json")
         kind = manifest["config"].get("question", manifest["command"])
         if os.path.exists(result_path):
-            entry["result"] = _read_json(result_path)
+            entry["result"] = _read_json(result_path, "run file")
             dropped = entry["result"].get("diagnostics", {}).get("dropped_grid_points")
             if dropped:
                 warnings.append((run_dir, dropped))
         if os.path.exists(report_path):
-            entry["report"] = _read_json(report_path)
+            entry["report"] = _read_json(report_path, "run file")
         sections.setdefault(kind, []).append(entry)
 
     lines = [f"# descry report", "", f"Generated by descry {__version__}.", ""]
@@ -368,11 +356,8 @@ def _cmd_report(args):
                          f"insufficient data: {json.dumps(dropped)}")
         lines.append("")
 
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(args.out, args)
-    return 0
 
 
 # -- parser --------------------------------------------------------------------
@@ -546,17 +531,21 @@ def main(argv=None):
         return 1
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        os.makedirs(args.out, exist_ok=True)
+        args.func(args)
+        _write_manifest(args.out, args)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, "error.json"))
+        return 0
     except Exception as exc:  # runtime failures also produce machine-readable JSON
         payload = error_report(exc, args.command)
     sys.stderr.write(canonical_json(payload) + "\n")
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            os.makedirs(out, exist_ok=True)
-            write_json(os.path.join(out, "error.json"), payload)
-        except OSError:
-            pass
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, "manifest.json"))
+        write_json(os.path.join(args.out, "error.json"), payload)
+    except OSError:
+        pass
     return 1
 
 

@@ -271,7 +271,7 @@ class Dataset:
         return cls(
             features=[FeatureSpec.from_dict(f) for f in d["schema"]["features"]],
             target=FeatureSpec.from_dict(d["schema"]["target"]),
-            rows=[list(r) for r in d["rows"]],
+            rows=d["rows"],
             targets=d["targets"],
             provenance=d["provenance"],
             seed=d.get("seed"),

@@ -142,7 +142,7 @@ def feature_grid(d, feature, grid, max_points):
     return grid
 
 
-def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
+def cpdp(h, d_eval, feature, grid=None, band=None, max_points=DescriptorSpec.max_points):
     """Conditional partial dependence: per grid point, the mean prediction
     over evaluation rows whose conditioned feature matches that point."""
     if d_eval.k == 0:
@@ -162,7 +162,7 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=20):
         "evaluation_size": d_eval.k, "sampler": "grouping"})
 
 
-def ice(h, instance, feature, grid, d_eval, max_points=20):
+def ice(h, instance, feature, grid, d_eval, max_points=DescriptorSpec.max_points):
     """Individual conditional expectation: the model's own slice through one
     instance, plotted only where the spliced point stays on support. With
     grid None, the grid is built from d_eval."""
@@ -297,7 +297,8 @@ def _fair_contribution(n, value_of, spec, extra=None):
     return DescriptorResult(spec=spec, attribution=phi, diagnostics=diagnostics)
 
 
-def sage(config, d_train, d_eval, loss, mode="exact", mc_permutations=2000, seed=0):
+def sage(config, d_train, d_eval, loss, mode=DescriptorSpec.mode,
+         mc_permutations=DescriptorSpec.mc_permutations, seed=DescriptorSpec.seed):
     """Global fair contribution: Shapley attribution of risk reductions.
 
     The coalition value of S is -EPE of the subset refit on S, so a feature's
@@ -310,8 +311,9 @@ def sage(config, d_train, d_eval, loss, mode="exact", mc_permutations=2000, seed
         spec, extra={"evaluation_size": d_eval.k})
 
 
-def shapley_local(config, d_train, d_eval, instance, mode="exact",
-                  mc_permutations=2000, seed=0, loss=LossFunction.MSE):
+def shapley_local(config, d_train, d_eval, instance, mode=DescriptorSpec.mode,
+                  mc_permutations=DescriptorSpec.mc_permutations, seed=DescriptorSpec.seed,
+                  loss=DescriptorSpec.loss):
     """Local fair contribution: Shapley attribution of the prediction itself,
     with subset predictions realized as refits evaluated at the instance's
     restriction. In exact mode the scores sum to m(x) minus the best

@@ -479,6 +479,78 @@ class TestReport:
         out = str(tmp_path / "summary")
         assert main(["report", str(empty), "--out", out]) == 1
 
+    @pytest.mark.parametrize("name", ["manifest.json", "result.json", "report.json"])
+    def test_run_file_that_does_not_parse_is_refused_by_its_path(self, tmp_path, name):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"command": "describe", "config": {"question": "cpdp"}}))
+        (run_dir / name).write_text('{"schema": [0.1,')
+        out = str(tmp_path / "summary")
+        assert main(["report", str(run_dir), "--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "ValueError", "module": "cli", "operation": "report",
+            "message": f"run file {run_dir / name} is not valid JSON: "
+                       "Expecting value: line 1 column 17 (char 16)"}
+
+
+class TestRunOutcome:
+    """A run directory holds the outcome of its last run: manifest.json after
+    a success, error.json after a failure, never both."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, phenomenon_spec, simulated, trained):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text("g,y\n" + "\n".join(f"{i % 5},{i % 7}" for i in range(20)) + "\n")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({"columns": [
+            {"name": "g", "kind": "integer"}, {"name": "y", "kind": "integer"}]}))
+        (tmp_path / "empty").mkdir()
+        return {"SPEC": phenomenon_spec, "DATA": os.path.join(simulated, "dataset.json"),
+                "MODEL": os.path.join(trained, "model.json"), "SIM": simulated,
+                "CSV": str(csv_path), "SCHEMA": str(schema_path),
+                "EMPTY": str(tmp_path / "empty")}
+
+    @staticmethod
+    def outcome(out):
+        return {name for name in ("manifest.json", "error.json")
+                if os.path.exists(os.path.join(out, name))}
+
+    @pytest.mark.parametrize("success, failure", [
+        (["simulate", "--spec", "SPEC", "--k", "50"], ["simulate", "--spec", "SPEC", "--k", "0"]),
+        (["ingest", "--csv", "CSV", "--schema", "SCHEMA", "--target", "y"],
+         ["ingest", "--csv", "CSV", "--schema", "SCHEMA", "--target", "y", "--drop", "g"]),
+        (["train", "--data", "DATA"], ["train", "--data", "DATA", "--hidden", "a"]),
+        (["describe", "--question", "cpdp", "--model", "MODEL", "--data", "DATA",
+          "--feature", "x1"],
+         ["describe", "--question", "cpdp", "--model", "MODEL", "--data", "DATA",
+          "--feature", "9"]),
+        (["uncertainty", "--mode", "ee", "--model", "MODEL", "--data", "DATA",
+          "--feature", "x1", "--ee-replicates", "20"],
+         ["uncertainty", "--mode", "ee", "--model", "MODEL", "--data", "DATA",
+          "--feature", "x1", "--alpha", "2"]),
+        (["report", "SIM"], ["report", "EMPTY"])],
+        ids=["simulate", "ingest", "train", "describe", "uncertainty", "report"])
+    def test_last_outcome_replaces_the_previous_one(self, tmp_path, paths, success, failure):
+        out = str(tmp_path / "run")
+        for argv, code, left in [(success, 0, {"manifest.json"}), (failure, 1, {"error.json"}),
+                                 (success, 0, {"manifest.json"})]:
+            assert main([paths.get(a, a) for a in argv] + ["--out", out]) == code
+            assert self.outcome(out) == left
+
+    def test_report_refuses_a_failed_rerun(self, tmp_path, paths):
+        out = str(tmp_path / "run")
+        argv = ["describe", "--question", "cpdp", "--model", paths["MODEL"],
+                "--data", paths["DATA"], "--out", out]
+        assert main(argv + ["--feature", "0"]) == 0
+        assert main(argv + ["--feature", "9"]) == 1
+        summary = str(tmp_path / "summary")
+        assert main(["report", out, "--out", summary]) == 1
+        error = json.load(open(os.path.join(summary, "error.json")))
+        assert (error["error"], error["message"]) == (
+            "MissingManifest", f"{out} has no manifest.json; its error.json records a failed run")
+        assert not os.path.exists(os.path.join(summary, "report.md"))
+
 
 class TestConfigFile:
     def test_flat_config_replaces_flags(self, tmp_path, phenomenon_spec):
