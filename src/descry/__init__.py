@@ -37,14 +37,7 @@ from .phenomenon import (
     true_conditional_expectation,
     true_epe,
 )
-from .samplers import (
-    ConditionalSampler,
-    Grid,
-    build_grid,
-    conditional_groups,
-    conditional_sample,
-    support_check,
-)
+from .samplers import Grid, build_grid, conditional_groups, support_check
 from .descriptors import (
     DescriptorResult,
     DescriptorSpec,
@@ -77,8 +70,7 @@ __all__ = [
     "predict", "subset_epe", "subset_model", "train",
     "OptimalPredictorSpec", "Phenomenon", "optimal_predictor", "sample",
     "sample_conditional", "true_conditional_expectation", "true_epe",
-    "ConditionalSampler", "Grid", "build_grid",
-    "conditional_groups", "conditional_sample", "support_check",
+    "Grid", "build_grid", "conditional_groups", "support_check",
     "DescriptorResult", "DescriptorSpec", "counterfactual_local", "cpdp", "cpfi",
     "ice", "local_conditional_contribution", "relevant_value_global", "sage",
     "shapley_local",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 
@@ -24,15 +25,23 @@ def thread_cap():
     return 1
 
 
+_lru_lock = threading.Lock()
+
+
 def lru_get_or_build(cache, size, key, build):
     """cache[key], built on a miss, in an OrderedDict kept to its `size` most
-    recently used entries."""
-    if key in cache:
+    recently used entries. build runs outside the lock, as builds nest; when
+    two threads miss at once, the value inserted first is the one returned."""
+    with _lru_lock:
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+    value = build()
+    with _lru_lock:
+        value = cache.setdefault(key, value)
         cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = build()
-    while len(cache) > size:
-        cache.popitem(last=False)
+        while len(cache) > size:
+            cache.popitem(last=False)
     return value
 
 

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime error (with machine-readable error JSON),
 
 import argparse
 import contextlib
+import csv
 import functools
 import json
 import os
@@ -115,13 +116,15 @@ def _parse_instance(raw):
 
 
 def _write_csv(path, header, rows):
-    """A CSV file: a label as it is, an int as digits, any other number as repr(float)."""
+    """A CSV file: a label as it is (quoted when it holds a comma, a quote or
+    a line break), an int as digits, any other number as repr(float)."""
     def cell(x):
         return x if isinstance(x, str) else str(x) if isinstance(x, int) else repr(float(x))
 
-    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def _write_dataset(outdir, d):
@@ -286,11 +289,13 @@ def _cmd_report(args):
             failed = os.path.exists(os.path.join(run_dir, "error.json"))
             raise MissingManifest(f"{run_dir} has no manifest.json" + (
                 "; its error.json records a failed run" if failed else ""), operation="report")
-        manifest = _read_json(manifest_path, "run file")
+        # a run's section is its question, or else its command; {**config}
+        # refuses a config that is not an object
+        manifest, kind = _load("run file", manifest_path, "manifest", lambda raw: (
+            raw, {**raw["config"]}.get("question", raw["command"])))
         entry = {"dir": run_dir, "manifest": manifest}
         result_path = os.path.join(run_dir, "result.json")
         report_path = os.path.join(run_dir, "report.json")
-        kind = manifest["config"].get("question", manifest["command"])
         if os.path.exists(result_path):
             entry["result"] = _read_json(result_path, "run file")
             dropped = entry["result"].get("diagnostics", {}).get("dropped_grid_points")

@@ -84,12 +84,6 @@ class SchemaMismatch(DescryError):
     pass
 
 
-# -- samplers --------------------------------------------------------------
-
-class EmptyNeighborhood(DescryError):
-    pass
-
-
 # -- descriptors -----------------------------------------------------------
 
 class AllGroupsEmpty(DescryError):

@@ -12,6 +12,12 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 40, 60
 RUG_HEIGHT = 36
 
 
+def _escape(text):
+    """text with &, < and > escaped, as xml.sax.saxutils.escape does; that
+    module imports urllib.request, about 30 ms of every CLI start."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(x):
     return f"{x:.2f}"
 
@@ -71,7 +77,7 @@ def curve_svg(curve, title="", x_label="", y_label="", ci_ee=None, ci_me_ee=None
     ]
     if title:
         parts.append(f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-                     f'font-size="16">{title}</text>')
+                     f'font-size="16">{_escape(title)}</text>')
 
     # axes and ticks
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
@@ -92,10 +98,10 @@ def curve_svg(curve, title="", x_label="", y_label="", ci_ee=None, ci_me_ee=None
                      f'{_fmt(tick)}</text>')
     if x_label:
         parts.append(f'<text x="{WIDTH / 2}" y="{HEIGHT - 14}" text-anchor="middle">'
-                     f'{x_label}</text>')
+                     f'{_escape(x_label)}</text>')
     if y_label:
         parts.append(f'<text x="18" y="{HEIGHT / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 18 {HEIGHT / 2})">{y_label}</text>')
+                     f'transform="rotate(-90 18 {HEIGHT / 2})">{_escape(y_label)}</text>')
 
     # confidence bands: combined (outer) first so the inner band overlays it
     if ci_me_ee is not None:

@@ -1,10 +1,9 @@
 """Operational stand-ins for the conditional feature distribution.
 
 Everything a descriptor knows about P(X_rest | X_p) comes from here: grid
-construction over a feature, grouping of evaluation rows by grid point,
-conditional sampling from matching rows, and a support check that keeps
-every query on-distribution. Samplers never fabricate feature combinations:
-sampled X_rest vectors are always taken from observed rows.
+construction over a feature, grouping of evaluation rows by grid point, and
+a support check that keeps every query on-distribution. Conditioning never
+fabricates feature combinations: a group holds observed rows only.
 """
 
 from collections import OrderedDict
@@ -12,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllGroupsEmpty, EmptyNeighborhood
-from .data import gower_decode, gower_encode
+from .errors import AllGroupsEmpty
+from .data import gower_encode
 from .models import feature_ranges, nearest
 from ._util import derive_seed, lru_get_or_build
 
@@ -36,7 +35,6 @@ class Grid:
 
     feature_index: int
     points: tuple
-    strategy: str
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -47,8 +45,6 @@ class Grid:
             if any(b <= a for a, b in zip(pts, pts[1:])):
                 raise ValueError("numeric grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        if self.strategy not in ("unique_values", "quantile"):
-            raise ValueError(f"unknown grid strategy {self.strategy!r}")
 
     def codes(self, d):
         """The points' codes along their feature of d."""
@@ -67,13 +63,13 @@ def build_grid(d, feature, max_points=20):
     distinct = np.unique(col)
     if spec.kind == "categorical":
         points = tuple(spec.categories[int(c)] for c in distinct)
-        return Grid(feature_index=j, points=points, strategy="unique_values")
+        return Grid(feature_index=j, points=points)
     if distinct.size <= max_points:
-        return Grid(feature_index=j, points=tuple(distinct), strategy="unique_values")
+        return Grid(feature_index=j, points=tuple(distinct))
     levels = (np.arange(max_points) + 0.5) / max_points
     method = "inverted_cdf" if spec.kind == "integer" else "linear"
     points = np.unique(np.quantile(col, levels, method=method))
-    return Grid(feature_index=j, points=tuple(points), strategy="quantile")
+    return Grid(feature_index=j, points=tuple(points))
 
 
 def default_band(d, grid):
@@ -136,39 +132,6 @@ def group_means(values, members, weights, operation="cpdp", groups="every grid p
     means = (weights * values) @ members / np.maximum(sizes, 1)
     means[~kept] = np.nan
     return means, sizes, kept
-
-
-@dataclass(frozen=True)
-class ConditionalSampler:
-    """Finite-data surrogate for P(X_rest | X_p)."""
-
-    source: object
-
-
-def conditional_sample(s, fixed, count, seed):
-    """Draw `count` full feature vectors with the fixed coordinate pinned,
-    resampling X_rest from source rows whose conditioned feature matches
-    within the default band of the grid of all its distinct values.
-    Queries outside the observed support raise EmptyNeighborhood.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    j, value = fixed
-    d = s.source
-    if d.features[j].kind != "categorical":
-        value = float(value)
-    grid = Grid(feature_index=j, points=(value,), strategy="unique_values")
-    band = default_band(d, build_grid(d, j, max(d.k, 2))) if d.k else 0.0
-    pool = np.flatnonzero(grid_membership(d, grid, band)[:, 0])
-    if pool.size == 0:
-        raise EmptyNeighborhood(
-            f"no source rows support {d.features[j].name} = {value!r}",
-            operation="conditional_sample")
-    rng = np.random.default_rng(derive_seed(seed, "conditional-sample", j, repr(value)))
-    picks = pool[rng.integers(0, pool.size, size=count)]
-    codes = d.codes[picks]
-    codes[:, j] = grid.codes(d)
-    return gower_decode(codes, d.features)
 
 
 # -- support checking ---------------------------------------------------------

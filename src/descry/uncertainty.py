@@ -179,30 +179,28 @@ def _grid_mean_sq(a, b):
 # -- error measurements ---------------------------------------------------------
 
 
-def estimation_error(h, sampler_full, d_eval, spec):
+def estimation_error(h, reference, d_eval, spec):
     """Squared distance between the descriptor on a full-knowledge reference
     sample and on the finite evaluation data, averaged over the grid."""
     _check_question(spec, "estimation_error", None)
-    if sampler_full is None:
+    if reference is None:
         raise NoReferenceAvailable(
             "estimation error needs a full-knowledge reference sample; with "
             "observed data it is only estimable in expectation via the variance",
             operation="estimation_error")
-    reference = sampler_full.source
     grid = _resolve_grid(spec, reference)
     ref_curve = _descriptor_vector(spec, grid, [h], [reference])
     est_curve = _descriptor_vector(spec, grid, [h], [d_eval])
     return _grid_mean_sq(ref_curve, est_curve)
 
 
-def model_error(h, oracle, sampler, d_eval, spec):
+def model_error(h, oracle, reference, spec):
     """Squared distance between the descriptors of the trained and the
-    optimal model, both computed with the same reference sampler."""
+    optimal model, both computed on the same reference sample."""
     _check_question(spec, "model_error", None)
     if oracle is None:
         raise NoOracleAvailable("model error needs the optimal predictor",
                                 operation="model_error")
-    reference = sampler.source if sampler is not None else d_eval
     grid = _resolve_grid(spec, reference)
     oracle_curve = _descriptor_vector(spec, grid, [oracle], [reference])
     model_curve = _descriptor_vector(spec, grid, [h], [reference])

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -184,6 +185,52 @@ class TestDescribe:
         first = file_hashes(out, suffixes=(".json", ".csv", ".svg"))
         assert main(argv) == 0
         assert file_hashes(out, suffixes=(".json", ".csv", ".svg")) == first
+
+    def test_csv_cells_read_back_as_the_curve(self, tmp_path):
+        """Labels holding a comma, a quote or a line break are quoted cells."""
+        labels = ["a,b", 'q"r', "s\nt"]
+        data_path = tmp_path / "labels.json"
+        data_path.write_text(json.dumps({
+            "schema": {"features": [{"name": "x", "kind": "numeric"},
+                                    {"name": "c", "kind": "categorical", "categories": labels}],
+                       "target": {"name": "y", "kind": "numeric"}},
+            "provenance": "observed", "seed": None,
+            "rows": [[float(i % 7), labels[i % 3]] for i in range(60)],
+            "targets": [float(i % 7) + i % 3 for i in range(60)]}))
+        model = str(tmp_path / "model")
+        assert main(["train", "--data", str(data_path), "--out", model]) == 0
+        out = str(tmp_path / "cpdp")
+        assert main(["describe", "--question", "cpdp", "--model",
+                     os.path.join(model, "model.json"), "--data", str(data_path),
+                     "--feature", "c", "--out", out]) == 0
+        result = json.load(open(os.path.join(out, "result.json")))
+        with open(os.path.join(out, "curve.csv"), newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["grid", "estimate", "group_size", "stderr"]
+        assert [[v, float(e), int(g)] for v, e, g, _ in rows[1:]] == result["curve"]
+        assert [float(s) for *_, s in rows[1:]] == result["diagnostics"]["stderr"]
+        assert [v for v, *_ in rows[1:]] == labels
+
+    def test_svg_labels_are_escaped(self, tmp_path):
+        from xml.dom import minidom
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 2))
+        data_path = tmp_path / "amp.json"
+        data_path.write_text(json.dumps({
+            "schema": {"features": [{"name": "x&<1", "kind": "numeric"},
+                                    {"name": "z", "kind": "numeric"}],
+                       "target": {"name": "y", "kind": "numeric"}},
+            "provenance": "observed", "seed": None,
+            "rows": x.tolist(), "targets": (2 * x[:, 0] + x[:, 1]).tolist()}))
+        model = str(tmp_path / "model")
+        assert main(["train", "--data", str(data_path), "--out", model]) == 0
+        out = str(tmp_path / "cpdp")
+        assert main(["describe", "--question", "cpdp", "--model",
+                     os.path.join(model, "model.json"), "--data", str(data_path),
+                     "--feature", "x&<1", "--max-points", "6", "--out", out]) == 0
+        doc = minidom.parse(os.path.join(out, "plot.svg"))
+        texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+        assert "x&<1" in texts and "cpdp" in texts
 
 
 class TestDescribeRefusals:
@@ -492,6 +539,21 @@ class TestReport:
             "error": "ValueError", "module": "cli", "operation": "report",
             "message": f"run file {run_dir / name} is not valid JSON: "
                        "Expecting value: line 1 column 17 (char 16)"}
+
+
+    @pytest.mark.parametrize("manifest, found", [
+        ({"command": "describe"}, "it has no key 'config'"),
+        ({"config": {"question": "cpdp"}}, "it has no key 'command'"),
+        ({"command": "describe", "config": ["cpdp"]}, "'list' object is not a mapping")])
+    def test_manifest_without_its_keys_is_refused_by_its_path(self, tmp_path, manifest, found):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        out = str(tmp_path / "summary")
+        assert main(["report", str(run_dir), "--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "ValueError", "module": "cli", "operation": "report",
+            "message": f"run file {run_dir / 'manifest.json'} is not a manifest file: {found}"}
 
 
 class TestRunOutcome:

@@ -288,7 +288,8 @@ def test_integer_quantile_grid_holds_observed_values():
     d = Dataset(features=[FeatureSpec(name="g", kind="integer")], target=TARGET,
                 rows=grades[:, None], targets=grades * 0.5, provenance="observed")
     grid = build_grid(d, "g", max_points=20)
-    assert grid.strategy == "quantile"
+    levels = (np.arange(20) + 0.5) / 20
+    assert grid.points == tuple(np.unique(np.quantile(grades, levels, method="inverted_cdf")))
     assert set(grid.points) <= set(grades.astype(float))
     members, dropped = conditional_groups(d, grid)
     assert members.sum(axis=0).min() > 0

@@ -1,27 +1,23 @@
-"""cpdp's count-weighted group means against the per-group loop they replaced,
-and conditional_sample's band against the distinct-value rule it replaced.
+"""cpdp's count-weighted group means against the per-group loop they replaced.
 
-The references below are the old code, with grid membership written out so
-that they share no grouping code with descry: cpdp grouped rows point by point
-and took each group's mean and standard error; conditional_sample matched
-rows within half the median gap between the feature's distinct values. The
-new cpdp may differ by summation order only: curve values and standard errors
-within RTOL (relative, or of the largest value); grid points, integer group
-sizes, dropped points, errors, bands and conditional draws are identical.
+The reference below is the old code, with grid membership written out so
+that it shares no grouping code with descry: cpdp grouped rows point by point
+and took each group's mean and standard error. The new cpdp may differ by
+summation order only: curve values and standard errors within RTOL (relative,
+or of the largest value); grid points, integer group sizes, dropped points
+and errors are identical.
 """
 
 from functools import lru_cache
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descry import ConditionalSampler, Dataset, FeatureSpec, LearnerConfig, LossFunction
-from descry import build_grid, conditional_groups, conditional_sample, cpdp, samplers, train
-from descry.errors import AllGroupsEmpty, EmptyNeighborhood
+from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction
+from descry import build_grid, conditional_groups, cpdp, train
+from descry.errors import AllGroupsEmpty
 from descry.samplers import MIN_GROUP_SIZE
-from descry._util import derive_seed
 
 RTOL = 1e-12
 LEVELS = ("a", "b", "c", "d", "e")
@@ -76,36 +72,11 @@ def reference_cpdp(h, d, grid, band):
     return {"curve": curve, "stderr": stderr, "dropped": dropped}
 
 
-def reference_grouping_band(d, j):
-    spec = d.features[j]
-    if spec.kind in ("integer", "categorical"):
-        return 0.0
-    distinct = np.unique(d.numeric_column(j))
-    if distinct.size < 2:
-        return 0.0
-    return float(np.median(np.diff(distinct)) / 2.0)
-
-
-def reference_conditional_sample(d, fixed, count, seed):
-    j, value = fixed
-    if d.features[j].kind != "categorical":
-        value = float(value)
-    pool = reference_members(d, j, value, reference_grouping_band(d, j))
-    if pool.size == 0:
-        raise EmptyNeighborhood(f"no source rows support {d.features[j].name} = {value!r}",
-                                operation="conditional_sample")
-    rng = np.random.default_rng(derive_seed(seed, "conditional-sample", j, repr(value)))
-    rows = np.array(d.rows[pool[rng.integers(0, pool.size, size=count)]],
-                    dtype=d.rows.dtype, copy=True)
-    rows[:, j] = value
-    return rows
-
-
 def outcome(run):
     """run()'s value, or the type and message of the error it raised."""
     try:
         return run()
-    except (ValueError, AllGroupsEmpty, EmptyNeighborhood) as exc:
+    except (ValueError, AllGroupsEmpty) as exc:
         return type(exc), str(exc)
 
 
@@ -186,19 +157,3 @@ def test_weighted_group_means_match_per_group_cpdp(case):
         reference_members(d, 0, point, reference_band(d, grid, band)).size
         for point in grid.points]
 
-    # conditional_sample: the same band, bit for bit, and the same draws
-    s = ConditionalSampler(source=d)
-    ref_band = reference_grouping_band(d, 0)
-    edge = "e" if case["kind"] == "categorical" else d.rows[0, 0] + ref_band
-    for value in (d.rows[0, 0], grid.points[-1], edge):
-        with mock.patch.object(samplers, "grid_membership",
-                               wraps=samplers.grid_membership) as spy:
-            drawn = outcome(lambda: conditional_sample(s, (0, value), count=7,
-                                                       seed=case["seed"]))
-        band_used = spy.call_args.args[2]
-        assert band_used == ref_band and np.signbit(band_used) == np.signbit(ref_band)
-        ref_drawn = outcome(lambda: reference_conditional_sample(d, (0, value), 7, case["seed"]))
-        if isinstance(ref_drawn, tuple):
-            assert drawn == ref_drawn
-        else:
-            assert np.array_equal(drawn, ref_drawn)

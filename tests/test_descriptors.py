@@ -138,8 +138,7 @@ class TestIce:
                        noise_sd=0.3)
         d_eval = sample(p, 5000, seed=104)
         h = optimal_predictor(OptimalPredictorSpec(p, MSE))
-        grid = Grid(feature_index=0, points=(-0.8, -0.4, 0.0, 0.4, 0.8),
-                    strategy="unique_values")
+        grid = Grid(feature_index=0, points=(-0.8, -0.4, 0.0, 0.4, 0.8))
         curves = []
         for instance in ([0.1, 0.2], [-0.2, -0.5]):
             result = ice(h, instance, 0, grid, d_eval)

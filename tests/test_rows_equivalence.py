@@ -4,7 +4,7 @@ A Dataset used to keep its rows twice: the codes, and an object array of
 the rows as given, with numeric cells parsed to floats. The reference
 functions below are that former object view and the former code that read
 it: its construction and slicing, centering, jitter, the student merge,
-conditional sampling, serialization, and the three searches that scanned
+serialization, and the three searches that scanned
 object rows. Decoded rows must equal the object view in value, element type,
 dtype and write flag, and everything written from them must keep its bytes.
 """
@@ -24,13 +24,10 @@ from descry.descriptors import (
     PERTURB_TOP_ROWS, DescriptorResult, DescriptorSpec, _perturbations, _require_on_support,
     counterfactual_local, feature_grid, ice, relevant_value_global,
 )
-from descry.errors import AllGroupsEmpty, DescryError, EmptyNeighborhood, NoSupportedCandidate
+from descry.errors import AllGroupsEmpty, DescryError, NoSupportedCandidate
 from descry.models import gower_distances, gower_encode
-from descry.samplers import (
-    ConditionalSampler, Grid, build_grid, conditional_sample, default_band,
-    get_support_checker, grid_membership,
-)
-from descry._util import canonical_json, derive_seed, fmt_number
+from descry.samplers import get_support_checker
+from descry._util import canonical_json, fmt_number
 
 CATEGORIES = ("a", "b", "c")
 TARGET = FeatureSpec(name="y", kind="numeric")
@@ -91,23 +88,6 @@ def reference_merge(math_d, math_rows, por_d, por_rows):
             matched_rows.append(list(math_rows[i]) + [por_d.targets[candidates[0]]])
             matched_targets.append(math_d.targets[i])
     return matched_rows, matched_targets
-
-
-def reference_conditional_sample(d, rows, fixed, count, seed):
-    j, value = fixed
-    if d.features[j].kind != "categorical":
-        value = float(value)
-    grid = Grid(feature_index=j, points=(value,), strategy="unique_values")
-    band = default_band(d, build_grid(d, j, max(d.k, 2)))
-    pool = np.flatnonzero(grid_membership(d, grid, band)[:, 0])
-    if pool.size == 0:
-        raise EmptyNeighborhood(f"no source rows support {d.features[j].name} = {value!r}",
-                                operation="conditional_sample")
-    rng = np.random.default_rng(derive_seed(seed, "conditional-sample", j, repr(value)))
-    out = np.array(rows[pool[rng.integers(0, pool.size, size=count)]], dtype=rows.dtype,
-                   copy=True)
-    out[:, j] = value
-    return out
 
 
 def reference_to_dict(d, rows):
@@ -331,21 +311,6 @@ def test_merge_students_matches_the_object_view(data):
     assert_dataset_rows(merged, reference_rows(matched_rows, merged.features))
     assert merged.targets.tolist() == matched_targets
     assert counts["matched"] == len(matched_rows)
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(mixed_data(), st.integers(0, 29), st.integers(1, 5), st.integers(0, 3), st.data())
-def test_conditional_sample_matches_the_object_view(data_rows, row, count, seed, data):
-    d, given_rows = data_rows
-    j = data.draw(st.integers(0, d.n - 1))
-    value = data.draw(st.sampled_from([given_rows[row % d.k][j], 1.5, "c"]))
-    ref = attempt(lambda: reference_conditional_sample(
-        d, reference_rows(given_rows, d.features), (j, value), count, seed))
-    new = attempt(lambda: conditional_sample(ConditionalSampler(source=d), (j, value), count, seed))
-    if isinstance(ref, tuple):
-        assert new == ref
-    else:
-        assert_same_rows(new, ref)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from descry import (
-    ConditionalSampler, Dataset, FeatureSpec, build_grid,
-    conditional_groups, conditional_sample, sample, support_check,
+    Dataset, FeatureSpec, build_grid, conditional_groups, sample, support_check,
 )
-from descry.errors import EmptyNeighborhood
 from descry.samplers import MIN_GROUP_SIZE, default_band
 
 
@@ -24,7 +22,7 @@ class TestBuildGrid:
     def test_unique_values_branch(self):
         d = integer_grade_dataset(k=2000)
         grid = build_grid(d, "grade", max_points=25)
-        assert grid.strategy == "unique_values"
+        assert grid.points == tuple(np.unique(d.numeric_column(0)))
         assert len(grid.points) == 21
 
     def test_quantile_branch(self):
@@ -34,7 +32,8 @@ class TestBuildGrid:
                     target=FeatureSpec(name="y", kind="numeric"),
                     rows=values[:, None], targets=values, provenance="observed")
         grid = build_grid(d, "x", max_points=20)
-        assert grid.strategy == "quantile"
+        levels = (np.arange(20) + 0.5) / 20    # midpoint quantiles, not the distinct values
+        assert grid.points == tuple(np.quantile(values, levels))
         assert len(grid.points) == 20
         assert list(grid.points) == sorted(grid.points)
 
@@ -85,35 +84,6 @@ class TestConditionalGroups:
         grid = build_grid(d, "x1", max_points=10)
         gaps = np.diff(np.asarray(grid.points))
         assert default_band(d, grid) == pytest.approx(np.median(gaps) / 2)
-
-
-class TestConditionalSample:
-    def test_deterministic_dependence(self):
-        # x2 equals x1 exactly in the source
-        values = np.arange(10, dtype=float)
-        d = Dataset(features=[FeatureSpec(name="x1", kind="integer"),
-                              FeatureSpec(name="x2", kind="integer")],
-                    target=FeatureSpec(name="y", kind="numeric"),
-                    rows=np.column_stack([values, values]), targets=values,
-                    provenance="observed")
-        s = ConditionalSampler(source=d)
-        out = conditional_sample(s, (0, 5.0), count=20, seed=1)
-        assert np.all(out[:, 0] == 5.0)
-        assert np.all(out[:, 1] == 5.0)
-
-    def test_off_support_query(self):
-        d = integer_grade_dataset()
-        s = ConditionalSampler(source=d)
-        with pytest.raises(EmptyNeighborhood):
-            conditional_sample(s, (0, 1000.0), count=5, seed=0)
-
-    def test_rest_vectors_are_observed_rows(self):
-        d = integer_grade_dataset()
-        s = ConditionalSampler(source=d)
-        out = conditional_sample(s, (0, 7.0), count=50, seed=5)
-        observed_rest = set(d.numeric_column(1)[d.numeric_column(0) == 7.0])
-        assert set(out[:, 1]).issubset(observed_rest)
-        assert np.all(out[:, 0] == 7.0)
 
 
 class TestSupportCheck:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from descry import (
-    CIConfig, ConditionalSampler, LearnerConfig, LossFunction, OptimalPredictorSpec,
+    CIConfig, LearnerConfig, LossFunction, OptimalPredictorSpec,
     ResamplePlan, bias_variance_me, ci_combined, ci_estimation, estimation_error,
     model_error, optimal_predictor, sample, true_conditional_expectation,
 )
@@ -99,10 +99,9 @@ def test_unsupported_question_is_refused_by_name(setup, operation, question, nam
     p, reference, _, oracle, _ = setup
     spec = DescriptorSpec(question=question, feature=0, instance=[0.0, 0.0], y_rel=1.0,
                           lam=0.5, loss=MSE)
-    sampler = ConditionalSampler(source=reference)
     cfg = CIConfig(ee_replicates=20, me_replicates=20)
-    run = {"estimation_error": lambda: estimation_error(oracle, sampler, reference, spec),
-           "model_error": lambda: model_error(oracle, oracle, sampler, reference, spec),
+    run = {"estimation_error": lambda: estimation_error(oracle, reference, reference, spec),
+           "model_error": lambda: model_error(oracle, oracle, reference, spec),
            "bias_variance_me": lambda: bias_variance_me(OLS, p, 50, 2, spec, 0, 200),
            "ci_estimation": lambda: ci_estimation(oracle, reference, spec, cfg),
            "ci_combined": lambda: ci_combined(OLS, reference, spec, cfg)}[operation]
@@ -116,8 +115,7 @@ def test_unsupported_question_is_refused_by_name(setup, operation, question, nam
 class TestEstimationError:
     def test_reference_against_itself_is_zero(self, setup):
         _, reference, _, oracle, spec = setup
-        sampler = ConditionalSampler(source=reference)
-        assert estimation_error(oracle, sampler, reference, spec) == 0.0
+        assert estimation_error(oracle, reference, reference, spec) == 0.0
 
     def test_missing_reference(self, setup):
         _, reference, _, oracle, spec = setup
@@ -127,11 +125,10 @@ class TestEstimationError:
     def test_mean_ee_equals_variance(self, setup):
         # over fresh evaluation sets, E[EE] = Var[ghat]: the bias term vanishes
         p, reference, grid, oracle, spec = setup
-        sampler = ConditionalSampler(source=reference)
         n_sets, curves, errors = 200, [], []
         for i in range(n_sets):
             d_eval = sample(p, 1500, seed=300 + i)
-            errors.append(estimation_error(oracle, sampler, d_eval, spec))
+            errors.append(estimation_error(oracle, reference, d_eval, spec))
             from descry.uncertainty import _descriptor_vector
             curves.append(_descriptor_vector(spec, grid, [oracle], [d_eval]))
         curves = np.array(curves)
@@ -144,10 +141,9 @@ class TestEstimationError:
 
     def test_halving_evaluation_size_doubles_ee(self, setup):
         p, reference, _, oracle, spec = setup
-        sampler = ConditionalSampler(source=reference)
         mean_ee = {}
         for size in (2000, 1000):
-            errors = [estimation_error(oracle, sampler, sample(p, size, seed=600 + i), spec)
+            errors = [estimation_error(oracle, reference, sample(p, size, seed=600 + i), spec)
                       for i in range(150)]
             mean_ee[size] = np.mean(errors)
         ratio = mean_ee[1000] / mean_ee[2000]
@@ -157,24 +153,22 @@ class TestEstimationError:
 class TestModelError:
     def test_oracle_against_itself_is_zero(self, setup):
         _, reference, _, oracle, spec = setup
-        sampler = ConditionalSampler(source=reference)
-        assert model_error(oracle, oracle, sampler, reference, spec) == 0.0
+        assert model_error(oracle, oracle, reference, spec) == 0.0
 
     def test_missing_oracle(self, setup):
         _, reference, _, oracle, spec = setup
         with pytest.raises(NoOracleAvailable):
-            model_error(oracle, None, None, reference, spec)
+            model_error(oracle, None, reference, spec)
 
     def test_consistency_in_training_size(self, setup):
         from descry import train
         p, reference, _, oracle, spec = setup
-        sampler = ConditionalSampler(source=reference)
         medians = []
         for k in (50, 5000):
             errors = []
             for s in range(20):
                 handle = train(OLS, sample(p, k, seed=700 + 13 * s + k), MSE)
-                errors.append(model_error(handle, oracle, sampler, reference, spec))
+                errors.append(model_error(handle, oracle, reference, spec))
             medians.append(np.median(errors))
         assert medians[1] < medians[0]
 
@@ -184,8 +178,7 @@ class TestModelError:
         flat = PredictorHandle(input_schema=reference.features, output_kind="scalar",
                                kind="constant",
                                params={"value": float(reference.targets.mean())})
-        sampler = ConditionalSampler(source=reference)
-        me = model_error(flat, oracle, sampler, reference, spec)
+        me = model_error(flat, oracle, reference, spec)
         truth = np.array([true_conditional_expectation(p, 0, v) for v in grid.points])
         assert me == pytest.approx(np.mean((truth - truth.mean()) ** 2), rel=0.1)
 
