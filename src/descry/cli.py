@@ -280,6 +280,75 @@ def _cmd_uncertainty(args):
               ci_me_ee=report.ci_me_ee[keep].tolist() if combined else None)
 
 
+def _md_row(cells):
+    """One markdown table row; a `|` inside a cell is escaped so it stays one cell."""
+    return "| " + " | ".join(str(c).replace("|", r"\|") for c in cells) + " |"
+
+
+def _table_rows(raw, key, width):
+    """raw[key] as a list of rows of `width` values each, refusing any other shape."""
+    rows = raw[key]
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == width for row in rows)):
+        raise TypeError(f"{key!r} is not a list of rows of {width} values")
+    return rows
+
+
+def _number_cell(x, fmt=".6g"):
+    """x formatted for a table cell, "-" for None; anything but a number is refused."""
+    if x is not None and not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    return "-" if x is None else format(x, fmt)
+
+
+def _result_lines(run_dir, raw):
+    """The markdown of a result.json, and its sparsity warning line or None;
+    {**raw} refuses a result that is not an object."""
+    result = {**raw}
+    lines = []
+    if "curve" in result:
+        lines += ["| grid | estimate | group size |", "| --- | --- | --- |"]
+        lines += [_md_row(row) for row in _table_rows(result, "curve", 3)]
+    elif "scalar" in result:
+        lines.append(f"Scalar value: **{result['scalar']}**")
+    elif "attribution" in result:
+        lines += ["| feature | attribution |", "| --- | --- |"]
+        lines += [_md_row(row) for row in enumerate(result["attribution"])]
+    elif "point" in result:
+        lines.append(f"Point: `{json.dumps(result['point'])}`")
+    if result:
+        lines.append("")
+    dropped = {**result.get("diagnostics", {})}.get("dropped_grid_points")
+    warning = (f"- `{run_dir}`: {len(dropped)} grid point(s) dropped for "
+               f"insufficient data: {json.dumps(dropped)}") if dropped else None
+    return lines, warning
+
+
+def _report_lines(raw):
+    """The markdown of a report.json; {**raw} refuses a report that is not an object."""
+    rep = {**raw}
+    if not rep:
+        return []
+    grid = rep["grid"] or [""]
+    estimates = rep["point_estimates"]
+    ee = _table_rows(rep, "ci_ee", 2)
+    mee = _table_rows(rep, "ci_me_ee", 2) if rep.get("ci_me_ee") else None
+    columns = {"grid": grid, "point_estimates": estimates, "ci_ee": ee, "ci_me_ee": mee or grid}
+    for key, values in columns.items():
+        if not isinstance(values, list) or len(values) != len(grid):
+            raise TypeError(f"{key!r} is not a list of one entry per grid point")
+
+    def interval(pair):
+        return f"[{_number_cell(pair[0], '.4g')}, {_number_cell(pair[1], '.4g')}]"
+
+    lines = ["| grid | estimate | ci_ee | ci_me_ee |", "| --- | --- | --- | --- |"]
+    for i, v in enumerate(grid):
+        lines.append(_md_row([v, _number_cell(estimates[i]), interval(ee[i]),
+                              interval(mee[i]) if mee else "-"]))
+    flags = rep.get("assumptions", {})
+    return lines + ["", f"Assumption flags: `{json.dumps(flags, sort_keys=True)}`", ""]
+
+
 def _cmd_report(args):
     sections = {}
     warnings = []
@@ -291,18 +360,19 @@ def _cmd_report(args):
                 "; its error.json records a failed run" if failed else ""), operation="report")
         # a run's section is its question, or else its command; {**config}
         # refuses a config that is not an object
-        manifest, kind = _load("run file", manifest_path, "manifest", lambda raw: (
-            raw, {**raw["config"]}.get("question", raw["command"])))
-        entry = {"dir": run_dir, "manifest": manifest}
+        kind = _load("run file", manifest_path, "manifest",
+                     lambda raw: {**raw["config"]}.get("question", raw["command"]))
+        entry = {"dir": run_dir, "lines": []}
         result_path = os.path.join(run_dir, "result.json")
         report_path = os.path.join(run_dir, "report.json")
         if os.path.exists(result_path):
-            entry["result"] = _read_json(result_path, "run file")
-            dropped = entry["result"].get("diagnostics", {}).get("dropped_grid_points")
-            if dropped:
-                warnings.append((run_dir, dropped))
+            lines, warning = _load("run file", result_path, "result",
+                                   lambda raw: _result_lines(run_dir, raw))
+            entry["lines"] += lines
+            if warning:
+                warnings.append(warning)
         if os.path.exists(report_path):
-            entry["report"] = _read_json(report_path, "run file")
+            entry["lines"] += _load("run file", report_path, "report", _report_lines)
         sections.setdefault(kind, []).append(entry)
 
     lines = [f"# descry report", "", f"Generated by descry {__version__}.", ""]
@@ -316,49 +386,11 @@ def _cmd_report(args):
             if os.path.exists(svg):
                 lines.append(f"![curve]({os.path.relpath(svg, args.out)})")
                 lines.append("")
-            result = entry.get("result")
-            if result:
-                if "curve" in result:
-                    lines.append("| grid | estimate | group size |")
-                    lines.append("| --- | --- | --- |")
-                    for v, e, g in result["curve"]:
-                        lines.append(f"| {v} | {e} | {g} |")
-                elif "scalar" in result:
-                    lines.append(f"Scalar value: **{result['scalar']}**")
-                elif "attribution" in result:
-                    lines.append("| feature | attribution |")
-                    lines.append("| --- | --- |")
-                    for j, a in enumerate(result["attribution"]):
-                        lines.append(f"| {j} | {a} |")
-                elif "point" in result:
-                    lines.append(f"Point: `{json.dumps(result['point'])}`")
-                lines.append("")
-            rep = entry.get("report")
-            if rep:
-                def cell(x, fmt=".6g"):
-                    return "-" if x is None else format(x, fmt)
-
-                lines.append("| grid | estimate | ci_ee | ci_me_ee |")
-                lines.append("| --- | --- | --- | --- |")
-                grid = rep["grid"] or [""]
-                for i, v in enumerate(grid):
-                    ee = rep["ci_ee"][i]
-                    mee = rep.get("ci_me_ee")
-                    mee_txt = (f"[{cell(mee[i][0], '.4g')}, {cell(mee[i][1], '.4g')}]"
-                               if mee else "-")
-                    lines.append(f"| {v} | {cell(rep['point_estimates'][i])} "
-                                 f"| [{cell(ee[0], '.4g')}, {cell(ee[1], '.4g')}] "
-                                 f"| {mee_txt} |")
-                flags = rep.get("assumptions", {})
-                lines.append("")
-                lines.append(f"Assumption flags: `{json.dumps(flags, sort_keys=True)}`")
-                lines.append("")
+            lines += entry["lines"]
     if warnings:
         lines.append("## Sparsity warnings")
         lines.append("")
-        for run_dir, dropped in warnings:
-            lines.append(f"- `{run_dir}`: {len(dropped)} grid point(s) dropped for "
-                         f"insufficient data: {json.dumps(dropped)}")
+        lines += warnings
         lines.append("")
 
     with open(os.path.join(args.out, "report.md"), "w", encoding="utf-8") as fh:

@@ -591,7 +591,9 @@ def _train_mlp(config, datasets):
     under np.matmul. Datasets of one row count share the seed's initial
     weights and every epoch's shuffle order, so each slice takes the steps a
     network trained alone on its dataset would take, bit for bit; only the
-    epochs each rejects and its learning rate are its own."""
+    epochs each rejects and its learning rate are its own. Activations,
+    deltas, gradients and saved parameters are allocated once per call and
+    overwritten in every epoch."""
     encoders = [build_encoder(d.features, d.codes, standardize=True) for d in datasets]
     X = np.stack([encode(d.codes, enc, d.features) for d, enc in zip(datasets, encoders)])
     y = np.stack([d.targets for d in datasets])
@@ -603,47 +605,86 @@ def _train_mlp(config, datasets):
                                     size=(1, widths[i], widths[i + 1])), replicates, axis=0)
                for i in range(len(widths) - 1)]
     biases = [np.zeros((replicates, 1, w)) for w in widths[1:]]
-
-    def forward(a):
-        activations = [a]
-        for w, b in zip(weights[:-1], biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-            activations.append(a)
-        activations.append(a @ weights[-1] + biases[-1])
-        return activations
-
-    def full_loss():
-        return np.mean((forward(X)[-1][:, :, 0] - y) ** 2, axis=1)
+    saved = [np.empty_like(p) for p in weights + biases]
+    grad_w = [np.empty_like(w) for w in weights]
+    grad_b = [np.empty_like(b) for b in biases]
 
     lr = np.full(replicates, config.learning_rate, dtype=float)
     batch = min(config.batch_size, k)
+    # minibatch buffers are flat: a short last batch takes buf[:R*m*w].reshape(R, m, w),
+    # which is C-contiguous and so keeps np.matmul on its BLAS path
+    batch_acts = [np.empty(replicates * batch * w) for w in widths]
+    deltas = [np.empty(replicates * batch * w) for w in widths[1:]]
+    masks = [np.empty(replicates * batch * w, dtype=bool) for w in widths[1:-1]]
+    batch_y = np.empty(replicates * batch)
+    full_acts = [X] + [np.empty((replicates, k, w)) for w in widths[1:]]
+    residual = np.empty((replicates, k))
+
+    def forward(acts):
+        for a, w, b, out in zip(acts, weights, biases, acts[1:]):
+            np.matmul(a, w, out=out)
+            np.add(out, b, out=out)
+            if out is not acts[-1]:
+                np.maximum(out, 0.0, out=out)
+
+    def full_loss():
+        forward(full_acts)
+        np.subtract(full_acts[-1][:, :, 0], y, out=residual)
+        return np.mean(np.square(residual, out=residual), axis=1)
+
+    def batch_views(m):
+        """(R, m, .) views of the minibatch buffers: activations from the input
+        on, targets, deltas and relu masks."""
+        def view(buf, w):
+            return buf[:replicates * m * w].reshape(replicates, m, w)
+        return ([view(buf, w) for buf, w in zip(batch_acts, widths)],
+                batch_y[:replicates * m].reshape(replicates, m),
+                [view(buf, w) for buf, w in zip(deltas, widths[1:])],
+                [view(buf, w) for buf, w in zip(masks, widths[1:-1])])
+
+    views = {m: batch_views(m) for m in {batch, k % batch or batch}}
+
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "mlp-shuffle"))
     prev_loss = full_loss()
     history = [prev_loss]
     # a diverging epoch overflows to inf or NaN; the loss test below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(config.epochs):
-            saved = [p.copy() for p in weights + biases]
+            for p, kept in zip(weights + biases, saved):
+                np.copyto(kept, p)
             order = shuffle_rng.permutation(k)
             step = lr[:, None, None]
             for start in range(0, k, batch):
                 idx = order[start:start + batch]
-                acts = forward(X.take(idx, axis=1))
-                delta = 2.0 * (acts[-1][:, :, 0] - y[:, idx])[:, :, None] / len(idx)
+                acts, target, batch_deltas, batch_masks = views[len(idx)]
+                # indices from a permutation are in range; mode="raise" would copy via a temporary
+                X.take(idx, axis=1, out=acts[0], mode="clip")
+                forward(acts)
+                y.take(idx, axis=1, out=target, mode="clip")
+                delta = batch_deltas[-1]
+                np.subtract(acts[-1][:, :, 0], target, out=delta[:, :, 0])
+                np.multiply(2.0, delta, out=delta)
+                np.divide(delta, len(idx), out=delta)
                 for layer in range(len(weights) - 1, -1, -1):
-                    grad_w = acts[layer].transpose(0, 2, 1) @ delta
-                    grad_b = delta.sum(axis=1, keepdims=True)
+                    np.matmul(acts[layer].transpose(0, 2, 1), delta, out=grad_w[layer])
+                    # the reduction np.sum makes, without its Python wrapper
+                    np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[layer])
                     if layer > 0:
-                        delta = (delta @ weights[layer].transpose(0, 2, 1)) * (acts[layer] > 0)
-                    weights[layer] -= step * grad_w
-                    biases[layer] -= step * grad_b
+                        below, mask = batch_deltas[layer - 1], batch_masks[layer - 1]
+                        np.matmul(delta, weights[layer].transpose(0, 2, 1), out=below)
+                        np.multiply(below, np.greater(acts[layer], 0, out=mask), out=below)
+                        delta = below
+                    np.multiply(step, grad_w[layer], out=grad_w[layer])
+                    np.subtract(weights[layer], grad_w[layer], out=weights[layer])
+                    np.multiply(step, grad_b[layer], out=grad_b[layer])
+                    np.subtract(biases[layer], grad_b[layer], out=biases[layer])
             new_loss = full_loss()
             accept = new_loss <= prev_loss  # False for a non-finite loss
             if not accept.all():
                 # reject the epoch and halve the rate, per replicate
-                reject = ~accept
+                reject = ~accept[:, None, None]
                 for p, kept in zip(weights + biases, saved):
-                    p[reject] = kept[reject]
+                    np.copyto(p, kept, where=reject)
                 lr = np.where(accept, lr, lr * config.lr_decay)
             prev_loss = np.where(accept, new_loss, prev_loss)
             history.append(prev_loss)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -554,6 +555,57 @@ class TestReport:
         assert json.load(open(os.path.join(out, "error.json"))) == {
             "error": "ValueError", "module": "cli", "operation": "report",
             "message": f"run file {run_dir / 'manifest.json'} is not a manifest file: {found}"}
+
+    @pytest.mark.parametrize("name, content, found", [
+        ("result.json", {"curve": [[1, 2]]}, "'curve' is not a list of rows of 3 values"),
+        ("result.json", ["curve"], "'list' object is not a mapping"),
+        ("report.json", {"grid": [1.0], "point_estimates": [2.0], "ci_ee": [5]},
+         "'ci_ee' is not a list of rows of 2 values"),
+        ("report.json", {"grid": [1.0, 2.0], "point_estimates": [2.0], "ci_ee": [[1, 3]]},
+         "'point_estimates' is not a list of one entry per grid point"),
+        ("report.json", {"grid": None, "point_estimates": ["2"], "ci_ee": [[1, 3]]},
+         "'2' is not a number")],
+        ids=["short_curve_row", "result_list", "scalar_ci_ee", "short_estimates", "text_estimate"])
+    def test_run_file_of_the_wrong_shape_is_refused_by_its_path(self, tmp_path, name, content,
+                                                                found):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"command": "describe", "config": {"question": "cpdp"}}))
+        (run_dir / name).write_text(json.dumps(content))
+        out = str(tmp_path / "summary")
+        assert main(["report", str(run_dir), "--out", out]) == 1
+        what = name.split(".")[0]
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "ValueError", "module": "cli", "operation": "report",
+            "message": f"run file {run_dir / name} is not a {what} file: {found}"}
+
+    def test_grid_labels_are_escaped_in_the_tables(self, tmp_path):
+        data_path = tmp_path / "mixed.json"
+        data_path.write_text(json.dumps({
+            "schema": {"features": [{"name": "x", "kind": "numeric"},
+                                    {"name": "c", "kind": "categorical",
+                                     "categories": ["a|b", "c"]}],
+                       "target": {"name": "y", "kind": "numeric"}},
+            "provenance": "observed", "seed": None,
+            "rows": [[float(i % 7), ["a|b", "c"][i % 2]] for i in range(80)],
+            "targets": [float(i % 7) + 2.0 * (i % 2) for i in range(80)]}))
+        model = str(tmp_path / "model")
+        assert main(["train", "--data", str(data_path), "--out", model]) == 0
+        common = ["--question", "cpdp", "--model", os.path.join(model, "model.json"),
+                  "--data", str(data_path), "--feature", "c"]
+        runs = [str(tmp_path / "cpdp"), str(tmp_path / "unc")]
+        assert main(["describe", *common, "--out", runs[0]]) == 0
+        assert main(["uncertainty", *common, "--mode", "ee", "--ee-replicates", "20",
+                     "--out", runs[1]]) == 0
+        out = str(tmp_path / "summary")
+        assert main(["report", *runs, "--out", out]) == 0
+        text = open(os.path.join(out, "report.md")).read()
+        tables = [block.splitlines() for block in text.split("\n\n") if block.startswith("|")]
+        assert len(tables) == 2
+        for table in tables:
+            assert len({len(re.split(r"(?<!\\)\|", row)) for row in table}) == 1
+            assert [row.split(" | ")[0] for row in table[2:]] == ["| a\\|b", "| c"]
 
 
 class TestRunOutcome:
