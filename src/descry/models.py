@@ -591,9 +591,10 @@ def _train_mlp(config, datasets):
     under np.matmul. Datasets of one row count share the seed's initial
     weights and every epoch's shuffle order, so each slice takes the steps a
     network trained alone on its dataset would take, bit for bit; only the
-    epochs each rejects and its learning rate are its own. Activations,
-    deltas, gradients and saved parameters are allocated once per call and
-    overwritten in every epoch."""
+    epochs each rejects and its learning rate are its own. Every weight and
+    bias is a view of one flat parameter vector, so a step updates them all
+    at once; activations, deltas, gradients and saved parameters are
+    allocated once per call and overwritten in every epoch."""
     encoders = [build_encoder(d.features, d.codes, standardize=True) for d in datasets]
     X = np.stack([encode(d.codes, enc, d.features) for d, enc in zip(datasets, encoders)])
     y = np.stack([d.targets for d in datasets])
@@ -601,15 +602,32 @@ def _train_mlp(config, datasets):
     rng = np.random.default_rng(derive_seed(config.seed, "mlp-init"))
 
     widths = [X.shape[2]] + list(config.hidden) + [1]
-    weights = [np.repeat(rng.normal(0.0, np.sqrt(2.0 / widths[i]),
-                                    size=(1, widths[i], widths[i + 1])), replicates, axis=0)
-               for i in range(len(widths) - 1)]
-    biases = [np.zeros((replicates, 1, w)) for w in widths[1:]]
-    saved = [np.empty_like(p) for p in weights + biases]
-    grad_w = [np.empty_like(w) for w in weights]
-    grad_b = [np.empty_like(b) for b in biases]
+    layers = len(widths) - 1
+    # per-parameter buffers are flat: a contiguous (R, a, b) block per layer's
+    # weights, then a (R, 1, b) block per layer's biases
+    shapes = ([(replicates, a, b) for a, b in zip(widths, widths[1:])]
+              + [(replicates, 1, b) for b in widths[1:]])
+    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
+
+    def blocks(flat):
+        return [flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+
+    params, grads, saved, rate = (np.zeros(bounds[-1]) for _ in range(4))
+    restore = np.empty(bounds[-1], dtype=bool)
+    param_blocks, grad_blocks = blocks(params), blocks(grads)
+    weights, biases = param_blocks[:layers], param_blocks[layers:]
+    grad_w, grad_b = grad_blocks[:layers], grad_blocks[layers:]
+    for i, w in enumerate(weights):
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / widths[i]), size=(1, widths[i], widths[i + 1]))
+    weights_t = [w.transpose(0, 2, 1) for w in weights]
+
+    def spread(values, flat):
+        """Each replicate's value in every element of its parameters."""
+        for block in blocks(flat):
+            np.copyto(block, values[:, None, None])
 
     lr = np.full(replicates, config.learning_rate, dtype=float)
+    spread(lr, rate)
     batch = min(config.batch_size, k)
     # minibatch buffers are flat: a short last batch takes buf[:R*m*w].reshape(R, m, w),
     # which is C-contiguous and so keeps np.matmul on its BLAS path
@@ -618,6 +636,7 @@ def _train_mlp(config, datasets):
     masks = [np.empty(replicates * batch * w, dtype=bool) for w in widths[1:-1]]
     batch_y = np.empty(replicates * batch)
     full_acts = [X] + [np.empty((replicates, k, w)) for w in widths[1:]]
+    full_out = full_acts[-1][:, :, 0]
     residual = np.empty((replicates, k))
 
     def forward(acts):
@@ -629,17 +648,20 @@ def _train_mlp(config, datasets):
 
     def full_loss():
         forward(full_acts)
-        np.subtract(full_acts[-1][:, :, 0], y, out=residual)
+        np.subtract(full_out, y, out=residual)
         return np.mean(np.square(residual, out=residual), axis=1)
 
     def batch_views(m):
         """(R, m, .) views of the minibatch buffers: activations from the input
-        on, targets, deltas and relu masks."""
+        on and their transposes, targets, the output column, deltas, the output
+        delta column and relu masks."""
         def view(buf, w):
             return buf[:replicates * m * w].reshape(replicates, m, w)
-        return ([view(buf, w) for buf, w in zip(batch_acts, widths)],
-                batch_y[:replicates * m].reshape(replicates, m),
-                [view(buf, w) for buf, w in zip(deltas, widths[1:])],
+        acts = [view(buf, w) for buf, w in zip(batch_acts, widths)]
+        batch_deltas = [view(buf, w) for buf, w in zip(deltas, widths[1:])]
+        return (acts, [a.transpose(0, 2, 1) for a in acts[:-1]],
+                batch_y[:replicates * m].reshape(replicates, m), acts[-1][:, :, 0],
+                batch_deltas, batch_deltas[-1][:, :, 0],
                 [view(buf, w) for buf, w in zip(masks, widths[1:-1])])
 
     views = {m: batch_views(m) for m in {batch, k % batch or batch}}
@@ -650,42 +672,41 @@ def _train_mlp(config, datasets):
     # a diverging epoch overflows to inf or NaN; the loss test below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(config.epochs):
-            for p, kept in zip(weights + biases, saved):
-                np.copyto(kept, p)
+            np.copyto(saved, params)
             order = shuffle_rng.permutation(k)
-            step = lr[:, None, None]
             for start in range(0, k, batch):
                 idx = order[start:start + batch]
-                acts, target, batch_deltas, batch_masks = views[len(idx)]
+                acts, acts_t, target, output, batch_deltas, error, batch_masks = \
+                    views[len(idx)]
                 # indices from a permutation are in range; mode="raise" would copy via a temporary
                 X.take(idx, axis=1, out=acts[0], mode="clip")
                 forward(acts)
                 y.take(idx, axis=1, out=target, mode="clip")
+                np.subtract(output, target, out=error)
                 delta = batch_deltas[-1]
-                np.subtract(acts[-1][:, :, 0], target, out=delta[:, :, 0])
                 np.multiply(2.0, delta, out=delta)
                 np.divide(delta, len(idx), out=delta)
-                for layer in range(len(weights) - 1, -1, -1):
-                    np.matmul(acts[layer].transpose(0, 2, 1), delta, out=grad_w[layer])
+                # every gradient reads the weights before this step, so all
+                # layers are updated together once the backward pass is done
+                for layer in range(layers - 1, -1, -1):
+                    np.matmul(acts_t[layer], delta, out=grad_w[layer])
                     # the reduction np.sum makes, without its Python wrapper
                     np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[layer])
                     if layer > 0:
                         below, mask = batch_deltas[layer - 1], batch_masks[layer - 1]
-                        np.matmul(delta, weights[layer].transpose(0, 2, 1), out=below)
+                        np.matmul(delta, weights_t[layer], out=below)
                         np.multiply(below, np.greater(acts[layer], 0, out=mask), out=below)
                         delta = below
-                    np.multiply(step, grad_w[layer], out=grad_w[layer])
-                    np.subtract(weights[layer], grad_w[layer], out=weights[layer])
-                    np.multiply(step, grad_b[layer], out=grad_b[layer])
-                    np.subtract(biases[layer], grad_b[layer], out=biases[layer])
+                np.multiply(rate, grads, out=grads)
+                np.subtract(params, grads, out=params)
             new_loss = full_loss()
             accept = new_loss <= prev_loss  # False for a non-finite loss
             if not accept.all():
                 # reject the epoch and halve the rate, per replicate
-                reject = ~accept[:, None, None]
-                for p, kept in zip(weights + biases, saved):
-                    np.copyto(p, kept, where=reject)
+                spread(~accept, restore)
+                np.copyto(params, saved, where=restore)
                 lr = np.where(accept, lr, lr * config.lr_decay)
+                spread(lr, rate)
             prev_loss = np.where(accept, new_loss, prev_loss)
             history.append(prev_loss)
 

@@ -137,7 +137,8 @@ def stack_cells(chunk, datasets, config):
 CASES = st.fixed_dictionaries({
     "k": st.sampled_from([1, 2, 5, 13, 40, 64]),
     "batch_size": st.sampled_from([1, 3, 7, 32, 64]),
-    "hidden": st.sampled_from([(4,), (7,), (5, 3, 2), (6, 4, 3)]),
+    # a width-1 layer takes matmul off gemm, onto gemv or numpy's own loop
+    "hidden": st.sampled_from([(4,), (7,), (1,), (3, 1), (5, 3, 2), (6, 4, 3)]),
     "categorical": st.booleans(),
     "epochs": st.integers(1, 6),
     "learning_rate": st.sampled_from([0.01, 0.2, 2.0, 1e3]),

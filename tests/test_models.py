@@ -16,7 +16,7 @@ from descry import (
 )
 from descry.errors import IncompatibleLoss, SchemaMismatch
 from descry.models import (
-    PredictorHandle, build_encoder, clear_subset_cache, encode, pointwise_loss,
+    PredictorHandle, build_encoder, clear_subset_cache, encode, pointwise_loss, train_each,
 )
 from descry._util import canonical_json
 
@@ -198,6 +198,18 @@ class TestMlp:
         queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"]], dtype=object)
         clone = PredictorHandle.from_dict(json.loads(canonical_json(h.to_dict())))
         assert np.array_equal(clone.predict_batch(queries), h.predict_batch(queries))
+
+    def test_each_handle_owns_its_parameters(self):
+        # a stack trains from one flat buffer; a kept handle must not pin it,
+        # and editing one network must not change another
+        datasets = [linear_dataset(k=30, slope=s, seed=s) for s in (1, 2, 3)]
+        config = LearnerConfig(learner="mlp", hidden=(4, 3), epochs=3, seed=0)
+        handles = list(train_each(config, datasets, MSE))
+        arrays = [a for h in handles for key in ("weights", "biases") for a in h.params[key]]
+        assert len(arrays) == 3 * 2 * 3
+        assert all(a.base is None for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
     def test_loaded_handle_holds_the_trained_arrays(self):
         d = mixed_dataset()
