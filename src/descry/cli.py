@@ -248,8 +248,7 @@ def _cmd_uncertainty(args):
         _check_needs("--mode ee", ("model",), args)
     d = _load_dataset(args)
     spec = _spec(args, d)
-    plan = ResamplePlan(method=args.resample, fraction=args.fraction,
-                        replicates=max(args.ee_replicates, args.me_replicates),
+    plan = ResamplePlan(method=args.resample, fraction=args.fraction, replicates=1,
                         seed=args.seed)
     cfg = CIConfig(alpha=args.alpha, ee_replicates=args.ee_replicates,
                    me_replicates=args.me_replicates, resample_plan=plan,
@@ -379,11 +378,13 @@ def _cmd_report(args):
     for kind in sorted(sections):
         lines.append(f"## {kind}")
         lines.append("")
+        # a question without a curve draws no plot, so a plot.svg beside it is another run's
+        curve = kind in QUESTIONS and QUESTIONS[kind].y_label
         for entry in sections[kind]:
             lines.append(f"### `{entry['dir']}`")
             lines.append("")
             svg = os.path.join(entry["dir"], "plot.svg")
-            if os.path.exists(svg):
+            if curve and os.path.exists(svg):
                 lines.append(f"![curve]({os.path.relpath(svg, args.out)})")
                 lines.append("")
             lines += entry["lines"]

@@ -520,10 +520,9 @@ def _check_learner_loss(config, loss):
                                operation="train")
 
 
-def _solve_normal_equations(design, y):
-    """Exact least squares; adds a 1e-8 ridge only on singularity."""
-    gram = design.T @ design
-    rhs = design.T @ y
+def _solve_normal_equations(gram, rhs):
+    """Exact least squares from the Gram matrix X'X and X'y; adds a 1e-8
+    ridge only on singularity."""
     eigvals = np.linalg.eigvalsh(gram)
     singular = eigvals[0] <= 1e-10 * max(eigvals[-1], 1.0)
     if not singular:
@@ -550,13 +549,14 @@ def _train_ols(config, d):
                for e in build_encoder(d.features, d.codes)]
     design = encode(d.codes, encoder, d.features)
     design = np.concatenate([np.ones((d.k, 1)), design], axis=1)
-    coef, ridged = _solve_normal_equations(design, d.targets)
+    gram = design.T @ design
+    coef, ridged = _solve_normal_equations(gram, design.T @ d.targets)
 
     residuals = d.targets - design @ coef
     dof = max(d.k - design.shape[1], 1)
     sigma2 = float(residuals @ residuals) / dof
     try:
-        cov = sigma2 * np.linalg.inv(design.T @ design + (1e-8 * np.eye(design.shape[1]) if ridged else 0))
+        cov = sigma2 * np.linalg.inv(gram + (1e-8 * np.eye(design.shape[1]) if ridged else 0))
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         se = np.full(design.shape[1], np.nan)
@@ -591,9 +591,10 @@ def _train_mlp(config, datasets):
     under np.matmul. Datasets of one row count share the seed's initial
     weights and every epoch's shuffle order, so each slice takes the steps a
     network trained alone on its dataset would take, bit for bit; only the
-    epochs each rejects and its learning rate are its own. Every weight and
-    bias is a view of one flat parameter vector, so a step updates them all
-    at once; activations, deltas, gradients and saved parameters are
+    epochs each rejects and its learning rate are its own. Each replicate's
+    weights and biases are views of its row of one (R, P) parameter matrix,
+    so a step updates them all at once and a rejected epoch restores only its
+    own rows; activations, deltas, gradients and saved parameters are
     allocated once per call and overwritten in every epoch."""
     encoders = [build_encoder(d.features, d.codes, standardize=True) for d in datasets]
     X = np.stack([encode(d.codes, enc, d.features) for d, enc in zip(datasets, encoders)])
@@ -603,31 +604,21 @@ def _train_mlp(config, datasets):
 
     widths = [X.shape[2]] + list(config.hidden) + [1]
     layers = len(widths) - 1
-    # per-parameter buffers are flat: a contiguous (R, a, b) block per layer's
-    # weights, then a (R, 1, b) block per layer's biases
-    shapes = ([(replicates, a, b) for a, b in zip(widths, widths[1:])]
-              + [(replicates, 1, b) for b in widths[1:]])
-    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
-
-    def blocks(flat):
-        return [flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes)]
-
-    params, grads, saved, rate = (np.zeros(bounds[-1]) for _ in range(4))
-    restore = np.empty(bounds[-1], dtype=bool)
-    param_blocks, grad_blocks = blocks(params), blocks(grads)
-    weights, biases = param_blocks[:layers], param_blocks[layers:]
-    grad_w, grad_b = grad_blocks[:layers], grad_blocks[layers:]
+    # one row per replicate: each layer's (a, b) weights, then each layer's (1, b) biases
+    shapes = [(a, b) for a, b in zip(widths, widths[1:])] + [(1, b) for b in widths[1:]]
+    bounds = np.cumsum([0] + [a * b for a, b in shapes])
+    params, grads, saved, rate = (np.zeros((replicates, bounds[-1])) for _ in range(4))
+    param_views, grad_views = ([m[:, lo:hi].reshape(replicates, *s)
+                                for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+                               for m in (params, grads))
+    weights, biases = param_views[:layers], param_views[layers:]
+    grad_w, grad_b = grad_views[:layers], grad_views[layers:]
     for i, w in enumerate(weights):
         w[...] = rng.normal(0.0, np.sqrt(2.0 / widths[i]), size=(1, widths[i], widths[i + 1]))
     weights_t = [w.transpose(0, 2, 1) for w in weights]
 
-    def spread(values, flat):
-        """Each replicate's value in every element of its parameters."""
-        for block in blocks(flat):
-            np.copyto(block, values[:, None, None])
-
     lr = np.full(replicates, config.learning_rate, dtype=float)
-    spread(lr, rate)
+    rate[...] = lr[:, None]
     batch = min(config.batch_size, k)
     # minibatch buffers are flat: a short last batch takes buf[:R*m*w].reshape(R, m, w),
     # which is C-contiguous and so keeps np.matmul on its BLAS path
@@ -703,10 +694,9 @@ def _train_mlp(config, datasets):
             accept = new_loss <= prev_loss  # False for a non-finite loss
             if not accept.all():
                 # reject the epoch and halve the rate, per replicate
-                spread(~accept, restore)
-                np.copyto(params, saved, where=restore)
+                np.copyto(params, saved, where=~accept[:, None])
                 lr = np.where(accept, lr, lr * config.lr_decay)
-                spread(lr, rate)
+                rate[...] = lr[:, None]
             prev_loss = np.where(accept, new_loss, prev_loss)
             history.append(prev_loss)
 

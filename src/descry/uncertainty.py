@@ -12,7 +12,7 @@ known source of variance underestimation.
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat, tee
+from itertools import chain, repeat, tee
 
 import numpy as np
 
@@ -33,7 +33,9 @@ MIN_REPLICATES = 20
 
 @dataclass(frozen=True)
 class CIConfig:
-    """Confidence-interval construction parameters."""
+    """Confidence-interval construction parameters. resample_plan gives the
+    resampling method, fraction and seed; the replicate counts are
+    ee_replicates and me_replicates, and the plan's own count is not read."""
 
     alpha: float = 0.05
     ee_replicates: int = 100
@@ -289,9 +291,12 @@ def ci_combined(config, d, spec, cfg):
 
     Each model replicate is a refit on resampled training data; each
     evaluation replicate resamples the evaluation data under the refit
-    model. The combined variance pools all replicate pairs (1/N convention);
-    the estimation-only variance is the mean within-refit variance, so the
-    combined variance dominates it pointwise by the law of total variance.
+    model. The point estimate's full-data refit leads the one stream of
+    refits, so under bootstrap (replicates of the data's row count) its mlp
+    fit stacks with the replicates'. The combined variance pools all
+    replicate pairs (1/N convention); the estimation-only variance is the
+    mean within-refit variance, so the combined variance dominates it
+    pointwise by the law of total variance.
     Training and evaluation resamples overlap, which is flagged because it
     can bias the variance downward.
     """
@@ -301,12 +306,12 @@ def ci_combined(config, d, spec, cfg):
     grid = _resolve_grid(spec, d)
     column_sets = QUESTIONS[spec.question].column_sets(spec, d)
     views = [select_features(d, cols) for cols in column_sets]
-    point = _descriptor_vector(spec, grid, next(_refits(config, [d], spec.loss, column_sets)), views)
-
     train_plan = _plan(cfg, cfg.me_replicates, "ci-me-train")
     d_trains = (resample(d, train_plan, r) for r in range(cfg.me_replicates))
+    refits = _refits(config, chain([d], d_trains), spec.loss, column_sets)
+    point = _descriptor_vector(spec, grid, next(refits), views)
     curves = np.empty((cfg.me_replicates, cfg.ee_replicates, point.size))
-    for r, handles in enumerate(_refits(config, d_trains, spec.loss, column_sets)):
+    for r, handles in enumerate(refits):
         eval_plan = _plan(cfg, cfg.ee_replicates, "ci-me-eval", r)
         curves[r] = _replicate_curves(spec, grid, views, eval_plan, handles)
 

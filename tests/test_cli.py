@@ -498,6 +498,22 @@ class TestReport:
         assert "## cpdp" in text
         assert "| grid | estimate |" in text
 
+    def test_plot_of_an_earlier_run_is_not_drawn(self, tmp_path, simulated, trained):
+        # a sage run leaves the plot.svg of the cpdp run before it in the same directory
+        run_dir = str(tmp_path / "run")
+        data = os.path.join(simulated, "dataset.json")
+        assert main(["describe", "--question", "cpdp", "--model",
+                     os.path.join(trained, "model.json"), "--data", data,
+                     "--feature", "x1", "--out", run_dir]) == 0
+        assert main(["describe", "--question", "sage", "--train-data", data,
+                     "--data", data, "--learner", "ols", "--out", run_dir]) == 0
+        assert os.path.exists(os.path.join(run_dir, "plot.svg"))
+        out = str(tmp_path / "summary")
+        assert main(["report", run_dir, "--out", out]) == 0
+        text = open(os.path.join(out, "report.md")).read()
+        assert "## sage" in text
+        assert "plot.svg" not in text
+
     def test_sparsity_warning_section(self, tmp_path, trained):
         # dataset with one value too rare to form a group
         rows = [[1.0, 0.0]] * 30 + [[2.0, 0.0]] * 30 + [[3.0, 0.0]] * 3

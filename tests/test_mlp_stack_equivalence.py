@@ -193,11 +193,13 @@ def test_mixed_row_counts_start_new_stacks():
         assert_same_fit(handle, reference_fit(config, d))
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_ci_combined_matches_per_replicate_training(chunk, nonlinear_phenomenon):
+@pytest.mark.parametrize("chunk, method", [
+    (None, "subsample"), (3, "subsample"), (None, "bootstrap"), (3, "bootstrap")],
+    ids=["None", "3", "None-bootstrap", "3-bootstrap"])
+def test_ci_combined_matches_per_replicate_training(chunk, method, nonlinear_phenomenon):
     d = sample(nonlinear_phenomenon, 80, seed=5)
     config = LearnerConfig(learner="mlp", hidden=(6, 4), epochs=6, learning_rate=0.05, seed=4)
-    plan = ResamplePlan(method="subsample", fraction=0.5, replicates=20, seed=9)
+    plan = ResamplePlan(method=method, fraction=0.5, replicates=20, seed=9)
     cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
 
     def one_at_a_time(config, datasets, loss):
@@ -208,9 +210,32 @@ def test_ci_combined_matches_per_replicate_training(chunk, nonlinear_phenomenon)
                  DescriptorSpec(question="cpfi", feature=0)):
         with mock.patch.object(uncertainty, "train_each", one_at_a_time):
             expected = ci_combined(config, d, spec, cfg)
-        # stacks of 3 refits of 40 rows, 6 wide (20 is no multiple of 3), or all 20 in one
-        cells = models.MLP_STACK_CELLS if chunk is None else chunk * 40 * 6
+        # stacks of 3 refits, 6 wide, or all in one: 20 of 40 rows under subsample (20 is
+        # no multiple of 3), or under bootstrap 21 of 80 rows, the full-data fit first
+        rows = 40 if method == "subsample" else 80
+        cells = models.MLP_STACK_CELLS if chunk is None else chunk * rows * 6
         with mock.patch.object(models, "MLP_STACK_CELLS", cells):
             report = ci_combined(config, d, spec, cfg)
         assert report.replicate_curves.tobytes() == expected.replicate_curves.tobytes()
         assert canonical_json(report.to_dict()) == canonical_json(expected.to_dict())
+
+
+@pytest.mark.parametrize("question, stacks", [("cpdp", [21]), ("cpfi", [21, 21])])
+def test_ci_combined_trains_the_full_data_fit_in_the_bootstrap_stack(
+        question, stacks, nonlinear_phenomenon):
+    # the full-data refit leads each column set's one stream of refits, so under
+    # bootstrap it stacks with the 20 replicates of its row count
+    d = sample(nonlinear_phenomenon, 80, seed=5)
+    config = LearnerConfig(learner="mlp", hidden=(6, 4), epochs=3, learning_rate=0.05, seed=4)
+    plan = ResamplePlan(method="bootstrap", replicates=20, seed=9)
+    cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
+    sizes = []
+    train_mlp = models._train_mlp
+
+    def recording_train_mlp(config, datasets):
+        sizes.append(len(datasets))
+        return train_mlp(config, datasets)
+
+    with mock.patch.object(models, "_train_mlp", recording_train_mlp):
+        ci_combined(config, d, DescriptorSpec(question=question, feature=0, max_points=6), cfg)
+    assert sizes == stacks
