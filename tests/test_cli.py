@@ -4,10 +4,13 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import descry
 from descry.cli import build_parser, main
 from descry.descriptors import QUESTIONS
 from descry._util import canonical_json
@@ -404,6 +407,27 @@ class TestUncertaintyRefusals:
             argv += [flag, value]
         TestDescribeRefusals.refused(str(tmp_path / question), argv, named)
         assert not os.path.exists(os.path.join(str(tmp_path / question), "report.json"))
+
+    @pytest.mark.parametrize("mode, flag, named", [
+        ("combined", "--me-replicates", "array is too big"),
+        ("combined", "--ee-replicates", "array is too big"),
+        ("ee", "--ee-replicates", "Unable to allocate")])
+    def test_absurd_replicate_count_fails_fast(self, tmp_path, simulated, trained,
+                                               mode, flag, named):
+        """The replicates' arrays are allocated before their seeds are
+        derived, so a count no machine holds fails at once."""
+        out = str(tmp_path / "absurd")
+        argv = ["uncertainty", "--question", "cpdp", "--mode", mode, "--feature", "x1",
+                "--data", os.path.join(simulated, "dataset.json"),
+                "--model", os.path.join(trained, "model.json"),
+                flag, "100000000000000000", "--out", out]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(descry.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "descry", *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 1
+        assert named in json.load(open(os.path.join(out, "error.json")))["message"]
 
     def test_feature_index_outside_the_features(self, tmp_path, simulated):
         TestDescribeRefusals.refused(str(tmp_path / "cpfi"), [

@@ -7,6 +7,7 @@ from descry import (
     jitter_augment, load_csv, merge_students, resample, select_features, split,
     student_schema, subset_model, train,
 )
+from descry.data import resample_indices
 from descry.errors import (
     DegenerateSplit, EmptyFile, IndexOutOfRange, MissingColumn, NonNumericFeature,
     TypeMismatch, UnknownFeature,
@@ -227,6 +228,22 @@ class TestResample:
         plan = ResamplePlan(method="bootstrap", replicates=2, seed=1)
         with pytest.raises(IndexOutOfRange):
             resample(toy_dataset, plan, 2)
+
+    @pytest.mark.parametrize("method", ["bootstrap", "subsample"])
+    def test_numpy_integer_index_draws_the_int_stream(self, toy_dataset, method):
+        # a numpy integer once hashed by its repr, "np.int64(0)", into another seed
+        plan = ResamplePlan(method=method, fraction=0.5, replicates=2, seed=1)
+        for index in (np.int64(0), np.int32(1), np.uint8(1)):
+            assert np.array_equal(resample_indices(20, plan, index),
+                                  resample_indices(20, plan, int(index)))
+        assert np.array_equal(resample(toy_dataset, plan, np.int64(0)).rows,
+                              resample(toy_dataset, plan, 0).rows)
+
+    @pytest.mark.parametrize("index", [1.0, np.float64(0.0), True])
+    def test_non_integral_index_is_refused(self, index):
+        plan = ResamplePlan(method="bootstrap", replicates=2, seed=1)
+        with pytest.raises(TypeError, match="replicate_index must be an integer"):
+            resample_indices(20, plan, index)
 
 
 class TestMergeStudents:

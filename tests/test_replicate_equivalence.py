@@ -66,13 +66,13 @@ def reference_cpfi(config, d_train, d_r, feature, loss):
     return mean_loss(tuple(j for j in full_set if j != feature)) - mean_loss(full_set)
 
 
-def reference_curves(spec, grid, views, plan, handles, *, config, d_trains):
+def reference_curves(spec, grid, views, draws, handles, *, config, d_trains):
     """One curve per resampled copy of d = views[0]; cpfi refits on the next
     training replicate of d_trains, in the order ci_combined asks for them."""
     d, d_train = views[0], next(d_trains) if spec.question == "cpfi" else None
     curves = []
-    for r in range(plan.replicates):
-        d_r = resample(d, plan, r)
+    for rows in draws:
+        d_r = d.take(rows)
         if spec.question == "cpdp":
             curves.append(reference_cpdp(handles[0], d_r, grid, spec.band))
         else:

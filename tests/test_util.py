@@ -15,6 +15,12 @@ class TestDeriveSeed:
         for s in range(50):
             assert 0 <= derive_seed(s, "x") < 2**63
 
+    def test_numpy_integer_part_is_its_int(self):
+        assert derive_seed(0, "resample", np.int64(0)) == derive_seed(0, "resample", 0)
+        assert derive_seed(0, "resample", 0) == 5103284808531680771
+        assert derive_seed(7, np.uint16(3), "x") == derive_seed(7, 3, "x")
+        assert derive_seed(7, 0.5) != derive_seed(7, "0.5")
+
 
 class TestCanonicalJson:
     def test_sorted_and_round_trip_floats(self):
