@@ -152,7 +152,7 @@ def cpdp(h, d_eval, feature, grid=None, band=None, max_points=DescriptorSpec.max
                           max_points=max_points)
     members, dropped = conditional_groups(d_eval, grid, band=band)
     preds = h.predict_batch(d_eval.codes)
-    means, sizes, kept = group_means(preds, members, np.ones(d_eval.k))
+    means, sizes, kept = (a[0] for a in group_means(preds, members, np.ones((1, d_eval.k))))
     kept = np.flatnonzero(kept)
     sq_dev = (preds[:, None] - means[kept]) ** 2 * members[:, kept]
     stderr = np.sqrt(sq_dev.sum(axis=0) / (sizes[kept] - 1)) / np.sqrt(sizes[kept])

@@ -120,16 +120,19 @@ def _retained(sizes):
 
 
 def group_means(values, members, weights, operation="cpdp", groups="every grid point"):
-    """Per group (a column of the k x G membership matrix), the mean of the
-    values with row i counted weights[i] times; NaN, and not kept, where the
-    weighted group size is below MIN_GROUP_SIZE. Returns (means, sizes, kept).
-    With none kept, the error names the operation and its groups."""
-    sizes = weights @ members
+    """Per row r of the (R, k) weight matrix and per group (a column of the
+    k x G membership matrix), the mean of the values with row i counted
+    weights[r, i] times; NaN, and not kept, where the weighted group size is
+    below MIN_GROUP_SIZE. Returns (R, G) means, sizes and kept. Each weight
+    row is its own vector-matrix product, so a row's bits are those of a
+    one-row call (a plain (R, k) @ (k, G) product moves them). When any row
+    keeps no group, the error names the operation and its groups."""
+    sizes = np.matmul(weights[:, None, :], members)[:, 0]
     kept = _retained(sizes)
-    if not kept.any():
+    if not kept.any(axis=1).all():
         raise AllGroupsEmpty(f"{groups} fell below the minimum group size",
                              operation=operation)
-    means = (weights * values) @ members / np.maximum(sizes, 1)
+    means = np.matmul((weights * values)[:, None, :], members)[:, 0] / np.maximum(sizes, 1)
     means[~kept] = np.nan
     return means, sizes, kept
 

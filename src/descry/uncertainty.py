@@ -12,7 +12,7 @@ known source of variance underestimation.
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, repeat, tee
+from itertools import chain, islice, repeat, tee
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .samplers import group_means
 from ._util import derive_seed
 
 MIN_REPLICATES = 20
+# replicate x row cells of one stacked group_means call: a memory bound
+GROUP_MEAN_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -127,48 +129,37 @@ def _refits(config, datasets, loss, column_sets):
                  for ds, cols in zip(copies, column_sets)))
 
 
-def _group_means(spec, grid, views, handles, samples):
-    """The question's row values on views (the data on each of its column
-    sets, full first) averaged per group over each row sample of the
-    iterable (row indices, a repeated row counted each time), one vector
-    each: aligned to the grid, NaN where a point was dropped, or of length 1
-    for a one-group question."""
-    k = views[0].k
-    if k == 0:
-        raise ValueError("evaluation dataset is empty")
-    values, members = QUESTIONS[spec.question].row_values(spec, grid, views, handles)
-    groups = "every grid point" if grid is not None else "the evaluation rows"
-    means = []
-    for rows in samples:
-        if not rows.size:
-            raise ValueError("evaluation dataset is empty")
-        weights = np.bincount(rows, minlength=k).astype(float)
-        means.append(group_means(values, members, weights, spec.question, groups)[0])
-    return np.array(means)
-
-
-def _descriptor_vector(spec, grid, handles, views):
-    """The question on views (see _group_means); one without row values
-    gives its answer's objective."""
-    question = QUESTIONS[spec.question]
+def _curves(spec, grid, views, handles, samples=None):
+    """The question on views (the data on each of its column sets, full
+    first) and handles (a model per set): one vector per row sample of the
+    iterable `samples` (row indices, a repeated row counted each time), as
+    the rows of a matrix; when samples is None, its one row counts every
+    row once (the point estimate). A vector is the question's row values
+    averaged per group: aligned to the grid, NaN where a point was dropped,
+    or of length 1 for a one-group question; it equals a Dataset copy's up
+    to summation order. Each chunk of at most GROUP_MEAN_CELLS sample x row
+    cells is one bincount (row indices offset by r·k) and one `group_means`
+    call. A question without row values (a search's support check needs a
+    copy's own rows) gives its answer's objective on each sample's copy."""
+    d, question = views[0], QUESTIONS[spec.question]
     if question.row_values is None:
-        return np.array([question.answer(spec, handles[0], None, views[0], None)
-                         .point["objective"]])
-    return _group_means(spec, grid, views, handles, [np.arange(views[0].k)])[0]
-
-
-def _replicate_curves(spec, grid, views, draws, handles):
-    """The question on each replicate of views[0], one row each; draws
-    gives each replicate's row indices (a `resample_streams` iterator). A
-    replicate is its row counts, weighting the row values (equal to a
-    Dataset copy's value up to summation order); a question without row
-    values (a search's support check needs the copy's own rows) is answered
-    on the copy."""
-    d = views[0]
-    if QUESTIONS[spec.question].row_values is None:
-        return np.stack([_descriptor_vector(spec, grid, handles, [d.take(rows)])
-                         for rows in draws])
-    return _group_means(spec, grid, views, handles, draws)
+        copies = [d] if samples is None else map(d.take, samples)
+        return np.array([[question.answer(spec, handles[0], None, copy, None).point["objective"]]
+                         for copy in copies])
+    if d.k == 0:
+        raise ValueError("evaluation dataset is empty")
+    values, members = question.row_values(spec, grid, views, handles)
+    groups = "every grid point" if grid is not None else "the evaluation rows"
+    samples, curves = iter([np.arange(d.k)] if samples is None else samples), []
+    while chunk := list(islice(samples, max(1, GROUP_MEAN_CELLS // d.k))):
+        sizes = [rows.size for rows in chunk]
+        if not all(sizes):
+            raise ValueError("evaluation dataset is empty")
+        rows = np.concatenate(chunk) + np.repeat(np.arange(0, len(chunk) * d.k, d.k), sizes)
+        weights = np.bincount(rows, minlength=len(chunk) * d.k).reshape(len(chunk), d.k)
+        curves.append(group_means(values, members, weights.astype(float), spec.question,
+                                  groups)[0])
+    return np.concatenate(curves)
 
 
 def _grid_mean_sq(a, b):
@@ -192,8 +183,8 @@ def estimation_error(h, reference, d_eval, spec):
             "observed data it is only estimable in expectation via the variance",
             operation="estimation_error")
     grid = _resolve_grid(spec, reference)
-    ref_curve = _descriptor_vector(spec, grid, [h], [reference])
-    est_curve = _descriptor_vector(spec, grid, [h], [d_eval])
+    ref_curve = _curves(spec, grid, [reference], [h])[0]
+    est_curve = _curves(spec, grid, [d_eval], [h])[0]
     return _grid_mean_sq(ref_curve, est_curve)
 
 
@@ -205,8 +196,8 @@ def model_error(h, oracle, reference, spec):
         raise NoOracleAvailable("model error needs the optimal predictor",
                                 operation="model_error")
     grid = _resolve_grid(spec, reference)
-    oracle_curve = _descriptor_vector(spec, grid, [oracle], [reference])
-    model_curve = _descriptor_vector(spec, grid, [h], [reference])
+    oracle_curve = _curves(spec, grid, [reference], [oracle])[0]
+    model_curve = _curves(spec, grid, [reference], [h])[0]
     return _grid_mean_sq(oracle_curve, model_curve)
 
 
@@ -231,8 +222,8 @@ def bias_variance_me(config, p, k, replicates, spec, seed, reference_size=50000)
 
     d_trains = (sample_phenomenon(p, k, derive_seed(seed, "bv-train", r))
                 for r in range(replicates))
-    curves = np.array([_descriptor_vector(spec, grid, [handle], [reference])
-                       for handle in train_each(config, d_trains, spec.loss)])
+    curves = np.concatenate([_curves(spec, grid, [reference], [handle])
+                             for handle in train_each(config, d_trains, spec.loss)])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN replicate slices
@@ -269,9 +260,9 @@ def ci_estimation(h, d_eval, spec, cfg):
     _check_question(spec, "ci_estimation", "ee")
     _check_replicates(cfg.ee_replicates, "ci_estimation")
     grid = _resolve_grid(spec, d_eval)
-    point = _descriptor_vector(spec, grid, [h], [d_eval])
+    point = _curves(spec, grid, [d_eval], [h])[0]
     [draws] = resample_streams(d_eval.k, [_plan(cfg, cfg.ee_replicates, "ci-ee")])
-    curves = _replicate_curves(spec, grid, [d_eval], draws, [h])
+    curves = _curves(spec, grid, [d_eval], [h], draws)
 
     counts = np.sum(~np.isnan(curves), axis=0)
     with warnings.catch_warnings():
@@ -315,9 +306,9 @@ def ci_combined(config, d, spec, cfg):
     plans += [_plan(cfg, cfg.ee_replicates, "ci-me-eval", r) for r in range(cfg.me_replicates)]
     train_draws, *eval_draws = resample_streams(d.k, plans)
     refits = _refits(config, chain([d], map(d.take, train_draws)), spec.loss, column_sets)
-    point = _descriptor_vector(spec, grid, next(refits), views)
+    point = _curves(spec, grid, views, next(refits))[0]
     for r, (handles, draws) in enumerate(zip(refits, eval_draws)):
-        curves[r] = _replicate_curves(spec, grid, views, draws, handles)
+        curves[r] = _curves(spec, grid, views, handles, draws)
 
     flat = curves.reshape(-1, point.size)
     with warnings.catch_warnings():

@@ -30,6 +30,7 @@ MSE = LossFunction.MSE
 CURVE_RTOL = 1e-12
 ROUNDING_RTOL = 1e-12
 LEVELS = ("a", "b", "c")
+CURVES = uncertainty._curves
 
 
 # -- the reference: one Dataset copy per replicate ------------------------------
@@ -66,9 +67,12 @@ def reference_cpfi(config, d_train, d_r, feature, loss):
     return mean_loss(tuple(j for j in full_set if j != feature)) - mean_loss(full_set)
 
 
-def reference_curves(spec, grid, views, draws, handles, *, config, d_trains):
+def reference_curves(spec, grid, views, handles, draws=None, *, config, d_trains):
     """One curve per resampled copy of d = views[0]; cpfi refits on the next
-    training replicate of d_trains, in the order ci_combined asks for them."""
+    training replicate of d_trains, in the order ci_combined asks for them.
+    The point estimate (draws None) is the routine's own."""
+    if draws is None:
+        return CURVES(spec, grid, views, handles)
     d, d_train = views[0], next(d_trains) if spec.question == "cpfi" else None
     curves = []
     for rows in draws:
@@ -193,6 +197,6 @@ def test_count_vector_replicates_match_dataset_copies(case):
     for ci, model, q in runs:
         hook = functools.partial(reference_curves, config=config,
                                  d_trains=training_replicates(d, cfg))
-        with mock.patch.object(uncertainty, "_replicate_curves", hook):
+        with mock.patch.object(uncertainty, "_curves", hook):
             ref = outcome(lambda: ci(model, d, spec, cfg))
         assert_reports_match(outcome(lambda: ci(model, d, spec, cfg)), ref, q)

@@ -129,8 +129,8 @@ class TestEstimationError:
         for i in range(n_sets):
             d_eval = sample(p, 1500, seed=300 + i)
             errors.append(estimation_error(oracle, reference, d_eval, spec))
-            from descry.uncertainty import _descriptor_vector
-            curves.append(_descriptor_vector(spec, grid, [oracle], [d_eval]))
+            from descry.uncertainty import _curves
+            curves.append(_curves(spec, grid, [d_eval], [oracle])[0])
         curves = np.array(curves)
         mean_ee = np.mean(errors)
         variance_part = np.nanmean(np.nanvar(curves, axis=0, ddof=0))
@@ -211,7 +211,7 @@ class TestBiasVariance:
         bias_sq, variance = bias_variance_me(OLS, p, k=250, replicates=replicates,
                                              spec=spec, seed=44, reference_size=10000)
         # recompute per-replicate ME with the same derived seeds
-        from descry.uncertainty import _descriptor_vector
+        from descry.uncertainty import _curves
         from descry import train
         from descry._util import derive_seed
         from descry.phenomenon import sample as psample
@@ -221,7 +221,7 @@ class TestBiasVariance:
         for r in range(replicates):
             d_train = psample(p, 250, derive_seed(44, "bv-train", r))
             handle = train(OLS, d_train, MSE)
-            curve = _descriptor_vector(spec, grid, [handle], [ref])
+            curve = _curves(spec, grid, [ref], [handle])[0]
             mes.append((curve - truth) ** 2)
         mean_me = np.nanmean(np.array(mes), axis=0)
         assert np.allclose(mean_me, bias_sq + variance, rtol=1e-8, atol=1e-12)
