@@ -17,6 +17,7 @@ from .data import (
     student_schema,
 )
 from .errors import DescryError
+from ._util import clear_caches
 from .models import (
     LearnerConfig,
     LossFunction,
@@ -65,7 +66,7 @@ __all__ = [
     "Dataset", "FeatureSpec", "ResamplePlan", "center_feature", "jitter_augment",
     "load_csv", "merge_students", "resample", "select_features", "split",
     "student_schema",
-    "DescryError",
+    "DescryError", "clear_caches",
     "LearnerConfig", "LossFunction", "PredictorHandle", "epe", "model_distance",
     "predict", "subset_epe", "subset_model", "train",
     "OptimalPredictorSpec", "Phenomenon", "optimal_predictor", "sample",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -27,16 +28,41 @@ def thread_cap():
 
 
 _lru_lock = threading.Lock()
+_caches = []
+_MISSING = object()
+
+
+def new_cache():
+    """An empty cache for lru_get_or_build, one of those clear_caches empties."""
+    cache = OrderedDict()
+    _caches.append(cache)
+    return cache
+
+
+def clear_caches():
+    """Empty all of descry's caches: the subset refits and their risks, the
+    support checkers, and the intervals' draws and refits."""
+    with _lru_lock:
+        for cache in _caches:
+            cache.clear()
+
+
+def lru_get(cache, key, default=None):
+    """cache[key], marked as the most recently used, or default."""
+    with _lru_lock:
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+    return default
 
 
 def lru_get_or_build(cache, size, key, build):
     """cache[key], built on a miss, in an OrderedDict kept to its `size` most
     recently used entries. build runs outside the lock, as builds nest; when
     two threads miss at once, the value inserted first is the one returned."""
-    with _lru_lock:
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
+    value = lru_get(cache, key, _MISSING)
+    if value is not _MISSING:
+        return value
     value = build()
     with _lru_lock:
         value = cache.setdefault(key, value)

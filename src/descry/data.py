@@ -399,12 +399,18 @@ def split(d, train_fraction, seed):
     return d.take(perm[:n_train]), d.take(perm[n_train:])
 
 
+def resample_size(k, plan):
+    """The rows of one replicate of k rows: k (bootstrap), or
+    floor(fraction*k) (subsample)."""
+    return k if plan.method == "bootstrap" else int(np.floor(plan.fraction * k))
+
+
 def _draw(rng, k, plan):
     """One replicate's row indices from rng: k draws with replacement
     (bootstrap), or the first floor(fraction*k) of a permutation."""
     if plan.method == "bootstrap":
         return rng.integers(0, k, size=k)
-    return rng.permutation(k)[:int(np.floor(plan.fraction * k))]
+    return rng.permutation(k)[:resample_size(k, plan)]
 
 
 def resample_indices(k, plan, replicate_index):

@@ -7,7 +7,6 @@ are cached because fair-contribution scores enumerate up to 2^n of them.
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .data import FeatureSpec, gower_encode, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
-from ._util import derive_seed, lru_get_or_build
+from ._util import derive_seed, lru_get_or_build, new_cache
 
 # Cap on queries x reference rows per distance block; bounds its (q, k) temporaries.
 DISTANCE_BLOCK_CELLS = 1 << 15
@@ -757,13 +756,7 @@ def train_each(config, datasets, loss):
 # refits kept for reuse: all subsets of 5 features, so two exact Shapley calls can share them;
 # the risks of refits on evaluation data are kept to the same bound
 SUBSET_CACHE_SIZE = 32
-_subset_cache = OrderedDict()
-_risk_cache = OrderedDict()
-
-
-def clear_subset_cache():
-    _subset_cache.clear()
-    _risk_cache.clear()
+_subset_cache, _risk_cache = new_cache(), new_cache()
 
 
 def best_constant(d, loss):

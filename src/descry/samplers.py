@@ -6,7 +6,6 @@ a support check that keeps every query on-distribution. Conditioning never
 fabricates feature combinations: a group holds observed rows only.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from .errors import AllGroupsEmpty
 from .data import gower_encode
 from .models import feature_ranges, nearest
-from ._util import derive_seed, lru_get_or_build
+from ._util import derive_seed, lru_get_or_build, new_cache
 
 MIN_GROUP_SIZE = 5
 # the support check's per-feature band: a point must lie in [q, 1 - q] of each numeric feature
@@ -242,7 +241,7 @@ def _row_hashes(codes):
     return h
 
 
-_checker_cache = OrderedDict()
+_checker_cache = new_cache()
 
 
 def get_support_checker(d):

@@ -17,7 +17,8 @@ from itertools import chain, islice, repeat, tee
 import numpy as np
 
 # resample is not called here: perfbench/test_checks.py checks that its tracer patches this name
-from .data import ResamplePlan, resample, resample_streams, select_features  # noqa: F401
+from .data import (ResamplePlan, resample, resample_size,  # noqa: F401
+                   resample_streams, select_features)
 from .descriptors import QUESTIONS, feature_grid
 from .errors import (
     InsufficientReplicates,
@@ -27,11 +28,17 @@ from .errors import (
 from .models import train_each
 from .phenomenon import true_conditional_expectation
 from .samplers import group_means
-from ._util import derive_seed
+from ._util import derive_seed, lru_get, lru_get_or_build, new_cache
 
 MIN_REPLICATES = 20
 # replicate x row cells of one stacked group_means call: a memory bound
 GROUP_MEAN_CELLS = 1 << 18
+# replicate x row cells of an interval's draws, at most, for its draws and
+# refits to be kept for the next interval on the same data: a memory bound
+KEPT_CELLS = 1 << 21
+# the intervals whose draws, and the column sets whose refits, are kept
+KEPT_INTERVALS = 2
+_draw_cache, _refit_cache = new_cache(), new_cache()
 
 
 @dataclass(frozen=True)
@@ -121,37 +128,87 @@ def _resolve_grid(spec, d):
     return feature_grid(d, spec.feature, spec.grid, spec.max_points)
 
 
-def _refits(config, datasets, loss, column_sets):
-    """Per dataset of the iterable, a refit on each column set: one
-    train_each stream per set, so that each set's mlp refits stack."""
-    copies = tee(datasets, len(column_sets))
-    return zip(*(train_each(config, map(select_features, ds, repeat(cols)), loss)
-                 for ds, cols in zip(copies, column_sets)))
+def _kept(k, plans):
+    """Whether an interval's draws on k rows, and its refits, are kept."""
+    return sum(plan.replicates * resample_size(k, plan) for plan in plans) <= KEPT_CELLS
+
+
+def _draws(k, plans):
+    """Per plan, the replicates' row indices on k rows that resample_streams
+    draws. A kept interval's are a read-only matrix per plan, of the smallest
+    integer type that holds k - 1, which the next interval on k rows with
+    the same plans reuses; a larger interval's are drawn lazily."""
+    if not _kept(k, plans):
+        return resample_streams(k, plans)
+
+    def build():
+        dtype, matrices = np.min_scalar_type(max(k - 1, 0)), []
+        for plan, draws in zip(plans, resample_streams(k, plans)):
+            matrix = np.empty((plan.replicates, resample_size(k, plan)), dtype)
+            for r, rows in enumerate(draws):
+                matrix[r] = rows
+            matrix.setflags(write=False)
+            matrices.append(matrix)
+        return tuple(matrices)
+
+    return lru_get_or_build(_draw_cache, KEPT_INTERVALS, (k, tuple(plans)), build)
+
+
+def _refits(config, d, loss, plans, train_draws, column_sets):
+    """Per refit, its handle on each column set: the full-data refit, then
+    one per training draw (of plans[0]). One train_each stream per set, so
+    that each set's mlp refits stack; the sets to train share each draw's
+    copy of d. A kept interval's refits on a set are kept, keyed on the
+    config, d's fingerprint, the loss, the training plan and the set, and
+    the next interval with that key reads them back."""
+    keys = [(config, d.fingerprint, loss, plans[0], cols) for cols in column_sets] \
+        if _kept(d.k, plans) else [None] * len(column_sets)
+    streams = [key and lru_get(_refit_cache, key) for key in keys]
+    missing = [i for i, handles in enumerate(streams) if handles is None]
+    for i, copies in zip(missing, tee(chain([d], map(d.take, train_draws)), len(missing))):
+        fits = train_each(config, map(select_features, copies, repeat(column_sets[i])), loss)
+        streams[i] = fits if keys[i] is None else _keeping(fits, keys[i])
+    return zip(*streams)
+
+
+def _keeping(handles, key):
+    """The handles of the iterable, kept under key. The first is passed on
+    as soon as train_each yields it, so that the point estimate is computed
+    where an unkept interval computes it, and its error comes before a
+    replicate refit's; the rest train together when the second is asked for."""
+    first = next(handles)
+    yield first
+    rest = tuple(handles)
+    lru_get_or_build(_refit_cache, KEPT_INTERVALS, key, lambda: (first, *rest))
+    yield from rest
 
 
 def _curves(spec, grid, views, handles, samples=None):
     """The question on views (the data on each of its column sets, full
     first) and handles (a model per set): one vector per row sample of the
-    iterable `samples` (row indices, a repeated row counted each time), as
-    the rows of a matrix; when samples is None, its one row counts every
-    row once (the point estimate). A vector is the question's row values
-    averaged per group: aligned to the grid, NaN where a point was dropped,
-    or of length 1 for a one-group question; it equals a Dataset copy's up
-    to summation order. Each chunk of at most GROUP_MEAN_CELLS sample x row
-    cells is one bincount (row indices offset by r·k) and one `group_means`
-    call. A question without row values (a search's support check needs a
-    copy's own rows) gives its answer's objective on each sample's copy."""
+    iterable `samples` (row indices, a repeated row counted each time; None,
+    every row once), as the rows of a matrix; samples None is [None] (the
+    point estimate). A vector is the question's row values averaged per
+    group: aligned to the grid, NaN where a point was dropped, or of length
+    1 for a one-group question; it equals a Dataset copy's up to summation
+    order. Each chunk of at most GROUP_MEAN_CELLS sample x row cells is one
+    bincount (row indices offset by r·k) and one `group_means` call. A
+    question without row values (a search's support check needs a copy's
+    own rows) gives its answer's objective on each sample's copy, or on the
+    data itself for None."""
     d, question = views[0], QUESTIONS[spec.question]
+    samples = iter([None] if samples is None else samples)
     if question.row_values is None:
-        copies = [d] if samples is None else map(d.take, samples)
+        copies = (d if rows is None else d.take(rows) for rows in samples)
         return np.array([[question.answer(spec, handles[0], None, copy, None).point["objective"]]
                          for copy in copies])
     if d.k == 0:
         raise ValueError("evaluation dataset is empty")
     values, members = question.row_values(spec, grid, views, handles)
     groups = "every grid point" if grid is not None else "the evaluation rows"
-    samples, curves = iter([np.arange(d.k)] if samples is None else samples), []
-    while chunk := list(islice(samples, max(1, GROUP_MEAN_CELLS // d.k))):
+    every_row, curves = np.arange(d.k), []
+    while chunk := [every_row if rows is None else rows
+                    for rows in islice(samples, max(1, GROUP_MEAN_CELLS // d.k))]:
         sizes = [rows.size for rows in chunk]
         if not all(sizes):
             raise ValueError("evaluation dataset is empty")
@@ -260,9 +317,10 @@ def ci_estimation(h, d_eval, spec, cfg):
     _check_question(spec, "ci_estimation", "ee")
     _check_replicates(cfg.ee_replicates, "ci_estimation")
     grid = _resolve_grid(spec, d_eval)
-    point = _curves(spec, grid, [d_eval], [h])[0]
-    [draws] = resample_streams(d_eval.k, [_plan(cfg, cfg.ee_replicates, "ci-ee")])
-    curves = _curves(spec, grid, [d_eval], [h], draws)
+    [draws] = _draws(d_eval.k, [_plan(cfg, cfg.ee_replicates, "ci-ee")])
+    # the point estimate is the first sample, so the row values are computed once
+    curves = _curves(spec, grid, [d_eval], [h], chain([None], draws))
+    point, curves = curves[0], curves[1:]
 
     counts = np.sum(~np.isnan(curves), axis=0)
     with warnings.catch_warnings():
@@ -304,8 +362,8 @@ def ci_combined(config, d, spec, cfg):
                        1 if grid is None else len(grid.points)))
     plans = [_plan(cfg, cfg.me_replicates, "ci-me-train")]
     plans += [_plan(cfg, cfg.ee_replicates, "ci-me-eval", r) for r in range(cfg.me_replicates)]
-    train_draws, *eval_draws = resample_streams(d.k, plans)
-    refits = _refits(config, chain([d], map(d.take, train_draws)), spec.loss, column_sets)
+    train_draws, *eval_draws = _draws(d.k, plans)
+    refits = _refits(config, d, spec.loss, plans, train_draws, column_sets)
     point = _curves(spec, grid, views, next(refits))[0]
     for r, (handles, draws) in enumerate(zip(refits, eval_draws)):
         curves[r] = _curves(spec, grid, views, handles, draws)

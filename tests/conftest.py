@@ -3,7 +3,15 @@ import os
 import numpy as np
 import pytest
 
-from descry import Dataset, FeatureSpec, LossFunction, Phenomenon
+from descry import Dataset, FeatureSpec, LossFunction, Phenomenon, clear_caches
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    """Every test starts with descry's caches empty, so that a test which
+    counts refits, draws or checker builds does not depend on the tests run
+    before it."""
+    clear_caches()
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descry import CIConfig, Dataset, FeatureSpec, LearnerConfig, LossFunction, ResamplePlan
-from descry import ci_combined, models, sample, train, uncertainty
+from descry import ci_combined, clear_caches, models, sample, train, uncertainty
 from descry._util import canonical_json, derive_seed
 from descry.descriptors import DescriptorSpec
 from descry.models import PredictorHandle, build_encoder, encode, train_each
@@ -205,11 +205,14 @@ def test_ci_combined_matches_per_replicate_training(chunk, method, nonlinear_phe
     def one_at_a_time(config, datasets, loss):
         return (reference_fit(config, d_r) for d_r in datasets)
 
-    # cpfi trains two streams of refits: on all features, and without feature 0
+    # cpfi trains two streams of refits: on all features, and without feature 0;
+    # each run starts with no kept refits, so that each trains its own
     for spec in (DescriptorSpec(question="cpdp", feature=0, max_points=6),
                  DescriptorSpec(question="cpfi", feature=0)):
+        clear_caches()
         with mock.patch.object(uncertainty, "train_each", one_at_a_time):
             expected = ci_combined(config, d, spec, cfg)
+        clear_caches()
         # stacks of 3 refits, 6 wide, or all in one: 20 of 40 rows under subsample (20 is
         # no multiple of 3), or under bootstrap 21 of 80 rows, the full-data fit first
         rows = 40 if method == "subsample" else 80

@@ -16,8 +16,9 @@ from descry import (
 )
 from descry.errors import IncompatibleLoss, SchemaMismatch
 from descry.models import (
-    PredictorHandle, build_encoder, clear_subset_cache, encode, pointwise_loss, train_each,
+    PredictorHandle, build_encoder, encode, pointwise_loss, train_each,
 )
+from descry import clear_caches
 from descry._util import canonical_json
 
 MSE, MAE = LossFunction.MSE, LossFunction.MAE
@@ -438,7 +439,7 @@ class TestSubsetModel:
         assert abs(slope - 2.0) <= 2 * se
 
     def test_cache_returns_same_handle(self, benchmark_phenomenon):
-        clear_subset_cache()
+        clear_caches()
         d = sample(benchmark_phenomenon, 100, seed=15)
         h1 = subset_model(OLS, d, MSE, (0,))
         h2 = subset_model(OLS, d, MSE, (0,))
@@ -446,7 +447,7 @@ class TestSubsetModel:
 
     def test_cache_concurrent_insert_or_get(self, benchmark_phenomenon):
         from concurrent.futures import ThreadPoolExecutor
-        clear_subset_cache()
+        clear_caches()
         d = sample(benchmark_phenomenon, 500, seed=16)
         with ThreadPoolExecutor(max_workers=8) as pool:
             handles = list(pool.map(lambda _: subset_model(OLS, d, MSE, (0, 1)),
@@ -455,7 +456,7 @@ class TestSubsetModel:
 
     def test_cache_is_bounded(self, benchmark_phenomenon):
         from descry.models import SUBSET_CACHE_SIZE, _subset_cache
-        clear_subset_cache()
+        clear_caches()
         # ten datasets times four subsets: 40 distinct refits
         for seed in range(10):
             d = sample(benchmark_phenomenon, 50, seed=seed)
@@ -467,7 +468,7 @@ class TestSubsetModel:
         from descry import CIConfig, ResamplePlan, ci_combined
         from descry.descriptors import DescriptorSpec
         from descry.models import _risk_cache, _subset_cache
-        clear_subset_cache()
+        clear_caches()
         d = sample(benchmark_phenomenon, 100, seed=17)
         plan = ResamplePlan(method="subsample", fraction=0.5, replicates=20, seed=1)
         cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
@@ -485,7 +486,7 @@ class TestSubsetModel:
         d = Dataset(features=[FeatureSpec(name=f"x{j}", kind="numeric") for j in range(5)],
                     target=FeatureSpec(name="y", kind="numeric"), rows=x,
                     targets=x.sum(axis=1) + rng.normal(size=150), provenance="observed")
-        clear_subset_cache()
+        clear_caches()
         sage(OLS, d, d, MSE)
         with mock.patch.object(models, "train", wraps=models.train) as refit:
             shapley_local(OLS, d, d, list(np.median(x, axis=0)))

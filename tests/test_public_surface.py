@@ -43,3 +43,21 @@ def test_every_export_resolves():
     missing = [name for name in descry.__all__ if not hasattr(descry, name)]
     assert missing == []
     assert len(set(descry.__all__)) == len(descry.__all__)
+
+
+def test_one_reset_empties_every_cache(benchmark_phenomenon):
+    from descry import _util, models, samplers, uncertainty
+    assert "clear_caches" in descry.__all__
+    d = descry.sample(benchmark_phenomenon, 60, seed=1)
+    config = descry.LearnerConfig(learner="ols")
+    plan = descry.ResamplePlan(method="bootstrap", replicates=1, seed=0)
+    descry.ci_combined(config, d, descry.DescriptorSpec(question="cpfi", feature=0),
+                       descry.CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan))
+    descry.subset_epe(config, d, d, descry.LossFunction.MSE, (0,))
+    descry.support_check(d, d.rows[0])
+    caches = [models._subset_cache, models._risk_cache, samplers._checker_cache,
+              uncertainty._draw_cache, uncertainty._refit_cache]
+    assert sorted(map(id, caches)) == sorted(map(id, _util._caches))
+    assert all(caches)
+    descry.clear_caches()
+    assert not any(caches)

@@ -17,9 +17,9 @@ from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, cpfi, sage
 from descry import descriptors, models
 from descry.data import select_features
 from descry.models import (
-    SUBSET_CACHE_SIZE, _risk_cache, _subset_cache, clear_subset_cache, epe, subset_epe,
-    subset_model,
+    SUBSET_CACHE_SIZE, _risk_cache, _subset_cache, epe, subset_epe, subset_model,
 )
+from descry import clear_caches
 from descry._util import canonical_json
 
 MSE = LossFunction.MSE
@@ -59,12 +59,12 @@ def test_cached_risks_equal_direct_ones(seed, n, learner, mode, shared):
 
     with mock.patch.object(descriptors, "subset_epe", direct_epe):
         reference = run()
-    clear_subset_cache()
+    clear_caches()
     assert run() == reference  # cold
     assert run() == reference  # warm
     _risk_cache.clear()
     assert run() == reference  # refits warm, risks cold
-    clear_subset_cache()
+    clear_caches()
     assert run() == reference  # cleared
 
 
@@ -73,7 +73,7 @@ def test_targets_key_the_risk():
     shifted = Dataset(features=d_eval.features, target=d_eval.target, rows=d_eval.rows,
                       targets=d_eval.targets + 1.0, provenance="observed")
     assert np.array_equal(shifted.codes, d_eval.codes)
-    clear_subset_cache()
+    clear_caches()
     for subset in [(), (0,), (0, 1)]:
         risks = [subset_epe(LEARNERS[0], d_train, d, MSE, subset) for d in (d_eval, shifted)]
         assert risks[0] != risks[1]
@@ -82,7 +82,7 @@ def test_targets_key_the_risk():
 
 
 def test_risk_cache_is_bounded():
-    clear_subset_cache()
+    clear_caches()
     # ten datasets times four subsets: 40 distinct risks
     for seed in range(10):
         d = dataset(seed, 2)
@@ -93,10 +93,10 @@ def test_risk_cache_is_bounded():
 
 def test_clear_empties_both_caches():
     d = dataset(3, 3)
-    clear_subset_cache()
+    clear_caches()
     sage(LEARNERS[0], d, d, MSE)
     assert len(_subset_cache) == len(_risk_cache) == 8
-    clear_subset_cache()
+    clear_caches()
     assert len(_subset_cache) == len(_risk_cache) == 0
 
 
@@ -105,7 +105,7 @@ def test_cpfi_after_sage_predicts_nothing_again():
     every feature then reads its full and reduced risks from the cache."""
     d_train, d_eval = dataset(4, 4, k=60), dataset(5, 4, k=50)
     config = LEARNERS[1]
-    clear_subset_cache()
+    clear_caches()
     with mock.patch.object(models, "nearest", wraps=models.nearest) as spy:
         sage(config, d_train, d_eval, MSE)
         for j in range(d_train.n):
@@ -122,7 +122,7 @@ def test_an_equal_config_shares_the_refits_and_risks():
     first = LearnerConfig(learner="knn", knn_k=3)
     again = LearnerConfig(learner="knn", knn_k=3, hidden=[32, 16, 8])
     assert again is not first and again == first and hash(again) == hash(first)
-    clear_subset_cache()
+    clear_caches()
     refit = subset_model(first, d_train, MSE, (0, 2))
     risk = subset_epe(first, d_train, d_eval, MSE, (0, 2))
     with mock.patch.object(models, "train", side_effect=AssertionError("refit")), \

@@ -350,13 +350,13 @@ class TestCiCombined:
         # the point is the mean of reduced-minus-full row losses, cpfi the
         # difference of their means: equal up to summation order
         from descry import cpfi
-        from descry.models import clear_subset_cache
+        from descry import clear_caches
         p, _, _, _, _ = setup
         d = sample(p, 300, seed=906)
         spec = DescriptorSpec(question="cpfi", feature=1, loss=MSE)
         (point,) = ci_combined(config, d, spec, self._config()).point_estimates
         expected = cpfi(config, d, d, 1, MSE).scalar
-        clear_subset_cache()
+        clear_caches()
         assert abs(point - expected) <= 1e-12 * abs(expected)
 
     def test_scalar_question_relevant_value_global(self, setup):
