@@ -23,7 +23,7 @@ from .data import (
     load_csv, merge_students, select_features, student_schema,
 )
 from .descriptors import QUESTIONS, DescriptorSpec
-from .errors import DescryError, MissingManifest, error_report
+from .errors import DescryError, MissingManifest, SchemaMismatch, error_report
 from .models import LearnerConfig, LossFunction, PredictorHandle, epe, train
 from .phenomenon import Phenomenon, sample
 from .plots import write_curve_svg
@@ -66,8 +66,23 @@ def _load_schema(arg):
         FeatureSpec.from_dict(c) for c in (raw["columns"] if isinstance(raw, dict) else raw)])
 
 
-def _load_model(args):
-    return _load("--model", args.model, "model", PredictorHandle.from_dict)
+def _load_model(args, d=None):
+    """The --model handle; given the data d it reads, refused unless its features
+    are d's: the same names and categories in order (numeric and integer
+    features encode alike)."""
+    def columns(schema):
+        return [(f.name, f.categories) for f in schema]
+
+    def listed(schema):
+        return "(" + ", ".join(name + (f" [{', '.join(map(str, cats))}]" if cats else "")
+                               for name, cats in columns(schema)) + ")"
+
+    handle = _load("--model", args.model, "model", PredictorHandle.from_dict)
+    if d is not None and columns(handle.input_schema) != columns(d.features):
+        raise SchemaMismatch(f"--model {args.model} reads features {listed(handle.input_schema)}"
+                             f", but --data {args.data} has {listed(d.features)}",
+                             operation=args.command)
+    return handle
 
 
 def _load_dataset(args, flag="--data"):
@@ -225,7 +240,8 @@ def _cmd_describe(args):
     question = QUESTIONS[args.question]
     _check_needs(args.question, (question.reads,) + question.needs, args)
     d_eval = _load_dataset(args)
-    handle = _load_model(args) if args.model else None
+    read = d_eval if question.reads == "model" else None   # a refit question ignores --model
+    handle = _load_model(args, read) if args.model else None
     config = _learner_config(args) if args.train_data else None
     d_train = _load_dataset(args, "--train-data") if args.train_data else None
     instance = None if args.instance is None else _parse_instance(args.instance)
@@ -255,7 +271,7 @@ def _cmd_uncertainty(args):
                    quantile_family=args.quantile_family)
 
     if args.mode == "ee":
-        report = ci_estimation(_load_model(args), d, spec, cfg)
+        report = ci_estimation(_load_model(args, d), d, spec, cfg)
     else:
         report = ci_combined(_learner_config(args), d, spec, cfg)
 
@@ -585,7 +601,3 @@ def main(argv=None):
     except OSError:
         pass
     return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

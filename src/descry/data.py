@@ -242,7 +242,8 @@ class Dataset:
     @property
     def fingerprint(self):
         """Stable content hash of the schema, codes and targets (+ 0.0 maps
-        -0.0 to 0.0); the cache key of subset refits and support checkers."""
+        -0.0 to 0.0); it keys the subset refits, the subset risks, the
+        support checkers and the interval refits."""
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(json.dumps([f.to_dict() for f in self.features]).encode())

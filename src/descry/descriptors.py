@@ -21,7 +21,6 @@ import numpy as np
 from .data import gower_decode, gower_encode
 from .errors import (
     AllGroupsEmpty,
-    NoSupportedCandidate,
     OffSupportInstance,
     TooManyFeaturesForExact,
 )
@@ -406,10 +405,8 @@ def counterfactual_local(h, d_eval, instance, y_rel, lam):
     perturbed = _perturbations(d_eval, [candidate(i) for i in top])
     codes = np.vstack([codes, gower_encode(perturbed, d_eval.features)])
 
+    # the instance, candidate 0, passed this checker in _require_on_support
     on_support = np.flatnonzero(checker.check_rows(codes))
-    if not on_support.size:
-        raise NoSupportedCandidate("no candidate passes the support check",
-                                   operation=spec.question)
     supported = codes[on_support]
     preds = h.predict_batch(supported)
     gaps = np.abs(preds - spec.y_rel)

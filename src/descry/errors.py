@@ -98,10 +98,6 @@ class TooManyFeaturesForExact(DescryError):
     pass
 
 
-class NoSupportedCandidate(DescryError):
-    pass
-
-
 # -- uncertainty -----------------------------------------------------------
 
 class NoReferenceAvailable(DescryError):

@@ -77,10 +77,6 @@ class LearnerConfig:
     def to_dict(self):
         return dict(vars(self), hidden=list(self.hidden))
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 # -- feature encoding --------------------------------------------------------
 
@@ -554,11 +550,9 @@ def _train_ols(config, d):
     residuals = d.targets - design @ coef
     dof = max(d.k - design.shape[1], 1)
     sigma2 = float(residuals @ residuals) / dof
-    try:
-        cov = sigma2 * np.linalg.inv(gram + (1e-8 * np.eye(design.shape[1]) if ridged else 0))
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        se = np.full(design.shape[1], np.nan)
+    # inverts the very matrix _solve_normal_equations has just solved
+    cov = sigma2 * np.linalg.inv(gram + (1e-8 * np.eye(design.shape[1]) if ridged else 0))
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     params = {"intercept": float(coef[0]), "coef": coef[1:].tolist(), "encoder": encoder}
     meta = {"learner": "ols", "seed": config.seed, "ridge_fallback": ridged,

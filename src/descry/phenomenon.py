@@ -17,6 +17,7 @@ package testable against an oracle.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,22 +32,39 @@ KINDS = ("linear_gaussian", "nonlinear_independent", "discrete_classification")
 
 
 def _raw_moment(marginal, order):
-    """E[X^order] for a supported marginal family."""
-    if order == 0:
-        return 1.0
-    fam = marginal["family"]
-    if fam == "normal":
+    """E[X^order] for a marginal that passed `_check_marginal`."""
+    if marginal["family"] == "normal":
         mu, sd = float(marginal["mu"]), float(marginal["sd"])
         moments = [1.0, mu]
         for n in range(2, order + 1):
             moments.append(mu * moments[n - 1] + (n - 1) * sd * sd * moments[n - 2])
         return moments[order]
-    if fam == "uniform":
-        low, high = float(marginal["low"]), float(marginal["high"])
-        if high == low:
-            return low ** order
-        return (high ** (order + 1) - low ** (order + 1)) / ((order + 1) * (high - low))
-    raise UnsupportedCombination(f"unknown marginal family {fam!r}")
+    low, high = float(marginal["low"]), float(marginal["high"])
+    if high == low:
+        return low ** order
+    return (high ** (order + 1) - low ** (order + 1)) / ((order + 1) * (high - low))
+
+
+def _valid_marginal(marginal):
+    if not isinstance(marginal, dict) or marginal.get("family") not in ("normal", "uniform"):
+        return False
+    keys = ("mu", "sd") if marginal["family"] == "normal" else ("low", "high")
+    if set(marginal) != {"family", *keys}:
+        return False
+    a, b = (marginal[key] for key in keys)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in (a, b)):
+        return False
+    return b >= 0 if marginal["family"] == "normal" else a <= b
+
+
+def _check_marginal(i, marginal):
+    """Admit {"family": "normal", "mu", "sd"} with sd >= 0, or {"family":
+    "uniform", "low", "high"} with low <= high, all parameters finite."""
+    if not _valid_marginal(marginal):
+        raise ValueError(f"marginal {i} must be {{family: normal, mu, sd >= 0}} or "
+                         f"{{family: uniform, low <= high}} with finite numbers, "
+                         f"got {marginal!r}")
 
 
 def _sample_marginal(marginal, count, rng):
@@ -104,6 +122,8 @@ class Phenomenon:
         elif self.kind == "nonlinear_independent":
             if not self.marginals:
                 raise ValueError("marginals required")
+            for i, m in enumerate(self.marginals):
+                _check_marginal(i, m)
             self.terms = [{"coef": float(t["coef"]), "powers": _check_term(t["powers"])}
                           for t in (self.terms or [])]
             for t in self.terms:

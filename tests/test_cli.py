@@ -1064,3 +1064,126 @@ class TestStudentSchemaIngest:
         report = json.load(open(os.path.join(out, "ingest_report.json")))
         assert report["jitter"]["offsets"] == offsets
         assert json.load(open(os.path.join(out, "manifest.json")))["config"]["offsets"] is None
+
+
+class TestModelDataRefusal:
+    """A --model is read against --data by each feature's name and categories,
+    in order; numeric and integer features encode alike."""
+
+    @pytest.fixture(scope="class")
+    def reversed_data(self, tmp_path_factory, simulated):
+        raw = json.load(open(os.path.join(simulated, "dataset.json")))
+        raw["schema"]["features"].reverse()
+        raw["rows"] = [row[::-1] for row in raw["rows"]]
+        path = tmp_path_factory.mktemp("reversed") / "dataset.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--question", "cpdp", "--feature", "x1"],
+        ["describe", "--question", "counterfactual_local", "--instance", "[0.1, -0.2]",
+         "--y-rel", "2", "--lambda", "0.5"],
+        ["uncertainty", "--mode", "ee", "--question", "cpdp", "--feature", "x1",
+         "--ee-replicates", "20"]], ids=["cpdp", "counterfactual_local", "uncertainty"])
+    def test_reordered_columns_are_refused(self, tmp_path, trained, reversed_data, argv):
+        model = os.path.join(trained, "model.json")
+        out = str(tmp_path / "run")
+        assert main(argv + ["--model", model, "--data", reversed_data, "--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "SchemaMismatch", "module": "cli", "operation": argv[0],
+            "message": f"--model {model} reads features (x1, x2), but --data "
+                       f"{reversed_data} has (x2, x1)"}
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    def test_other_categories_are_refused(self, tmp_path):
+        def dataset(categories, path):
+            path.write_text(json.dumps({
+                "schema": {"features": [{"name": "g", "kind": "categorical",
+                                         "categories": categories},
+                                        {"name": "x", "kind": "numeric"}],
+                           "target": {"name": "y", "kind": "numeric"}},
+                "provenance": "observed", "seed": None,
+                "rows": [[categories[i % 2], float(i)] for i in range(20)],
+                "targets": [float(i % 3) for i in range(20)]}))
+            return str(path)
+
+        trained_on = dataset(["a", "b", "c"], tmp_path / "train.json")
+        other = dataset(["a", "c", "b"], tmp_path / "other.json")
+        model = str(tmp_path / "model")
+        assert main(["train", "--data", trained_on, "--out", model]) == 0
+        out = str(tmp_path / "run")
+        model = os.path.join(model, "model.json")
+        assert main(["describe", "--question", "cpdp", "--feature", "x", "--model", model,
+                     "--data", other, "--out", out]) == 1
+        error = json.load(open(os.path.join(out, "error.json")))
+        assert (error["error"], error["message"]) == (
+            "SchemaMismatch", f"--model {model} reads features (g [a, b, c], x), "
+                              f"but --data {other} has (g [a, c, b], x)")
+
+    def test_a_refit_question_does_not_read_the_model(self, tmp_path, trained, reversed_data):
+        out = str(tmp_path / "run")
+        assert main(["describe", "--question", "sage", "--train-data", reversed_data,
+                     "--data", reversed_data, "--model", os.path.join(trained, "model.json"),
+                     "--out", out]) == 0
+
+
+class TestReportPayloads:
+    """report renders scalar and point results, and its manifest replays it."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory, simulated, trained):
+        data = os.path.join(simulated, "dataset.json")
+        model = os.path.join(trained, "model.json")
+        argvs = {
+            "cpfi": ["--train-data", data, "--feature", "x1"],
+            "local_conditional_contribution": [
+                "--train-data", data, "--feature", "x1", "--instance", "[0.1, -0.2]",
+                "--observed-y", "0.5"],
+            "relevant_value_global": ["--model", model, "--y-rel", "2.0"],
+            "counterfactual_local": ["--model", model, "--instance", "[0.1, -0.2]",
+                                     "--y-rel", "2.0", "--lambda", "0.5"]}
+        root = tmp_path_factory.mktemp("payloads")
+        dirs = {}
+        for question, argv in argvs.items():
+            dirs[question] = str(root / question)
+            assert main(["describe", "--question", question, "--data", data, *argv,
+                         "--out", dirs[question]]) == 0
+        return dirs
+
+    def test_scalar_and_point_lines(self, tmp_path, runs):
+        out = str(tmp_path / "summary")
+        assert main(["report", *runs.values(), "--out", out]) == 0
+        text = open(os.path.join(out, "report.md")).read()
+        for question, run_dir in runs.items():
+            result = json.load(open(os.path.join(run_dir, "result.json")))
+            line = (f"Scalar value: **{result['scalar']}**" if "scalar" in result
+                    else f"Point: `{json.dumps(result['point'])}`")
+            assert f"## {question}\n\n### `{run_dir}`\n\n{line}\n\n" in text
+        assert "Scalar value: **" in text and "Point: `{" in text
+
+    def test_manifest_replays_the_report_byte_identical(self, tmp_path, runs):
+        out = str(tmp_path / "summary")
+        assert main(["report", *runs.values(), "--out", out]) == 0
+        manifest = os.path.join(out, "manifest.json")
+        assert json.load(open(manifest))["config"]["run_dirs"] == list(runs.values())
+        report = os.path.join(out, "report.md")
+        first = open(report, "rb").read()
+        os.remove(report)
+        assert main(["--config", manifest]) == 0
+        assert open(report, "rb").read() == first
+
+
+@pytest.mark.parametrize("marginal", [
+    {"family": "beta"}, {"family": "normal", "mu": 0, "sd": -1}], ids=["family", "sd"])
+def test_spec_with_a_malformed_marginal_is_refused(tmp_path, marginal):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "kind": "nonlinear_independent", "terms": [{"coef": 1.0, "powers": {"1": 2}}],
+        "marginals": [{"family": "uniform", "low": 0, "high": 1}, marginal]}))
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--spec", str(spec), "--k", "10", "--out", out]) == 1
+    assert json.load(open(os.path.join(out, "error.json"))) == {
+        "error": "ValueError", "module": "phenomenon", "operation": "simulate",
+        "message": "marginal 1 must be {family: normal, mu, sd >= 0} or {family: uniform, "
+                   "low <= high} with finite numbers, got " + repr(marginal)}
+    assert sorted(os.listdir(out)) == ["error.json"]

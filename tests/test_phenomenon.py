@@ -64,6 +64,36 @@ class TestInvariants:
                        marginals=[{"family": "normal", "mu": 0, "sd": 1}],
                        terms=[{"coef": 1.0, "powers": {0: 4}}])
 
+    @pytest.mark.parametrize("marginal", [
+        {"family": "beta"},                                   # sampled as uniform before
+        {"family": "normal", "mu": 0},                        # KeyError: 'sd' when sampled
+        {"family": "normal", "mu": 0, "sd": -1},              # true_epe read 1.0
+        {"family": "uniform", "low": 1, "high": 0},           # true_epe read 0.0833
+        {"family": "uniform", "low": 0, "high": float("inf")},
+        {"family": "normal", "mu": float("nan"), "sd": 1},
+        {"family": "normal", "mu": "0", "sd": 1},
+        {"family": "normal", "mu": True, "sd": 1},
+        {"family": "normal", "mu": 0, "sd": 1, "low": 0},
+        {"family": ["normal"], "mu": 0, "sd": 1},
+        {"mu": 0, "sd": 1},
+        [0, 1]])
+    def test_malformed_marginal_is_refused_by_its_index(self, marginal):
+        with pytest.raises(ValueError, match=r"^marginal 1 must be "):
+            Phenomenon(kind="nonlinear_independent",
+                       marginals=[{"family": "normal", "mu": 0, "sd": 1}, marginal],
+                       terms=[{"coef": 1.0, "powers": {1: 2}}])
+
+    @pytest.mark.parametrize("marginal, variance", [
+        ({"family": "normal", "mu": 2, "sd": 0}, 0.0),
+        ({"family": "normal", "mu": np.float64(0.5), "sd": 3}, 9.0),
+        ({"family": "uniform", "low": -1.5, "high": -1.5}, 0.0),
+        ({"family": "uniform", "low": 0, "high": 3.0}, 0.75)])
+    def test_degenerate_and_numpy_marginals_are_admitted(self, marginal, variance):
+        p = Phenomenon(kind="nonlinear_independent", marginals=[marginal],
+                       terms=[{"coef": 1.0, "powers": {0: 1}}])
+        assert true_epe(p, MSE, ()) == pytest.approx(variance)
+        assert p.to_dict()["marginals"] == [marginal]
+
 
 class TestOptimalPredictor:
     def test_linear_mse(self):

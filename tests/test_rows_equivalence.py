@@ -24,7 +24,7 @@ from descry.descriptors import (
     PERTURB_TOP_ROWS, DescriptorResult, DescriptorSpec, _perturbations, _require_on_support,
     counterfactual_local, feature_grid, ice, relevant_value_global,
 )
-from descry.errors import AllGroupsEmpty, DescryError, NoSupportedCandidate
+from descry.errors import AllGroupsEmpty, DescryError
 from descry.models import gower_distances, gower_encode
 from descry.samplers import get_support_checker
 from descry._util import canonical_json, fmt_number
@@ -160,9 +160,6 @@ def reference_counterfactual_local(h, d_eval, rows, instance, y_rel, lam):
     candidates.extend(perturbed)
     codes = np.vstack([codes, gower_encode(perturbed, d_eval.features)])
     on_support = np.flatnonzero(checker.check_rows(codes))
-    if not on_support.size:
-        raise NoSupportedCandidate("no candidate passes the support check",
-                                   operation="counterfactual_local")
     supported = codes[on_support]
     gaps = np.abs(h.predict_batch(supported) - float(y_rel))
     dists = gower_distances(supported, list(instance), d_eval.features, checker.ranges)
