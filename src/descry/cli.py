@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    Dataset, FeatureSpec, ResamplePlan, center_feature, jitter_augment,
+    Dataset, FeatureSpec, ResamplePlan, center_feature, feature_mismatch, jitter_augment,
     load_csv, merge_students, select_features, student_schema,
 )
 from .descriptors import QUESTIONS, DescriptorSpec
@@ -66,22 +66,22 @@ def _load_schema(arg):
         FeatureSpec.from_dict(c) for c in (raw["columns"] if isinstance(raw, dict) else raw)])
 
 
+def _require_data_features(args, subject, schema, d):
+    """Refuse `subject` (a flag, its path and a verb) unless `schema` lists the
+    features of the --data d, by `feature_mismatch`'s rule."""
+    mismatch = feature_mismatch(schema, d.features)
+    if mismatch:
+        raise SchemaMismatch(f"{subject} {mismatch[0]}, but --data {args.data} has {mismatch[1]}",
+                             operation=args.command)
+
+
 def _load_model(args, d=None):
     """The --model handle; given the data d it reads, refused unless its features
-    are d's: the same names and categories in order (numeric and integer
-    features encode alike)."""
-    def columns(schema):
-        return [(f.name, f.categories) for f in schema]
-
-    def listed(schema):
-        return "(" + ", ".join(name + (f" [{', '.join(map(str, cats))}]" if cats else "")
-                               for name, cats in columns(schema)) + ")"
-
+    are d's."""
     handle = _load("--model", args.model, "model", PredictorHandle.from_dict)
-    if d is not None and columns(handle.input_schema) != columns(d.features):
-        raise SchemaMismatch(f"--model {args.model} reads features {listed(handle.input_schema)}"
-                             f", but --data {args.data} has {listed(d.features)}",
-                             operation=args.command)
+    if d is not None:
+        _require_data_features(args, f"--model {args.model} reads features",
+                               handle.input_schema, d)
     return handle
 
 
@@ -244,6 +244,9 @@ def _cmd_describe(args):
     handle = _load_model(args, read) if args.model else None
     config = _learner_config(args) if args.train_data else None
     d_train = _load_dataset(args, "--train-data") if args.train_data else None
+    if question.reads == "train_data":   # refits on d_train read d_eval's rows
+        _require_data_features(args, f"--train-data {args.train_data} has features",
+                               d_train.features, d_eval)
     instance = None if args.instance is None else _parse_instance(args.instance)
     spec = _spec(args, d_eval, instance=instance, lam=getattr(args, "lambda"), mode=args.mode,
                  mc_permutations=args.mc_permutations)

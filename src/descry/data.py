@@ -81,6 +81,19 @@ class FeatureSpec:
         )
 
 
+def feature_mismatch(a, b):
+    """None when the feature lists a and b agree in each feature's name and
+    categories, in order (numeric and integer features encode alike); else
+    both, each listed as "(name [category, ...], ...)"."""
+    def columns(schema):
+        return [(f.name, f.categories) for f in schema]
+
+    if columns(a) == columns(b):
+        return None
+    return tuple("(" + ", ".join(name + (f" [{', '.join(map(str, cats))}]" if cats else "")
+                                 for name, cats in columns(s)) + ")" for s in (a, b))
+
+
 def check_offsets(feature, offsets):
     """Jitter offsets as floats, refused unless non-empty, finite, nonzero and distinct."""
     offsets = tuple(float(o) for o in offsets)

@@ -223,15 +223,13 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
                           instance=list(instance), loss=loss)
     _require_on_support(d_eval, spec)
-    full = subset_model(config, d_train, loss, full_set)
-    reduced = subset_model(config, d_train, loss, reduced_set)
-    loss_full = float(pointwise_loss(
-        loss, y, np.array([full.predict(instance)]),
-        y_levels=full.params.get("y_levels"))[0])
-    reduced_instance = [instance[i] for i in reduced_set]
-    loss_reduced = float(pointwise_loss(
-        loss, y, np.array([reduced.predict(reduced_instance)]),
-        y_levels=reduced.params.get("y_levels"))[0])
+
+    def loss_at(subset):
+        h = subset_model(config, d_train, loss, subset)
+        pred = h.predict([instance[i] for i in subset])
+        return float(pointwise_loss(loss, y, np.array([pred]),
+                                    y_levels=h.params.get("y_levels"))[0])
+    loss_full, loss_reduced = loss_at(full_set), loss_at(reduced_set)
     return DescriptorResult(spec=spec, scalar=loss_reduced - loss_full, diagnostics={
         "loss_full": loss_full, "loss_reduced": loss_reduced})
 

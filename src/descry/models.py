@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import FeatureSpec, gower_encode, select_features
+from .data import FeatureSpec, feature_mismatch, gower_encode, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
 from ._util import derive_seed, lru_get_or_build, new_cache
 
@@ -282,27 +282,23 @@ class PredictorHandle:
     metadata: dict = field(default_factory=dict)
 
     def predict_batch(self, rows):
-        """Predictions at a (q, n) row matrix, or at its codes (a float matrix)."""
+        """Predictions at a (q, n) row matrix, or at its codes (a float matrix).
+        A category the schema does not declare (code -1) is refused."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.input_schema):
             raise SchemaMismatch(
                 f"expected {len(self.input_schema)} features, got shape {rows.shape}",
                 operation="predict")
-        return _EVALUATORS[self.kind](self.params, gower_encode(rows, self.input_schema),
-                                      self.input_schema)
+        codes = gower_encode(rows, self.input_schema)
+        for j, spec in enumerate(self.input_schema):
+            if spec.kind == "categorical" and (codes[:, j] < 0).any():
+                value = rows[np.argmax(codes[:, j] < 0), j]
+                raise SchemaMismatch(f"feature {spec.name!r}: {value!r} not in categories",
+                                     operation="predict")
+        return _EVALUATORS[self.kind](self.params, codes, self.input_schema)
 
     def predict(self, x):
-        x = list(x)
-        if len(x) != len(self.input_schema):
-            raise SchemaMismatch(
-                f"expected {len(self.input_schema)} features, got {len(x)}",
-                operation="predict")
-        codes = gower_encode([x], self.input_schema)
-        for j, spec in enumerate(self.input_schema):
-            if spec.kind == "categorical" and codes[0, j] < 0:
-                raise SchemaMismatch(
-                    f"feature {spec.name!r}: {x[j]!r} not in categories", operation="predict")
-        out = self.predict_batch(codes)
+        out = self.predict_batch(np.array([list(x)], dtype=object))
         return np.array(out[0]) if self.output_kind == "distribution" else float(out[0])
 
     def to_dict(self):
@@ -321,12 +317,11 @@ class PredictorHandle:
     def from_dict(cls, d):
         schema = [FeatureSpec.from_dict(f) for f in d["input_schema"]]
         params = dict(d["params"])
-        # the arrays a trained handle holds
-        if d["kind"] == "mlp":
-            for key in ("weights", "biases"):
-                params[key] = [np.asarray(p, dtype=float) for p in params[key]]
+        for key, per_item in _ARRAY_PARAMS.items():
+            if isinstance(params.get(key), list):
+                params[key] = ([np.asarray(v, dtype=float) for v in params[key]] if per_item
+                               else np.asarray(params[key], dtype=float))
         if d["kind"] == "knn":
-            params["train_targets"] = np.asarray(params["train_targets"], dtype=float)
             _knn_index(params, gower_encode(params["train_matrix"], schema), schema)
         return cls(input_schema=schema, output_kind=d["output_kind"], kind=d["kind"],
                    params=params, metadata=d.get("metadata", {}))
@@ -334,6 +329,10 @@ class PredictorHandle:
 
 # params kept in memory only: to_dict leaves them out, from_dict rebuilds them
 _DERIVED_PARAMS = ("train_codes", "train_encoded")
+# params held as float arrays, True for a list of them (one per layer or
+# feature): to_dict lists them, from_dict rebuilds them
+_ARRAY_PARAMS = {"coef": False, "value": False, "cond": False, "y_levels": False,
+                 "train_targets": False, "x_levels": True, "weights": True, "biases": True}
 
 
 def _listed(value):
@@ -341,17 +340,13 @@ def _listed(value):
 
 
 def _eval_constant(params, codes, features):
-    return np.full(codes.shape[0], float(params["value"]))
-
-
-def _eval_constant_distribution(params, codes, features):
-    dist = np.asarray(params["dist"], dtype=float)
-    return np.tile(dist, (codes.shape[0], 1))
+    value = params["value"]  # a number, or a distribution over y_levels
+    return np.full((codes.shape[0],) + np.shape(value), value, dtype=float)
 
 
 def _eval_linear(params, codes, features):
     design = encode(codes, params["encoder"], features)
-    return design @ np.asarray(params["coef"], dtype=float) + float(params["intercept"])
+    return design @ params["coef"] + float(params["intercept"])
 
 
 def _eval_mlp(params, codes, features):
@@ -400,39 +395,31 @@ def _eval_poly_response(params, x, features):
     return out
 
 
-def _table_lookup(params, x):
-    x_levels = [np.asarray(l, dtype=float) for l in params["x_levels"]]
-    cond = np.asarray(params["cond"], dtype=float)  # (#configs, #y_levels)
+def _table_lookup(params, x, features):
+    """Each row's conditional distribution: its row of `cond` (#configs, #y_levels)."""
     flat = np.zeros(x.shape[0], dtype=int)
-    for j, levels in enumerate(x_levels):
+    for j, levels in enumerate(params["x_levels"]):
         codes = np.searchsorted(levels, x[:, j])
         codes = np.clip(codes, 0, len(levels) - 1)
         if not np.allclose(levels[codes], x[:, j]):
             raise SchemaMismatch(f"value outside the discrete grid in column {j}",
                                  operation="predict")
         flat = flat * len(levels) + codes
-    return cond[flat]
+    return params["cond"][flat]
 
 
 def _eval_table_argmax(params, x, features):
-    cond = _table_lookup(params, x)
-    y_levels = np.asarray(params["y_levels"], dtype=float)
-    return y_levels[np.argmax(cond, axis=1)]
-
-
-def _eval_table_conditional(params, x, features):
-    return _table_lookup(params, x)
+    return params["y_levels"][np.argmax(_table_lookup(params, x, features), axis=1)]
 
 
 _EVALUATORS = {
     "constant": _eval_constant,
-    "constant_distribution": _eval_constant_distribution,
     "linear": _eval_linear,
     "mlp": _eval_mlp,
     "knn": _eval_knn,
     "poly_response": _eval_poly_response,
     "table_argmax": _eval_table_argmax,
-    "table_conditional": _eval_table_conditional,
+    "table_conditional": _table_lookup,
 }
 
 
@@ -488,11 +475,10 @@ def epe(handle, d, loss):
 def model_distance(h1, h2, d, loss):
     """Monte Carlo distance between two models over the empirical feature
     distribution of d: mean of L(m1(x), m2(x))."""
-    s1 = [(f.name, f.kind) for f in h1.input_schema]
-    s2 = [(f.name, f.kind) for f in h2.input_schema]
-    if s1 != s2:
-        raise SchemaMismatch("handles do not share an input schema",
-                             operation="model_distance")
+    mismatch = feature_mismatch(h1.input_schema, h2.input_schema)
+    if mismatch:
+        raise SchemaMismatch(f"handles read different features: {mismatch[0]} and "
+                             f"{mismatch[1]}", operation="model_distance")
     p1 = h1.predict_batch(d.codes)
     p2 = h2.predict_batch(d.codes)
     if loss == LossFunction.KL:
@@ -554,7 +540,7 @@ def _train_ols(config, d):
     cov = sigma2 * np.linalg.inv(gram + (1e-8 * np.eye(design.shape[1]) if ridged else 0))
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    params = {"intercept": float(coef[0]), "coef": coef[1:].tolist(), "encoder": encoder}
+    params = {"intercept": float(coef[0]), "coef": coef[1:].copy(), "encoder": encoder}
     meta = {"learner": "ols", "seed": config.seed, "ridge_fallback": ridged,
             "intercept_se": float(se[0]), "coef_se": se[1:].tolist(),
             "residual_variance": sigma2}
@@ -795,8 +781,8 @@ def _fit_subset(config, d, loss, subset):
     if loss == LossFunction.KL:
         levels, dist = const
         return PredictorHandle(
-            input_schema=[], output_kind="distribution", kind="constant_distribution",
-            params={"dist": dist.tolist(), "y_levels": levels.tolist()},
+            input_schema=[], output_kind="distribution", kind="constant",
+            params={"value": dist, "y_levels": levels},
             metadata={"learner": "constant"})
     return PredictorHandle(
         input_schema=[], output_kind="scalar", kind="constant",

@@ -346,7 +346,7 @@ def optimal_predictor(spec):
     p, loss = spec.phenomenon, spec.loss
     schema = p.feature_specs()
     if p.kind == "linear_gaussian":
-        params = {"intercept": p.beta0, "coef": p.beta.tolist(),
+        params = {"intercept": p.beta0, "coef": p.beta.copy(),
                   "encoder": [{"type": "numeric", "mean": 0.0, "scale": 1.0}] * p.n}
         return PredictorHandle(input_schema=schema, output_kind="scalar",
                                kind="linear", params=params,
@@ -360,7 +360,8 @@ def optimal_predictor(spec):
     joint_x = p.table.reshape(-1, len(p.y_levels))
     px = joint_x.sum(axis=1, keepdims=True)
     cond = np.divide(joint_x, px, out=np.full_like(joint_x, np.nan), where=px > 0)
-    params = {"x_levels": p.x_levels, "y_levels": p.y_levels, "cond": cond.tolist()}
+    params = {"x_levels": [np.asarray(lv, dtype=float) for lv in p.x_levels],
+              "y_levels": np.asarray(p.y_levels, dtype=float), "cond": cond}
     kind = "table_argmax" if loss == LossFunction.ZERO_ONE else "table_conditional"
     output = "scalar" if loss == LossFunction.ZERO_ONE else "distribution"
     return PredictorHandle(input_schema=schema, output_kind=output, kind=kind,

@@ -1120,6 +1120,26 @@ class TestModelDataRefusal:
             "SchemaMismatch", f"--model {model} reads features (g [a, b, c], x), "
                               f"but --data {other} has (g [a, c, b], x)")
 
+    @pytest.mark.parametrize("argv", [
+        ["--question", "cpfi", "--feature", "x1"],
+        ["--question", "sage"],
+        ["--question", "shapley_local", "--instance", "[0.1, -0.2]"],
+        ["--question", "local_conditional_contribution", "--feature", "x1",
+         "--instance", "[0.1, -0.2]", "--observed-y", "0.5"]],
+        ids=["cpfi", "sage", "shapley_local", "local_conditional_contribution"])
+    def test_train_data_of_other_features_is_refused(self, tmp_path, simulated, reversed_data,
+                                                     argv):
+        # refits on --train-data are evaluated on --data's rows, read by position
+        train_data = os.path.join(simulated, "dataset.json")
+        out = str(tmp_path / "run")
+        assert main(["describe", *argv, "--train-data", train_data, "--data", reversed_data,
+                     "--out", out]) == 1
+        assert json.load(open(os.path.join(out, "error.json"))) == {
+            "error": "SchemaMismatch", "module": "cli", "operation": "describe",
+            "message": f"--train-data {train_data} has features (x1, x2), but --data "
+                       f"{reversed_data} has (x2, x1)"}
+        assert sorted(os.listdir(out)) == ["error.json"]
+
     def test_a_refit_question_does_not_read_the_model(self, tmp_path, trained, reversed_data):
         out = str(tmp_path / "run")
         assert main(["describe", "--question", "sage", "--train-data", reversed_data,

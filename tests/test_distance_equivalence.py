@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, train
 from descry import models, samplers
 from descry.data import gower_decode
+from descry.errors import SchemaMismatch
 from descry.models import (
     build_encoder, encode, feature_ranges, gower_distances, gower_encode, nearest,
 )
@@ -172,15 +173,22 @@ def test_support_check_matches_per_query_reference(problem):
        st.sampled_from(["euclidean_standardized", "gower"]),
        st.sampled_from([LossFunction.MSE, LossFunction.ZERO_ONE]))
 def test_knn_matches_per_query_reference(problem, knn_k, distance, loss):
+    """Declared queries match the reference; a batch holding an undeclared
+    category is refused, by the trained and by the loaded handle."""
     d, queries, block_cells = problem
+    declared = queries[:, -1] != UNDECLARED
     h = train(LearnerConfig(learner="knn", knn_k=min(knn_k, d.k), distance=distance), d, loss)
     with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
-        predicted = h.predict_batch(queries)
+        predicted = h.predict_batch(queries[declared])
     listed = h.to_dict()
     params = dict(listed["params"], features=listed["input_schema"],
                   train_encoded=h.params.get("train_encoded"))
-    expected = reference_eval_knn(params, queries)
+    expected = reference_eval_knn(params, queries[declared])
     assert predicted.tolist() == expected.tolist()
+    if not declared.all():
+        for handle in (h, models.PredictorHandle.from_dict(listed)):
+            with pytest.raises(SchemaMismatch, match=f"'c': '{UNDECLARED}' not in categories"):
+                handle.predict_batch(queries)
 
 
 @st.composite

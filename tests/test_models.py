@@ -43,6 +43,16 @@ def mixed_dataset():
                    rows=rows, targets=[0.0, 0.0, 1.0, 1.0], provenance="observed")
 
 
+def assert_refuses_undeclared(*handles):
+    """Each handle of a mixed_dataset model refuses a category its schema
+    does not declare, in a batch as in one row."""
+    for handle in handles:
+        for call, rows in ((handle.predict_batch, [[0.5, "a"], [-3.0, "zz"]]),
+                           (handle.predict, [-3.0, "zz"])):
+            with pytest.raises(SchemaMismatch, match="feature 'cat': 'zz' not in categories"):
+                call(np.array(rows, dtype=object))
+
+
 class TestOls:
     def test_exact_interpolation(self):
         d = linear_dataset(slope=3.0)
@@ -130,8 +140,9 @@ class TestKnn:
             assert isinstance(loaded, np.ndarray) and loaded.dtype == float
             assert loaded.tobytes() == trained.tobytes()
         assert canonical_json(clone.to_dict()) == text
-        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "zz"]], dtype=object)
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "b"]], dtype=object)
         assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
+        assert_refuses_undeclared(h, clone)
         assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.rows).tobytes()
 
     @pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
@@ -148,8 +159,9 @@ class TestKnn:
         if distance == "euclidean_standardized":
             old["params"]["train_encoded"] = h.params["train_encoded"].tolist()
         clone = PredictorHandle.from_dict(json.loads(canonical_json(old)))
-        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "zz"]], dtype=object)
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "b"]], dtype=object)
         assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
+        assert_refuses_undeclared(h, clone)
         assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.codes).tobytes()
 
     def test_mode_for_zero_one(self):
@@ -222,8 +234,9 @@ class TestMlp:
                 assert isinstance(loaded, np.ndarray) and loaded.dtype == float
                 assert np.array_equal(loaded, trained)
         assert canonical_json(clone.to_dict()) == text
-        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "zz"]], dtype=object)
+        queries = np.array([[0.5, "a"], [10.5, "b"], [5.0, "a"], [-3.0, "b"]], dtype=object)
         assert clone.predict_batch(queries).tobytes() == h.predict_batch(queries).tobytes()
+        assert_refuses_undeclared(h, clone)
         assert clone.predict_batch(d.codes).tobytes() == h.predict_batch(d.rows).tobytes()
 
     def test_diverging_epochs_are_rejected(self, benchmark_phenomenon):
@@ -309,6 +322,19 @@ class TestPredict:
         with pytest.raises(SchemaMismatch):
             predict(h, [1.0])
 
+    @pytest.mark.parametrize("config", [
+        OLS, LearnerConfig(learner="knn", knn_k=2),
+        LearnerConfig(learner="knn", knn_k=2, distance="gower"),
+        LearnerConfig(learner="mlp", hidden=(4,), epochs=3, seed=1)],
+        ids=["ols", "knn-euclidean", "knn-gower", "mlp"])
+    def test_batch_refuses_an_undeclared_category(self, config):
+        d = mixed_dataset()
+        h = train(config, d, MSE)
+        clone = PredictorHandle.from_dict(json.loads(canonical_json(h.to_dict())))
+        assert_refuses_undeclared(h, clone)
+        # declared rows still answer, given as labels or as codes
+        assert clone.predict_batch(d.rows).tobytes() == h.predict_batch(d.codes).tobytes()
+
     def test_distribution_sums_to_one(self, discrete_phenomenon):
         m = optimal_predictor(OptimalPredictorSpec(discrete_phenomenon, KL))
         out = predict(m, [0, 1])
@@ -320,6 +346,65 @@ class TestPredict:
         h = train(OLS, d, MSE)
         clone = PredictorHandle.from_dict(h.to_dict())
         assert np.array_equal(clone.predict_batch(d.rows), h.predict_batch(d.rows))
+
+
+# a case's float-array params, and its params that hold a list of float arrays
+ROUND_TRIP_CASES = {
+    "ols": ({"coef"}, set()),
+    "linear_oracle": ({"coef"}, set()),
+    "poly_response": (set(), set()),
+    "table_argmax": ({"cond", "y_levels"}, {"x_levels"}),
+    "table_conditional": ({"cond", "y_levels"}, {"x_levels"}),
+    "constant": (set(), set()),
+    "kl_constant": ({"value", "y_levels"}, set()),
+    "knn_euclidean": ({"train_targets", "train_encoded"}, set()),
+    "knn_gower": ({"train_targets", "train_codes"}, set()),
+    "mlp": (set(), {"weights", "biases"}),
+}
+
+
+def build_handle(case, request):
+    """The handle of a ROUND_TRIP_CASES case, and rows it predicts at."""
+    learners = {"ols": OLS, "mlp": LearnerConfig(learner="mlp", hidden=(4, 3), epochs=5, seed=1),
+                "knn_euclidean": LearnerConfig(learner="knn", knn_k=2),
+                "knn_gower": LearnerConfig(learner="knn", knn_k=2, distance="gower")}
+    if case in learners:
+        d = mixed_dataset()
+        return train(learners[case], d, MSE), d.rows
+    fixture, loss = {"linear_oracle": ("benchmark_phenomenon", MSE),
+                     "poly_response": ("nonlinear_phenomenon", MSE),
+                     "table_argmax": ("discrete_phenomenon", ZO),
+                     "table_conditional": ("discrete_phenomenon", KL),
+                     "constant": ("benchmark_phenomenon", MSE),
+                     "kl_constant": ("discrete_phenomenon", KL)}[case]
+    p = request.getfixturevalue(fixture)
+    d = sample(p, 40, seed=1)
+    if case.endswith("constant"):
+        return subset_model(OLS, d, loss, ()), np.zeros((3, 0))
+    return optimal_predictor(OptimalPredictorSpec(p, loss)), d.rows
+
+
+class TestRoundTrip:
+    """Every kind of handle survives model.json: the same file, the same
+    predictions bit for bit, and its arrays held as float arrays on both sides."""
+
+    @pytest.mark.parametrize("case", ROUND_TRIP_CASES)
+    def test_model_json_round_trip(self, case, request):
+        h, rows = build_handle(case, request)
+        text = canonical_json(h.to_dict())
+        clone = PredictorHandle.from_dict(json.loads(text))
+        assert canonical_json(clone.to_dict()) == text
+        assert clone.predict_batch(rows).tobytes() == h.predict_batch(rows).tobytes()
+        arrays, array_lists = ROUND_TRIP_CASES[case]
+        for handle in (h, clone):
+            held = [handle.params[key] for key in arrays]
+            held += [a for key in array_lists for a in handle.params[key]]
+            assert all(isinstance(a, np.ndarray) and a.dtype == float for a in held)
+
+    def test_every_evaluator_is_covered(self, request):
+        from descry.models import _EVALUATORS
+        kinds = {build_handle(case, request)[0].kind for case in ROUND_TRIP_CASES}
+        assert kinds == set(_EVALUATORS)
 
 
 class TestEpe:
@@ -409,6 +494,31 @@ class TestModelDistance:
                 distances.append(model_distance(h, oracle, d_ref, MSE))
             medians.append(np.median(distances))
         assert medians[0] > medians[1] > medians[2]
+
+    def test_other_category_order_is_refused(self):
+        # both models give every label the same prediction, but each reads
+        # a code by its own category order
+        def trained(categories):
+            labels = ["a", "b", "c"] * 4
+            d = Dataset(features=[FeatureSpec(name="g", kind="categorical",
+                                              categories=categories)],
+                        target=FeatureSpec(name="y", kind="numeric"),
+                        rows=[[g] for g in labels],
+                        targets=[{"a": 1.0, "b": 2.0, "c": 4.0}[g] for g in labels],
+                        provenance="observed")
+            return train(OLS, d, MSE), d
+        (h1, d), (h2, _) = trained(("a", "b", "c")), trained(("c", "b", "a"))
+        assert [h1.predict([g]) for g in "abc"] == pytest.approx([h2.predict([g]) for g in "abc"])
+        with pytest.raises(SchemaMismatch, match=r"\(g \[a, b, c\]\) and \(g \[c, b, a\]\)"):
+            model_distance(h1, h2, d, MSE)
+
+    def test_numeric_and_integer_features_match(self):
+        d = linear_dataset(k=20)
+        d_int = Dataset(features=[FeatureSpec(name="x", kind="integer")], target=d.target,
+                        rows=np.round(d.rows), targets=d.targets, provenance="synthetic")
+        h, h_int = train(OLS, d, MSE), train(OLS, d_int, MSE)
+        gap = h.predict_batch(d_int.codes) - h_int.predict_batch(d_int.codes)
+        assert model_distance(h, h_int, d_int, MSE) == pytest.approx(np.mean(gap ** 2))
 
     def test_symmetry(self, benchmark_phenomenon):
         d = sample(benchmark_phenomenon, 200, seed=11)
