@@ -28,7 +28,7 @@ from .models import LearnerConfig, LossFunction, PredictorHandle, epe, train
 from .phenomenon import Phenomenon, sample
 from .plots import write_curve_svg
 from .uncertainty import CIConfig, ci_combined, ci_estimation
-from ._util import canonical_json, write_json
+from ._util import canonical_json, clear_caches, write_json
 
 # `ingest --jitter` offsets when neither --offsets nor the schema gives any
 JITTER_OFFSETS = (1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
@@ -296,6 +296,9 @@ def _cmd_uncertainty(args):
               f"{args.question} ({args.mode})", d.features[spec.feature].name, question.y_label,
               ci_ee=report.ci_ee[keep].tolist(),
               ci_me_ee=report.ci_me_ee[keep].tolist() if combined else None)
+    # each interval keeps its draws and refits for the next one on the same data;
+    # a command answers one, so an in-process caller would hold them for nothing
+    clear_caches()
 
 
 def _md_row(cells):

@@ -29,8 +29,8 @@ from .models import (
     gower_distances,
     pointwise_loss,
     row_losses,
-    subset_epe,
     subset_model,
+    subset_risks,
 )
 from .samplers import (
     build_grid, check_band, conditional_groups, get_support_checker, grid_membership, group_means,
@@ -207,8 +207,7 @@ def cpfi(config, d_train, d_eval, feature, loss):
     optimally reduced model predicts without the feature (a name or an index)."""
     j, full_set, reduced_set = cpfi_sets(d_train, feature)
     spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
-    full_epe = subset_epe(config, d_train, d_eval, loss, full_set)
-    reduced_epe = subset_epe(config, d_train, d_eval, loss, reduced_set)
+    full_epe, reduced_epe = subset_risks(config, d_train, d_eval, loss, [full_set, reduced_set])
     return DescriptorResult(spec=spec, scalar=reduced_epe - full_epe, diagnostics={
         "epe_full": full_epe, "epe_reduced": reduced_epe,
         "evaluation_size": d_eval.k})
@@ -237,12 +236,9 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
 # -- fair contributions (Shapley) ----------------------------------------------
 
 
-def _shapley_exact(n, value_of):
-    """phi_j = (1/n) sum_S C(n-1,|S|)^-1 [v(S u j) - v(S)], all subsets."""
-    values = {}
-    for size in range(n + 1):
-        for s in itertools.combinations(range(n), size):
-            values[s] = value_of(s)
+def _shapley_exact(n, values):
+    """phi_j = (1/n) sum_S C(n-1,|S|)^-1 [v(S u j) - v(S)], over the values
+    of all subsets."""
     phi = np.zeros(n)
     for j in range(n):
         others = [i for i in range(n) if i != j]
@@ -251,42 +247,45 @@ def _shapley_exact(n, value_of):
             for s in itertools.combinations(others, size):
                 with_j = tuple(sorted(s + (j,)))
                 phi[j] += weight * (values[with_j] - values[s])
-    return phi, values
+    return phi
 
 
-def _shapley_permutation_mc(n, value_of, permutations, seed):
-    """Average marginal gains over random feature orderings; also returns
-    the value of every subset visited (each ordering visits all n)."""
-    rng = np.random.default_rng(derive_seed(seed, "shapley-permutations"))
-    gains = np.zeros((permutations, n))
-    values = {(): value_of(())}
-    for p in range(permutations):
-        order = rng.permutation(n)
-        acquired = []
+def _shapley_permutation_mc(n, values, orderings):
+    """Average marginal gains over the orderings, from the values of the
+    subsets they visit (each ordering visits all n)."""
+    gains = np.zeros((len(orderings), n))
+    for p, order in enumerate(orderings):
         prev = values[()]
-        for j in order:
-            acquired.append(int(j))
-            key = tuple(sorted(acquired))
-            if key not in values:
-                values[key] = value_of(key)
-            gains[p, j] = values[key] - prev
-            prev = values[key]
+        for i, j in enumerate(order):
+            value = values[tuple(sorted(order[:i + 1]))]
+            gains[p, j] = value - prev
+            prev = value
     phi = gains.mean(axis=0)
-    stderr = gains.std(axis=0, ddof=1) / np.sqrt(permutations)
-    return phi, stderr, values
+    stderr = gains.std(axis=0, ddof=1) / np.sqrt(len(orderings))
+    return phi, stderr
 
 
-def _fair_contribution(n, value_of, spec, extra=None):
+def _fair_contribution(n, values_of, spec, extra=None):
+    """Shapley attribution from `values_of(subsets)`, the coalition values
+    of a list of subsets: all 2^n in exact mode, else the empty set and the
+    prefixes of the drawn orderings, each listed once in the order visited."""
     if spec.mode == "exact":
         if n > EXACT_MODE_LIMIT:
             raise TooManyFeaturesForExact(
                 f"{n} features exceeds the exact-mode limit {EXACT_MODE_LIMIT}",
                 operation=spec.question)
-        phi, values = _shapley_exact(n, value_of)
+        subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+    else:
+        rng = np.random.default_rng(derive_seed(spec.seed, "shapley-permutations"))
+        orderings = [rng.permutation(n).tolist() for _ in range(spec.mc_permutations)]
+        subsets = [()] + [tuple(sorted(order[:i + 1])) for order in orderings for i in range(n)]
+    subsets = list(dict.fromkeys(subsets))
+    values = dict(zip(subsets, values_of(subsets)))
+    if spec.mode == "exact":
+        phi = _shapley_exact(n, values)
         diagnostics = {}
     else:
-        phi, stderr, values = _shapley_permutation_mc(n, value_of, spec.mc_permutations,
-                                                      spec.seed)
+        phi, stderr = _shapley_permutation_mc(n, values, orderings)
         diagnostics = {"mc_stderr": stderr.tolist()}
     diagnostics.update(value_empty=values[()], value_full=values[tuple(range(n))])
     if extra:
@@ -304,7 +303,8 @@ def sage(config, d_train, d_eval, loss, mode=DescriptorSpec.mode,
     spec = DescriptorSpec(question="sage", loss=loss, mode=mode,
                           mc_permutations=mc_permutations, seed=seed)
     return _fair_contribution(
-        d_train.n, lambda subset: -subset_epe(config, d_train, d_eval, loss, subset),
+        d_train.n, lambda subsets: [-r for r in subset_risks(config, d_train, d_eval, loss,
+                                                             subsets)],
         spec, extra={"evaluation_size": d_eval.k})
 
 
@@ -322,7 +322,7 @@ def shapley_local(config, d_train, d_eval, instance, mode=DescriptorSpec.mode,
     def value_of(subset):
         return subset_model(config, d_train, loss, subset).predict([instance[j] for j in subset])
 
-    return _fair_contribution(d_train.n, value_of, spec)
+    return _fair_contribution(d_train.n, lambda subsets: [value_of(s) for s in subsets], spec)
 
 
 # -- relevant values and counterfactuals ---------------------------------------

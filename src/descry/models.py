@@ -3,7 +3,11 @@
 A PredictorHandle is a deterministic, serializable mapping from feature
 vectors to predictions. Learners (ols, knn, mlp) produce handles; the
 analytic simulator produces oracle handles of the same shape. Subset refits
-are cached because fair-contribution scores enumerate up to 2^n of them.
+and their risks are cached because fair-contribution scores enumerate up to
+2^n of them. knn subset risks are computed together, in one walk of the
+subsets' prefix tree per query block (`subset_risks`): each encoded
+column's distance term is computed once per block and shared by every
+subset, with the same bits as each subset's own refit.
 """
 
 import math
@@ -14,7 +18,7 @@ import numpy as np
 
 from .data import FeatureSpec, feature_mismatch, gower_encode, select_features
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
-from ._util import derive_seed, lru_get_or_build, new_cache
+from ._util import derive_seed, lru_get, lru_get_or_build, new_cache
 
 # Cap on queries x reference rows per distance block; bounds its (q, k) temporaries.
 DISTANCE_BLOCK_CELLS = 1 << 15
@@ -134,11 +138,10 @@ def _distances(queries, reference, ranges=None, work=None):
     Both sum one (q, k) term per column. The Euclidean sum takes numpy's
     pairwise order, so it equals `np.sqrt(((reference - queries[:, None]) **
     2).sum(axis=2))` bit for bit without building that (q, k, n) cube.
-    Every term and partial sum is written into `work` (from `_workspace`; a
-    zero-range Gower term into one bool scratch). `nearest` passes one per
-    call, reused by all its blocks, because freeing (q, k) arrays per column
-    or per block lets the allocator return their pages to the system and
-    fault them in again."""
+    Every term (`_column_term`) and partial sum is written into `work` (from
+    `_workspace`). `nearest` passes one per call, reused by all its blocks,
+    because freeing (q, k) arrays per column or per block lets the allocator
+    return their pages to the system and fault them in again."""
     q = len(queries)
     columns = np.ascontiguousarray(reference.T)
     if work is None:
@@ -146,22 +149,29 @@ def _distances(queries, reference, ranges=None, work=None):
     diff, slots = work[0, :q], work[1:, :q]
     if ranges is None:
         def term(j):
-            np.subtract(columns[j], queries[:, j, None], out=diff)
-            return np.square(diff, out=diff)
+            return _column_term(columns[j], queries[:, j], None, diff)
         total = _column_sum(term, 0, len(columns), slots)
         return np.sqrt(total, out=total)
 
-    mismatch = np.empty(diff.shape, dtype=bool)
-
     def term(j):
-        np.subtract(columns[j], queries[:, j, None], out=diff)
-        np.abs(diff, out=diff)
-        if ranges[j] > 0:
-            return np.divide(diff, ranges[j], out=diff)
-        return np.greater(diff, 0, out=mismatch)
+        return _column_term(columns[j], queries[:, j], ranges[j], diff)
     total = _column_sum(term, 0, len(ranges), slots, pairwise=False)
     total /= max(len(ranges), 1)
     return total
+
+
+def _column_term(column, queries, span, out):
+    """One column's (q, k) distance term, written into `out`: the squared
+    difference of each query value and each reference value, or under Gower
+    (`span` given) their absolute difference over the column's range, or
+    their 0/1 mismatch where the range is 0."""
+    np.subtract(column, queries[:, None], out=out)
+    if span is None:
+        return np.square(out, out=out)
+    np.abs(out, out=out)
+    if span > 0:
+        return np.divide(out, span, out=out)
+    return np.greater(out, 0, out=out)
 
 
 def _column_sum(term, start, stop, slots, pairwise=True):
@@ -720,8 +730,7 @@ def train_each(config, datasets, loss):
     stack = []
     for d in datasets:
         _check_training(config, d, loss)
-        inputs = sum(len(f.categories) if f.kind == "categorical" else 1 for f in d.features)
-        cells = d.k * max(inputs, *config.hidden)
+        cells = d.k * max(sum(_encoded_widths(d.features)), *config.hidden)
         if stack and ((d.k, d.features) != (stack[0].k, stack[0].features)
                       or (len(stack) + 1) * cells > MLP_STACK_CELLS):
             yield from _train_mlp(config, stack)
@@ -737,6 +746,10 @@ def train_each(config, datasets, loss):
 # the risks of refits on evaluation data are kept to the same bound
 SUBSET_CACHE_SIZE = 32
 _subset_cache, _risk_cache = new_cache(), new_cache()
+# Cap on subsets x evaluation rows of per-row losses one lattice pass keeps.
+LATTICE_LOSS_CELLS = 1 << 18
+# Cap on the cells of the lattice's workspace: its (queries, reference rows) arrays together.
+LATTICE_WORK_CELLS = 1 << 18
 
 
 def best_constant(d, loss):
@@ -766,12 +779,130 @@ def subset_model(config, d, loss, subset):
 
 def subset_epe(config, d_train, d_eval, loss, subset):
     """EPE on d_eval's `subset` columns of the refit on d_train's (cached):
-    sage and cpfi are differences of these risks."""
-    subset = tuple(sorted(int(j) for j in subset))
-    return lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE,
-                            (config, d_train.fingerprint, d_eval.fingerprint, loss, subset),
-                            lambda: epe(subset_model(config, d_train, loss, subset),
-                                        select_features(d_eval, subset), loss))
+    the one-subset case of `subset_risks`."""
+    return subset_risks(config, d_train, d_eval, loss, [subset])[0]
+
+
+def subset_risks(config, d_train, d_eval, loss, subsets):
+    """For each subset S, the EPE on d_eval's S columns of the refit on
+    d_train's: sage and cpfi are differences of these risks. Each risk is
+    cached under its subset, and the values returned are the ones computed,
+    so a list longer than the cache loses none. knn risks come from one
+    lattice pass (`_knn_lattice`), bit for bit the risks of the subsets' own
+    refits; the empty subset, Euclidean subsets of 8 or more encoded columns
+    and the other learners are refit and evaluated one subset at a time,
+    before the lattice, in the order given."""
+    subsets = [tuple(sorted(int(j) for j in subset)) for subset in subsets]
+    key = (config, d_train.fingerprint, d_eval.fingerprint, loss)
+    risks = {subset: lru_get(_risk_cache, key + (subset,)) for subset in dict.fromkeys(subsets)}
+    misses = [subset for subset, risk in risks.items() if risk is None]
+    lattice = [subset for subset in misses if _on_lattice(config, d_train, d_eval, subset)]
+    for subset in misses:
+        if subset not in lattice:
+            risks[subset] = epe(subset_model(config, d_train, loss, subset),
+                                select_features(d_eval, subset), loss)
+    if lattice:
+        risks.update(_knn_lattice(config, d_train, d_eval, loss, lattice))
+    for subset in misses:
+        risks[subset] = lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE, key + (subset,),
+                                         lambda risk=risks[subset]: risk)
+    return [risks[subset] for subset in subsets]
+
+
+def _encoded_widths(features):
+    """Columns each feature encodes to: one per category, one if numeric."""
+    return [len(f.categories) if f.kind == "categorical" else 1 for f in features]
+
+
+def _on_lattice(config, d_train, d_eval, subset):
+    """Whether `_knn_lattice` computes this subset's risk: a non-empty knn
+    subset on non-empty evaluation data, below 8 encoded columns under
+    Euclidean, where `_column_sum` adds the columns left to right."""
+    if config.learner != "knn" or not subset or d_eval.k == 0:
+        return False
+    widths = _encoded_widths(d_train.features)
+    return config.distance == "gower" or sum(widths[j] for j in subset) < 8
+
+
+def _knn_lattice(config, d_train, d_eval, loss, subsets):
+    """{subset: risk} for non-empty knn subsets, each equal bit for bit to
+    `epe(subset_model(...), select_features(d_eval, S), loss)`.
+
+    A subset refit's encoding, targets and count are the matching column
+    blocks of the full-feature refit's, so that refit is trained once and
+    its columns shared. Per block of queries each encoded column's term is
+    computed once; then the subsets, in sorted order, are walked as a prefix
+    tree with an explicit stack: a subset's partial sum is its parent's plus
+    its last feature's columns, left to right, as `_column_sum` adds them
+    below 8 columns and Gower at any width. At each subset the sum becomes
+    a distance (`sqrt`, or the mean over its features), then its neighbours
+    (`_smallest`), predictions and per-row losses, whose mean is the risk.
+
+    The workspace is allocated once per call. Per query it holds a row of
+    d_train.k cells for each encoded column the subsets read, for each stack
+    level, and for the distances and the scratch: A = used + depth + 3 rows.
+    Queries are taken LATTICE_WORK_CELLS // (A x d_train.k) at a time, at
+    least one, so in every mode the workspace holds at most
+    LATTICE_WORK_CELLS cells (2 MiB), or one query's A x d_train.k cells
+    when that is more. As depth is at most the feature count, that is at
+    most twice the encoded training matrix plus three rows: a 500-feature
+    Gower sage on 1 000 training rows takes one query at a time in 8 MB,
+    beside the (used, d_train.k) copy of the columns read. The per-row losses of up to LATTICE_LOSS_CELLS // d_eval.k subsets
+    (2 MiB) are kept too, longer lists taking more passes.
+    """
+    fit = train(config, d_train, loss).params
+    evaluated = select_features(d_eval, range(d_train.n))
+    if config.distance == "gower":
+        reference, queries, spans = fit["train_codes"], evaluated.codes, fit["ranges"]
+        widths = [1] * d_train.n
+    else:
+        reference = fit["train_encoded"]
+        queries = encode(evaluated.codes, fit["encoder"], d_train.features)
+        spans, widths = [None] * reference.shape[1], _encoded_widths(d_train.features)
+    # only the columns of features some subset reads, each feature's as one block
+    features, starts = sorted(set().union(*subsets)), np.cumsum([0] + widths)
+    used = [j for f in features for j in range(starts[f], starts[f + 1])]
+    ends = dict(zip(features, np.cumsum([widths[f] for f in features])))
+    columns = np.ascontiguousarray(reference[:, used].T)
+    rows = len(used) + max(map(len, subsets)) + 3
+    step = max(1, LATTICE_WORK_CELLS // (rows * len(reference)))
+    work = np.zeros((rows, min(step, evaluated.k), len(reference)))
+    terms, sums = work[:len(used)], work[len(used):-2]   # sums[0] stays 0
+    dist, scratch = work[-2], work[-1]
+    per_pass = max(1, LATTICE_LOSS_CELLS // evaluated.k)
+    losses = np.empty((min(per_pass, len(subsets)), evaluated.k))
+
+    subsets = sorted(subsets)
+    risks = {}
+    for first in range(0, len(subsets), per_pass):
+        chunk = subsets[first:first + per_pass]
+        for start in range(0, evaluated.k, step):
+            block, m = queries[start:start + step], min(step, evaluated.k - start)
+            for t, j in enumerate(used):
+                _column_term(columns[t], block[:, j], spans[j], terms[t, :m])
+            path = []   # the features summed into sums[1..len(path)]
+            for i, subset in enumerate(chunk):
+                shared = 0
+                while shared < min(len(path), len(subset)) and path[shared] == subset[shared]:
+                    shared += 1
+                del path[shared:]
+                for f in subset[shared:]:
+                    acc = sums[len(path) + 1, :m]
+                    lo = ends[f] - widths[f]
+                    np.add(sums[len(path), :m], terms[lo, :m], out=acc)
+                    for t in range(lo + 1, ends[f]):
+                        acc += terms[t, :m]
+                    path.append(f)
+                if config.distance == "gower":
+                    distances = np.divide(sums[len(path), :m], len(path), out=dist[:m])
+                else:
+                    distances = np.sqrt(sums[len(path), :m], out=dist[:m])
+                order = _smallest(distances, fit["k"], scratch[:m])
+                preds = _knn_aggregate(fit["train_targets"][order], fit["agg"])
+                losses[i, start:start + m] = pointwise_loss(
+                    loss, evaluated.targets[start:start + m], preds)
+        risks.update((subset, float(np.mean(row))) for subset, row in zip(chunk, losses))
+    return risks
 
 
 def _fit_subset(config, d, loss, subset):

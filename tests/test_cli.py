@@ -464,6 +464,17 @@ class TestUncertainty:
         svg = open(os.path.join(out, "plot.svg")).read()
         assert svg.count("stroke-dasharray") == 2   # nested dashed bands
 
+    @pytest.mark.parametrize("question", ["cpdp", "cpfi"])
+    def test_an_in_process_run_leaves_every_cache_empty(self, tmp_path, simulated, question):
+        """The interval's draws and refits are not kept once its report is written."""
+        from descry import _util
+        assert main(["uncertainty", "--question", question, "--mode", "combined",
+                     "--data", os.path.join(simulated, "dataset.json"),
+                     "--learner", "ols", "--feature", "x1",
+                     "--ee-replicates", "20", "--me-replicates", "20",
+                     "--out", str(tmp_path / question)]) == 0
+        assert _util._caches and not any(_util._caches)
+
     @pytest.mark.parametrize("mode", ["ee", "combined"])
     def test_categorical_feature(self, tmp_path, mode):
         data_path = tmp_path / "mixed.json"

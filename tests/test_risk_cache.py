@@ -1,10 +1,11 @@
 """The subset-risk cache that sage and cpfi share.
 
-`models.subset_epe` keeps the EPE of each feature-subset refit on one
+`models.subset_risks` keeps the EPE of each feature-subset refit on one
 evaluation dataset. The reference below computes every risk directly as
-`epe(subset_model(...), select_features(d_eval, S))`, uncached; sage and cpfi
-must give byte-equal results through it and through the cache, whether the
-cache is cold, warm or cleared.
+`epe(subset_model(...), select_features(d_eval, S))`, one subset at a time
+and uncached; sage and cpfi must give byte-equal results through it and
+through the cache (and, for knn, the subset lattice), whether the cache is
+cold, warm or cleared.
 """
 
 from unittest import mock
@@ -40,6 +41,10 @@ def direct_epe(config, d_train, d_eval, loss, subset):
     return epe(subset_model(config, d_train, loss, subset), select_features(d_eval, subset), loss)
 
 
+def direct_risks(config, d_train, d_eval, loss, subsets):
+    return [direct_epe(config, d_train, d_eval, loss, subset) for subset in subsets]
+
+
 def as_bytes(result):
     attribution = b"" if result.attribution is None else result.attribution.tobytes()
     return canonical_json(result.to_dict()).encode() + attribution
@@ -57,7 +62,7 @@ def test_cached_risks_equal_direct_ones(seed, n, learner, mode, shared):
                               seed=seed))] + \
                [as_bytes(cpfi(learner, d_train, d_eval, j, MSE)) for j in range(n)]
 
-    with mock.patch.object(descriptors, "subset_epe", direct_epe):
+    with mock.patch.object(descriptors, "subset_risks", direct_risks):
         reference = run()
     clear_caches()
     assert run() == reference  # cold
@@ -101,17 +106,21 @@ def test_clear_empties_both_caches():
 
 
 def test_cpfi_after_sage_predicts_nothing_again():
-    """sage evaluates every subset refit once on the evaluation data; cpfi of
-    every feature then reads its full and reduced risks from the cache."""
+    """sage computes each of the 4 columns' distance term once per query block
+    and selects the neighbours of every non-empty subset once; cpfi of every
+    feature then reads its full and reduced risks from the cache."""
     d_train, d_eval = dataset(4, 4, k=60), dataset(5, 4, k=50)
     config = LEARNERS[1]
+    # one query block: the workspace holds 4 column terms, 5 partial sums and 2 more rows
+    assert (2 * d_train.n + 3) * d_eval.k * d_train.k <= models.LATTICE_WORK_CELLS
     clear_caches()
-    with mock.patch.object(models, "nearest", wraps=models.nearest) as spy:
+    with mock.patch.object(models, "_column_term", wraps=models._column_term) as terms, \
+            mock.patch.object(models, "_smallest", wraps=models._smallest) as selections:
         sage(config, d_train, d_eval, MSE)
+        assert (terms.call_count, selections.call_count) == (d_train.n, 2 ** d_train.n - 1)
         for j in range(d_train.n):
             cpfi(config, d_train, d_eval, j, MSE)
-    evaluations = [call for call in spy.call_args_list if len(call.args[0]) == d_eval.k]
-    assert len(evaluations) == 2 ** d_train.n - 1  # every subset but the empty one
+    assert (terms.call_count, selections.call_count) == (d_train.n, 2 ** d_train.n - 1)
 
 
 def test_an_equal_config_shares_the_refits_and_risks():
