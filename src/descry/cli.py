@@ -472,7 +472,6 @@ def build_parser():
                      help="comma-separated jitter offsets (default: the jittered feature's "
                           "schema jitter_offsets, else 1,-1,2,-2,3,-3)")
     sub.add_argument("--clamp", default=None)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_ingest)
 
@@ -538,6 +537,11 @@ def build_parser():
     return parser
 
 
+# Flags a command no longer takes; a manifest written while it did still holds
+# them, and its replay drops them.
+_RETIRED_FLAGS = {("ingest", "seed")}
+
+
 def _expand_config(argv, commands):
     """Replace `--config file.json` with the flags it encodes.
 
@@ -572,7 +576,7 @@ def _expand_config(argv, commands):
                          f"asks for {named!r}")
     expanded = [command]
     for key, value in sorted(flags.items()):
-        if value is None or key in ("command", "func"):
+        if value is None or key in ("command", "func") or (command, key) in _RETIRED_FLAGS:
             continue
         if key == "run_dirs":
             expanded.extend(str(v) for v in value)

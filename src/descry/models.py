@@ -24,6 +24,11 @@ from ._util import derive_seed, lru_get, lru_get_or_build, new_cache
 DISTANCE_BLOCK_CELLS = 1 << 15
 # Cap on replicates x rows x widest layer in one stacked mlp fit; bounds its activations.
 MLP_STACK_CELLS = 1 << 18
+# Most nearest rows `_smallest` picks by one argmin scan each; more take the
+# full stable argsort. Each pick costs one more scan: on blocks of 8 to 32
+# rows of 300 to 10 000 columns 64 scans still beat the sort, and on 30 x 60
+# blocks the two tie at about 16.
+SCAN_PICKS = 16
 
 
 class LossFunction(str, Enum):
@@ -220,34 +225,34 @@ def _column_sum(term, start, stop, slots, pairwise=True):
 
 def _smallest(block, count, scratch):
     """The first `count` columns of each row's stable argsort (smallest first,
-    lowest column on ties, NaN last), without sorting whole rows. `scratch`,
-    a float array of block's shape, is overwritten."""
-    if count >= block.shape[1]:
+    lowest column on ties, NaN last). `scratch`, a C-contiguous float array
+    of block's shape, is overwritten.
+
+    Up to SCAN_PICKS columns are picked one at a time, without sorting whole
+    rows: `ndarray.argmin` returns each row's first smallest cell, which then
+    reads +inf in `scratch` (a single pick reads `block` itself). A row whose
+    first pick is not finite (argmin returns a row's first NaN, and -inf
+    sorts first) or whose last pick reads +inf in `scratch` (a cell picked
+    before may be picked again) takes the full stable argsort, as every row
+    does for larger counts."""
+    width = block.shape[1]
+    if count >= width or count > SCAN_PICKS:
         return np.argsort(block, axis=1, kind="stable")[:, :count]
-    if count == 1:
-        order = np.argmin(block, axis=1)[:, None]
-        nan = np.isnan(np.take_along_axis(block, order, axis=1)[:, 0])
-    else:
-        np.copyto(scratch, block)  # what np.partition does in a copy of its own
-        scratch.partition(count - 1, axis=1)
-        kth = scratch[:, count - 1:count]
-        nan = np.isnan(kth[:, 0])
-        chosen = block <= kth
-        # where the count-th value has too many ties, keep its lowest columns
-        over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > count)
-        if over.size:
-            below = block[over] < kth[over]
-            tied = chosen[over] & ~below
-            room = count - np.count_nonzero(below, axis=1)[:, None]
-            chosen[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        chosen[nan, :count] = True  # filler for the reshape; overwritten below
-        cols = (np.flatnonzero(chosen) % block.shape[1]).reshape(len(block), count)
-        ranks = np.argsort(np.take_along_axis(block, cols, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(cols, ranks, axis=1)
-    # a stable sort puts NaN last, but argmin returns the first NaN and a NaN
-    # count-th value selects nothing: those rows take the full sort
-    if nan.any():
-        order[nan] = np.argsort(block[nan], axis=1, kind="stable")[:, :count]
+    left = block
+    if count > 1:
+        np.copyto(scratch, block)
+        left = scratch
+    starts, cells = np.arange(0, block.size, width), left.reshape(-1)
+    picks = np.empty((count, len(block)), dtype=np.intp)
+    for i in range(count):
+        left.argmin(axis=1, out=picks[i])
+        if i + 1 < count:
+            cells[starts + picks[i]] = np.inf
+    redo = ~(np.isfinite(block.reshape(-1)[starts + picks[0]])
+             & np.isfinite(cells[starts + picks[-1]]))
+    order = picks.T.copy()
+    if redo.any():
+        order[redo] = np.argsort(block[redo], axis=1, kind="stable")[:, :count]
     return order
 
 
@@ -847,8 +852,9 @@ def _knn_lattice(config, d_train, d_eval, loss, subsets):
     when that is more. As depth is at most the feature count, that is at
     most twice the encoded training matrix plus three rows: a 500-feature
     Gower sage on 1 000 training rows takes one query at a time in 8 MB,
-    beside the (used, d_train.k) copy of the columns read. The per-row losses of up to LATTICE_LOSS_CELLS // d_eval.k subsets
-    (2 MiB) are kept too, longer lists taking more passes.
+    beside the (used, d_train.k) copy of the columns read. The per-row
+    losses of up to LATTICE_LOSS_CELLS // d_eval.k subsets (2 MiB) are kept
+    too, longer lists taking more passes.
     """
     fit = train(config, d_train, loss).params
     evaluated = select_features(d_eval, range(d_train.n))

@@ -873,6 +873,33 @@ class TestIngestRefusals:
                                "UnknownFeature", "no feature named 'x9'", capsys)
         assert written["module"] == "data"
 
+    def test_seed_is_no_ingest_flag(self, tmp_path, tiny, capsys):
+        """ingest draws nothing, so it takes no --seed and records none."""
+        out = str(tmp_path / "seeded")
+        with pytest.raises(SystemExit) as err:
+            main(tiny + ["--seed", "1", "--out", out])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert main(tiny + ["--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["seed"] is None and "seed" not in manifest["config"]
+
+    def test_a_manifest_that_holds_a_seed_still_replays(self, tmp_path, tiny):
+        """An ingest manifest written while ingest took --seed holds "seed": 0;
+        its replay drops the flag and writes the same dataset."""
+        out, again = str(tmp_path / "first"), str(tmp_path / "again")
+        assert main(tiny + ["--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest["seed"] = manifest["config"]["seed"] = 0
+        manifest["config"]["out"] = again
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["--config", str(old)]) == 0
+        assert file_hashes(out)["dataset.json"] == file_hashes(again)["dataset.json"]
+        replayed = json.load(open(os.path.join(again, "manifest.json")))
+        assert replayed["seed"] is None and "seed" not in replayed["config"]
+
 
 def test_one_parser_serves_every_run(tmp_path, phenomenon_spec, monkeypatch, capsys):
     """main builds the parser once per process, and a parser that has run

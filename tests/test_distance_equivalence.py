@@ -5,13 +5,20 @@ the Gower distance, the knn evaluator and the support check, and the full
 stable argsort that `nearest` once took of every distance row. Every value
 the kernel produces must equal theirs exactly, including the tie order of
 nearest neighbours on integer-valued data.
+
+`nearest` now selects a row's few nearest columns by repeated first-minimum
+scans: up to `SCAN_PICKS` calls of `np.argmin`, each picked cell set to
++inf in a scratch copy before the next. Rows whose first pick is not finite
+or whose last pick reads +inf fall back to the full stable argsort, which
+every row takes for larger counts. The selection test crosses both sides of
+that cutoff and pins those fallback rows by example.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, train
 from descry import models, samplers
@@ -301,12 +308,19 @@ def distance_block(draw):
     block = np.array(draw(st.lists(cell, min_size=q * k, max_size=q * k))).reshape(q, k)
     for i in draw(st.lists(st.integers(0, q - 1), max_size=3)):
         block[i] = draw(st.sampled_from([np.nan, 1.0, np.inf]))
-    count = draw(st.sampled_from(sorted({c for c in (1, 2, 5, k - 1, k) if 1 <= c <= k})))
+    picks = models.SCAN_PICKS
+    count = draw(st.sampled_from(sorted({c for c in (1, 2, 5, picks, picks + 1, k - 1, k)
+                                         if 1 <= c <= k})))
     return block, count
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(distance_block(), st.sampled_from([1, 37, 500]))
+# a finite pick, then a genuine +inf: the second scan finds the first pick again
+@example((np.array([[1.0, np.inf, np.inf]]), 2), 500)
+# argmin returns the first NaN, which a stable sort puts last
+@example((np.array([[2.0, 0.0, np.nan, 1.0, 0.0]]), 2), 500)
+@example((np.array([[1.0, 0.0, -np.inf, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0]]), 3), 500)
 def test_selection_matches_stable_argsort(problem, block_cells):
     block, count = problem
     # query i's distance row is block[i]; the kernel itself is covered above
@@ -322,8 +336,9 @@ def test_selection_matches_stable_argsort(problem, block_cells):
 
 @pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
 def test_callers_sort_no_whole_distance_row(distance):
-    """The support checker's threshold and check, and knn prediction, rank
-    their one, two or knn_k nearest rows without sorting a row of all k."""
+    """The support checker's threshold and check, and knn prediction, pick
+    their one, two or knn_k nearest rows from finite distances without
+    calling argsort at all."""
     rng = np.random.default_rng(23)
     x = rng.normal(size=(300, 3))
     d = Dataset(features=[FeatureSpec(name=f"x{j}", kind="numeric") for j in range(3)],
@@ -344,9 +359,9 @@ def test_callers_sort_no_whole_distance_row(distance):
         return max(widths, default=0), result
 
     width, checker = widest_sort(SupportChecker, d)
-    assert width <= 2
-    assert widest_sort(checker.check_rows, x[:40] + 0.01)[0] <= 1
-    assert widest_sort(h.predict_batch, x[:40] + 0.01)[0] <= 5
+    assert width == 0
+    assert widest_sort(checker.check_rows, x[:40] + 0.01)[0] == 0
+    assert widest_sort(h.predict_batch, x[:40] + 0.01)[0] == 0
 
 
 
