@@ -18,10 +18,11 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .data import gower_decode, gower_encode
+from .data import feature_mismatch, gower_decode, gower_encode
 from .errors import (
     AllGroupsEmpty,
     OffSupportInstance,
+    SchemaMismatch,
     TooManyFeaturesForExact,
 )
 from .models import (
@@ -29,7 +30,7 @@ from .models import (
     gower_distances,
     pointwise_loss,
     row_losses,
-    subset_model,
+    subset_predictions,
     subset_risks,
 )
 from .samplers import (
@@ -116,6 +117,15 @@ class DescriptorResult:
         if self.point is not None:
             payload["point"] = self.point
         return {"spec": self.spec.to_dict(), **payload, "diagnostics": self.diagnostics}
+
+
+def _require_same_features(d_train, d_eval, question):
+    """Refuse evaluation data whose features are not the training data's, by
+    `feature_mismatch`'s rule: a refit reads d_eval's columns as d_train's."""
+    mismatch = feature_mismatch(d_train.features, d_eval.features)
+    if mismatch:
+        raise SchemaMismatch(f"the training data has features {mismatch[0]}, but the "
+                             f"evaluation data has {mismatch[1]}", operation=question)
 
 
 def _require_on_support(d_eval, spec):
@@ -205,6 +215,7 @@ def cpfi_sets(d, feature):
 def cpfi(config, d_train, d_eval, feature, loss):
     """Conditional feature importance, refit form: how much worse the
     optimally reduced model predicts without the feature (a name or an index)."""
+    _require_same_features(d_train, d_eval, "cpfi")
     j, full_set, reduced_set = cpfi_sets(d_train, feature)
     spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
     full_epe, reduced_epe = subset_risks(config, d_train, d_eval, loss, [full_set, reduced_set])
@@ -218,17 +229,16 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     """Instance-level analogue of cpfi: the loss paid at this instance by
     not knowing the feature (reduced minus full, helpful features positive)."""
     y = np.array([_finite("observed_y", observed_y)])
+    _require_same_features(d_train, d_eval, "local_conditional_contribution")
     j, full_set, reduced_set = _full_and_reduced(d_train, feature)
     spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
                           instance=list(instance), loss=loss)
     _require_on_support(d_eval, spec)
-
-    def loss_at(subset):
-        h = subset_model(config, d_train, loss, subset)
-        pred = h.predict([instance[i] for i in subset])
-        return float(pointwise_loss(loss, y, np.array([pred]),
-                                    y_levels=h.params.get("y_levels"))[0])
-    loss_full, loss_reduced = loss_at(full_set), loss_at(reduced_set)
+    # no learner trains under KL, the one loss that reads y_levels, so the
+    # full refit refuses it before any loss is taken
+    preds = subset_predictions(config, d_train, loss, [full_set, reduced_set], instance)
+    loss_full, loss_reduced = (float(pointwise_loss(loss, y, np.array([pred]))[0])
+                               for pred in preds)
     return DescriptorResult(spec=spec, scalar=loss_reduced - loss_full, diagnostics={
         "loss_full": loss_full, "loss_reduced": loss_reduced})
 
@@ -300,6 +310,7 @@ def sage(config, d_train, d_eval, loss, mode=DescriptorSpec.mode,
     The coalition value of S is -EPE of the subset refit on S, so a feature's
     score is its Shapley-weighted average EPE reduction; the scores sum to
     EPE(empty) - EPE(full)."""
+    _require_same_features(d_train, d_eval, "sage")
     spec = DescriptorSpec(question="sage", loss=loss, mode=mode,
                           mc_permutations=mc_permutations, seed=seed)
     return _fair_contribution(
@@ -315,14 +326,13 @@ def shapley_local(config, d_train, d_eval, instance, mode=DescriptorSpec.mode,
     with subset predictions realized as refits evaluated at the instance's
     restriction. In exact mode the scores sum to m(x) minus the best
     constant."""
+    _require_same_features(d_train, d_eval, "shapley_local")
     spec = DescriptorSpec(question="shapley_local", instance=list(instance), loss=loss,
                           mode=mode, mc_permutations=mc_permutations, seed=seed)
     _require_on_support(d_eval, spec)
-
-    def value_of(subset):
-        return subset_model(config, d_train, loss, subset).predict([instance[j] for j in subset])
-
-    return _fair_contribution(d_train.n, lambda subsets: [value_of(s) for s in subsets], spec)
+    return _fair_contribution(
+        d_train.n, lambda subsets: subset_predictions(config, d_train, loss, subsets, instance),
+        spec)
 
 
 # -- relevant values and counterfactuals ---------------------------------------

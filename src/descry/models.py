@@ -7,7 +7,9 @@ and their risks are cached because fair-contribution scores enumerate up to
 2^n of them. knn subset risks are computed together, in one walk of the
 subsets' prefix tree per query block (`subset_risks`): each encoded
 column's distance term is computed once per block and shared by every
-subset, with the same bits as each subset's own refit.
+subset, with the same bits as each subset's own refit. The local questions'
+knn subset predictions at one instance take the same walk
+(`subset_predictions`).
 """
 
 import math
@@ -223,42 +225,47 @@ def _column_sum(term, start, stop, slots, pairwise=True):
     return acc
 
 
-def _smallest(block, count, scratch):
+def _smallest(block, count):
     """The first `count` columns of each row's stable argsort (smallest first,
-    lowest column on ties, NaN last). `scratch`, a C-contiguous float array
-    of block's shape, is overwritten.
+    lowest column on ties, NaN last) and the values there, as `(order,
+    values)`, each (rows, count).
 
-    Up to SCAN_PICKS columns are picked one at a time, without sorting whole
-    rows: `ndarray.argmin` returns each row's first smallest cell, which then
-    reads +inf in `scratch` (a single pick reads `block` itself). A row whose
-    first pick is not finite (argmin returns a row's first NaN, and -inf
-    sorts first) or whose last pick reads +inf in `scratch` (a cell picked
-    before may be picked again) takes the full stable argsort, as every row
-    does for larger counts."""
+    Up to SCAN_PICKS columns are picked one at a time, in place and without
+    sorting whole rows: `ndarray.argmin` returns each row's first smallest
+    cell, its value is recorded, and each pick but the last then reads +inf
+    in `block`, which must be C-contiguous. A row whose first pick is not
+    finite (argmin returns a row's first NaN, and -inf sorts first) or whose
+    last pick reads +inf (a cell picked before may be picked again) gets its
+    recorded values back, last pick first, so that a cell picked twice ends
+    as it was; it then takes the full stable argsort, as every row does,
+    untouched, for larger counts. The other rows keep their +inf cells."""
     width = block.shape[1]
     if count >= width or count > SCAN_PICKS:
-        return np.argsort(block, axis=1, kind="stable")[:, :count]
-    left = block
-    if count > 1:
-        np.copyto(scratch, block)
-        left = scratch
-    starts, cells = np.arange(0, block.size, width), left.reshape(-1)
+        order = np.argsort(block, axis=1, kind="stable")[:, :count]
+        return order, np.take_along_axis(block, order, axis=1)
+    starts, cells = np.arange(0, block.size, width), block.reshape(-1)
     picks = np.empty((count, len(block)), dtype=np.intp)
+    values = np.empty((count, len(block)))
     for i in range(count):
-        left.argmin(axis=1, out=picks[i])
+        block.argmin(axis=1, out=picks[i])
+        picked = starts + picks[i]
+        cells.take(picked, out=values[i])
         if i + 1 < count:
-            cells[starts + picks[i]] = np.inf
-    redo = ~(np.isfinite(block.reshape(-1)[starts + picks[0]])
-             & np.isfinite(cells[starts + picks[-1]]))
-    order = picks.T.copy()
+            cells[picked] = np.inf
+    redo = ~(np.isfinite(values[0]) & np.isfinite(values[-1]))
+    order, values = picks.T.copy(), values.T   # C order: a neighbour mean sums pairwise
     if redo.any():
+        for i in reversed(range(count)):
+            cells[starts[redo] + order[redo, i]] = values[redo, i]
         order[redo] = np.argsort(block[redo], axis=1, kind="stable")[:, :count]
-    return order
+        values[redo] = np.take_along_axis(block[redo], order[redo], axis=1)
+    return order, values
 
 
 def nearest(queries, reference, count, ranges=None):
     """Row indices and distances of the `count` reference rows nearest to
-    each query, nearest first; ties go to the lowest row index."""
+    each query, nearest first; ties go to the lowest row index. Each block
+    of distances is selected from in place (`_smallest`)."""
     if not 1 <= count <= len(reference):
         raise ValueError(f"count must be in 1..{len(reference)} reference rows, got {count}")
     index = np.empty((len(queries), count), dtype=np.intp)
@@ -267,9 +274,7 @@ def nearest(queries, reference, count, ranges=None):
     work = _workspace(min(step, len(queries)), reference, ranges)
     for start in range(0, len(queries), step):
         block = _distances(queries[start:start + step], reference, ranges, work)
-        order = _smallest(block, count, work[0, :len(block)])
-        index[start:start + step] = order
-        dist[start:start + step] = np.take_along_axis(block, order, axis=1)
+        index[start:start + step], dist[start:start + step] = _smallest(block, count)
     return index, dist
 
 
@@ -801,13 +806,13 @@ def subset_risks(config, d_train, d_eval, loss, subsets):
     key = (config, d_train.fingerprint, d_eval.fingerprint, loss)
     risks = {subset: lru_get(_risk_cache, key + (subset,)) for subset in dict.fromkeys(subsets)}
     misses = [subset for subset, risk in risks.items() if risk is None]
-    lattice = [subset for subset in misses if _on_lattice(config, d_train, d_eval, subset)]
+    lattice = {subset for subset in misses if _on_lattice(config, d_train, d_eval, subset)}
     for subset in misses:
         if subset not in lattice:
             risks[subset] = epe(subset_model(config, d_train, loss, subset),
                                 select_features(d_eval, subset), loss)
     if lattice:
-        risks.update(_knn_lattice(config, d_train, d_eval, loss, lattice))
+        risks.update(_lattice_risks(config, d_train, d_eval, loss, lattice))
     for subset in misses:
         risks[subset] = lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE, key + (subset,),
                                          lambda risk=risks[subset]: risk)
@@ -820,95 +825,149 @@ def _encoded_widths(features):
 
 
 def _on_lattice(config, d_train, d_eval, subset):
-    """Whether `_knn_lattice` computes this subset's risk: a non-empty knn
-    subset on non-empty evaluation data, below 8 encoded columns under
-    Euclidean, where `_column_sum` adds the columns left to right."""
-    if config.learner != "knn" or not subset or d_eval.k == 0:
+    """Whether the lattice computes this subset's risk on d_eval, or its
+    prediction at one instance when d_eval is None: a non-empty knn subset,
+    with a query, below 8 encoded columns under Euclidean, where
+    `_column_sum` adds the columns left to right."""
+    if config.learner != "knn" or not subset or (d_eval is not None and d_eval.k == 0):
         return False
     widths = _encoded_widths(d_train.features)
     return config.distance == "gower" or sum(widths[j] for j in subset) < 8
 
 
-def _knn_lattice(config, d_train, d_eval, loss, subsets):
-    """{subset: risk} for non-empty knn subsets, each equal bit for bit to
-    `epe(subset_model(...), select_features(d_eval, S), loss)`.
+def _lattice_risks(config, d_train, d_eval, loss, subsets):
+    """{subset: risk} for the subsets `_on_lattice` admits, each equal bit
+    for bit to `epe(subset_model(...), select_features(d_eval, S), loss)`.
+    The per-row losses of up to LATTICE_LOSS_CELLS // d_eval.k subsets
+    (2 MiB) are kept, one (group, block) matrix at a time; longer lists
+    take more walks."""
+    evaluated = select_features(d_eval, range(d_train.n))
+    per_pass = max(1, LATTICE_LOSS_CELLS // evaluated.k)
+    subsets = sorted(subsets)
+    losses = np.empty((min(per_pass, len(subsets)), evaluated.k))
+    risks = {}
+    for first in range(0, len(subsets), per_pass):
+        chunk = subsets[first:first + per_pass]
+        for start, g, preds in _knn_lattice(config, d_train, loss, evaluated.codes, chunk):
+            rows = slice(start, start + preds.shape[1])
+            losses[g:g + len(preds), rows] = pointwise_loss(loss, evaluated.targets[rows], preds)
+        risks.update((subset, float(np.mean(row))) for subset, row in zip(chunk, losses))
+    return risks
+
+
+def subset_predictions(config, d_train, loss, subsets, instance):
+    """Each subset refit's prediction at the instance (a value per feature
+    of d_train), as `subset_model(config, d_train, loss, S).predict` gives
+    it at the instance's S values, in the order given. knn subsets that
+    `_on_lattice` admits take one walk of the lattice, the instance its
+    only query; the others are refit and predicted one at a time, first, as
+    is every subset when the instance holds a category d_train does not
+    declare, which a refit that reads it refuses."""
+    subsets = [tuple(sorted(int(j) for j in subset)) for subset in subsets]
+    codes = gower_encode([instance], d_train.features)
+    undeclared = any(f.kind == "categorical" and codes[0, j] < 0
+                     for j, f in enumerate(d_train.features))
+    lattice = set() if undeclared else {
+        subset for subset in subsets if _on_lattice(config, d_train, None, subset)}
+    values = {}
+    for subset in subsets:
+        if subset not in values and subset not in lattice:
+            values[subset] = subset_model(config, d_train, loss, subset).predict(
+                [instance[j] for j in subset])
+    if lattice:
+        lattice = sorted(lattice)
+        for _, g, preds in _knn_lattice(config, d_train, loss, codes, lattice):
+            values.update(zip(lattice[g:g + len(preds)], preds[:, 0].tolist()))
+    return [values[subset] for subset in subsets]
+
+
+def _knn_lattice(config, d_train, loss, codes, subsets):
+    """Predictions of knn subset refits at query codes (rows of d_train's
+    features), each equal bit for bit to the subset refit's `predict_batch`
+    at the queries' subset columns. `subsets`, non-empty, are given sorted;
+    the walk yields `(start, first, preds)` per query block and group:
+    preds[g, i] is the prediction of subsets[first + g] at query start + i.
 
     A subset refit's encoding, targets and count are the matching column
     blocks of the full-feature refit's, so that refit is trained once and
     its columns shared. Per block of queries each encoded column's term is
-    computed once; then the subsets, in sorted order, are walked as a prefix
-    tree with an explicit stack: a subset's partial sum is its parent's plus
-    its last feature's columns, left to right, as `_column_sum` adds them
-    below 8 columns and Gower at any width. At each subset the sum becomes
-    a distance (`sqrt`, or the mean over its features), then its neighbours
-    (`_smallest`), predictions and per-row losses, whose mean is the risk.
+    computed once; then the subsets, in order, are walked as a prefix
+    tree: a subset's partial sum is its parent's plus its last feature's
+    columns, left to right, as `_column_sum` adds them below 8 columns and
+    Gower at any width. The subsets go in groups of G: each one's sum is
+    written into its own slot of a (G, m, d_train.k) array, and a stack row
+    is kept only for each prefix the group does not list. One `sqrt` (or
+    one divide by each subset's feature count, under Gower) maps the group
+    to distances, one `_smallest` call selects the neighbours of all G x m
+    rows in place, and one `_knn_aggregate` call predicts them. The path
+    then drops the levels that were held in the group's slots.
 
     The workspace is allocated once per call. Per query it holds a row of
-    d_train.k cells for each encoded column the subsets read, for each stack
-    level, and for the distances and the scratch: A = used + depth + 3 rows.
-    Queries are taken LATTICE_WORK_CELLS // (A x d_train.k) at a time, at
-    least one, so in every mode the workspace holds at most
-    LATTICE_WORK_CELLS cells (2 MiB), or one query's A x d_train.k cells
-    when that is more. As depth is at most the feature count, that is at
-    most twice the encoded training matrix plus three rows: a 500-feature
-    Gower sage on 1 000 training rows takes one query at a time in 8 MB,
-    beside the (used, d_train.k) copy of the columns read. The per-row
-    losses of up to LATTICE_LOSS_CELLS // d_eval.k subsets (2 MiB) are kept
-    too, longer lists taking more passes.
+    d_train.k cells for each encoded column the subsets read, the stack's
+    zero row and one row for each level above it but the deepest (A = used
+    + depth), and G slot rows. G is the most subsets, at most A, such
+    that one query's A + G rows fit in LATTICE_WORK_CELLS, and 1 when
+    none fit; queries are then taken LATTICE_WORK_CELLS // ((A + G) x
+    d_train.k) at a time, at least one. So the workspace holds at most
+    LATTICE_WORK_CELLS cells (2 MiB), or one query's A + 1 rows when that
+    is more. As depth is at most the feature count, that is at most twice
+    the encoded training matrix and a row: a 500-feature Gower sage on 1 000
+    training rows takes one query at a time in 8 MB, beside the (used,
+    d_train.k) copy of the columns read. With G at most A, a block holds at
+    least half the queries it would hold with one slot.
     """
     fit = train(config, d_train, loss).params
-    evaluated = select_features(d_eval, range(d_train.n))
     if config.distance == "gower":
-        reference, queries, spans = fit["train_codes"], evaluated.codes, fit["ranges"]
+        reference, queries, spans = fit["train_codes"], codes, fit["ranges"]
         widths = [1] * d_train.n
     else:
         reference = fit["train_encoded"]
-        queries = encode(evaluated.codes, fit["encoder"], d_train.features)
+        queries = encode(codes, fit["encoder"], d_train.features)
         spans, widths = [None] * reference.shape[1], _encoded_widths(d_train.features)
     # only the columns of features some subset reads, each feature's as one block
     features, starts = sorted(set().union(*subsets)), np.cumsum([0] + widths)
     used = [j for f in features for j in range(starts[f], starts[f + 1])]
     ends = dict(zip(features, np.cumsum([widths[f] for f in features])))
     columns = np.ascontiguousarray(reference[:, used].T)
-    rows = len(used) + max(map(len, subsets)) + 3
-    step = max(1, LATTICE_WORK_CELLS // (rows * len(reference)))
-    work = np.zeros((rows, min(step, evaluated.k), len(reference)))
-    terms, sums = work[:len(used)], work[len(used):-2]   # sums[0] stays 0
-    dist, scratch = work[-2], work[-1]
-    per_pass = max(1, LATTICE_LOSS_CELLS // evaluated.k)
-    losses = np.empty((min(per_pass, len(subsets)), evaluated.k))
+    k = len(reference)
+    fixed = len(used) + max(map(len, subsets))
+    size = max(1, min(len(subsets), fixed, LATTICE_WORK_CELLS // k - fixed))
+    step = max(1, LATTICE_WORK_CELLS // ((fixed + size) * k))
+    work = np.zeros((fixed, min(step, len(queries)), k))
+    terms, sums = work[:len(used)], work[len(used):]   # sums[0] stays 0
+    slots = np.empty(size * work.shape[1] * k)
 
-    subsets = sorted(subsets)
-    risks = {}
-    for first in range(0, len(subsets), per_pass):
-        chunk = subsets[first:first + per_pass]
-        for start in range(0, evaluated.k, step):
-            block, m = queries[start:start + step], min(step, evaluated.k - start)
-            for t, j in enumerate(used):
-                _column_term(columns[t], block[:, j], spans[j], terms[t, :m])
-            path = []   # the features summed into sums[1..len(path)]
-            for i, subset in enumerate(chunk):
-                shared = 0
-                while shared < min(len(path), len(subset)) and path[shared] == subset[shared]:
+    for start in range(0, len(queries), step):
+        block, m = queries[start:start + step], min(step, len(queries) - start)
+        for t, j in enumerate(used):
+            _column_term(columns[t], block[:, j], spans[j], terms[t, :m])
+        path = []   # per level: its feature, its partial sum, whether a group slot holds it
+        for first in range(0, len(subsets), size):
+            group = subsets[first:first + size]
+            dist = slots[:len(group) * m * k].reshape(len(group), m, k)
+            for g, subset in enumerate(group):
+                shared, top = 0, min(len(path), len(subset))
+                while shared < top and path[shared][0] == subset[shared]:
                     shared += 1
                 del path[shared:]
                 for f in subset[shared:]:
-                    acc = sums[len(path) + 1, :m]
+                    own = len(path) + 1 == len(subset)
+                    acc = dist[g] if own else sums[len(path) + 1, :m]
                     lo = ends[f] - widths[f]
-                    np.add(sums[len(path), :m], terms[lo, :m], out=acc)
+                    np.add(path[-1][1] if path else sums[0, :m], terms[lo, :m], out=acc)
                     for t in range(lo + 1, ends[f]):
                         acc += terms[t, :m]
-                    path.append(f)
-                if config.distance == "gower":
-                    distances = np.divide(sums[len(path), :m], len(path), out=dist[:m])
-                else:
-                    distances = np.sqrt(sums[len(path), :m], out=dist[:m])
-                order = _smallest(distances, fit["k"], scratch[:m])
-                preds = _knn_aggregate(fit["train_targets"][order], fit["agg"])
-                losses[i, start:start + m] = pointwise_loss(
-                    loss, evaluated.targets[start:start + m], preds)
-        risks.update((subset, float(np.mean(row))) for subset, row in zip(chunk, losses))
-    return risks
+                    path.append((f, acc, own))
+            if config.distance == "gower":
+                counts = np.array([len(subset) for subset in group], dtype=float)
+                np.divide(dist, counts[:, None, None], out=dist)
+            else:
+                np.sqrt(dist, out=dist)
+            order, _ = _smallest(dist.reshape(-1, k), fit["k"])
+            preds = _knn_aggregate(fit["train_targets"][order], fit["agg"])
+            yield start, first, preds.reshape(len(group), m)
+            # the next group reuses the slots: the path ends below its first level held there
+            del path[next((i for i, level in enumerate(path) if level[2]), len(path)):]
 
 
 def _fit_subset(config, d, loss, subset):

@@ -9,7 +9,8 @@ from descry import (
     true_conditional_expectation,
 )
 from descry.errors import (
-    AllGroupsEmpty, OffSupportInstance, TooManyFeaturesForExact, UnknownFeature, error_report,
+    AllGroupsEmpty, OffSupportInstance, SchemaMismatch, TooManyFeaturesForExact, UnknownFeature,
+    error_report,
 )
 from descry.samplers import conditional_groups, group_means
 
@@ -337,6 +338,56 @@ class TestLocalConditionalContribution:
                      for row, y in zip(rows, d_eval.targets)]
             expected = cpfi(config, d_train, d_eval, feature, MSE).scalar
             assert abs(np.mean(local) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestEvaluationDataOfOtherFeatures:
+    """A refit question reads d_eval's columns as d_train's features, so it
+    refuses evaluation data whose features differ from the training data's
+    and answers when both sides list them alike."""
+
+    CONFIGS = [OLS, LearnerConfig(learner="knn", knn_k=5),
+               LearnerConfig(learner="knn", knn_k=5, distance="gower")]
+
+    @staticmethod
+    def reversed_features(d):
+        return Dataset(features=d.features[::-1], target=d.target, rows=d.rows[:, ::-1],
+                       targets=d.targets, provenance=d.provenance)
+
+    @staticmethod
+    def questions(config, d_train, instance):
+        return {
+            "cpfi": lambda d: cpfi(config, d_train, d, "x1", MSE).scalar,
+            "sage": lambda d: sage(config, d_train, d, MSE).attribution,
+            "shapley_local": lambda d: shapley_local(config, d_train, d, instance).attribution,
+            "local_conditional_contribution": lambda d: local_conditional_contribution(
+                config, d_train, d, instance, 0.0, "x1", MSE).scalar,
+        }
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_reversed_columns_are_refused(self, benchmark_phenomenon, config):
+        d_train = sample(benchmark_phenomenon, 2000, seed=130)
+        d_eval = sample(benchmark_phenomenon, 2000, seed=131)
+        instance = [0.1, 0.2]
+        for question, run in self.questions(config, d_train, instance).items():
+            with pytest.raises(SchemaMismatch) as refusal:
+                run(self.reversed_features(d_eval))
+            assert refusal.value.operation == question
+            assert "(x1, x2)" in str(refusal.value) and "(x2, x1)" in str(refusal.value)
+            run(d_eval)
+        # on its own columns cpfi of x1 is near its closed form, EPE({x2}) - EPE(full) = 3
+        assert OLS != config or cpfi(config, d_train, d_eval, "x1", MSE).scalar > 2.5
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_one_order_on_both_sides_answers_alike(self, benchmark_phenomenon, config):
+        d_train = sample(benchmark_phenomenon, 500, seed=132)
+        d_eval = sample(benchmark_phenomenon, 500, seed=133)
+        flipped = self.questions(config, self.reversed_features(d_train), [0.2, 0.1])
+        for question, run in self.questions(config, d_train, [0.1, 0.2]).items():
+            answer = np.atleast_1d(run(d_eval))
+            again = np.atleast_1d(flipped[question](self.reversed_features(d_eval)))
+            # an attribution lists the features in the data's order
+            again = again[::-1] if question in ("sage", "shapley_local") else again
+            assert again == pytest.approx(answer, rel=1e-9, abs=1e-12)
 
 
 class TestRelevantValue:

@@ -8,9 +8,10 @@ nearest neighbours on integer-valued data.
 
 `nearest` now selects a row's few nearest columns by repeated first-minimum
 scans: up to `SCAN_PICKS` calls of `np.argmin`, each picked cell set to
-+inf in a scratch copy before the next. Rows whose first pick is not finite
-or whose last pick reads +inf fall back to the full stable argsort, which
-every row takes for larger counts. The selection test crosses both sides of
++inf in the distance block itself before the next. Rows whose first pick is
+not finite or whose last pick reads +inf get their picked values back and
+fall back to the full stable argsort, which every row takes for larger
+counts. The selection test crosses both sides of
 that cutoff and pins those fallback rows by example.
 """
 

@@ -6,6 +6,11 @@ every per-row loss must equal, bit for bit, those of the subset's own refit
 evaluated on the subset's columns, as `epe(subset_model(...),
 select_features(d_eval, S), loss)` computes them; sage and cpfi must answer
 and refuse as they do when every risk takes that per-subset path.
+
+`models.subset_predictions` walks the same lattice with one instance as
+its only query: shapley_local and local_conditional_contribution must
+answer and refuse as they do when every subset refit predicts the instance
+itself.
 """
 
 import itertools
@@ -17,9 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descry import Dataset, FeatureSpec, LearnerConfig, LossFunction, clear_caches, cpfi, sage
+from descry import (
+    Dataset, FeatureSpec, LearnerConfig, LossFunction, clear_caches, cpfi,
+    local_conditional_contribution, sage, shapley_local,
+)
 from descry import models
 from descry.data import select_features
+from descry.errors import SchemaMismatch
 from descry.models import row_losses, subset_model, subset_risks
 from descry._util import canonical_json
 
@@ -50,12 +59,14 @@ def dataset(seed, levels, k, classes=0, shift=0):
 def recorded_losses(config, d_train, d_eval, loss, subsets):
     """subset_risks' risks, and the per-row losses of each subset it computed,
     in the order it computed them: the per-subset path in the order given,
-    then the lattice in sorted order (one query block, as the data is small)."""
+    then the lattice in sorted order (one query block, as the data is small),
+    a group's (G, m) loss matrix row by row."""
     calls, pointwise_loss = [], models.pointwise_loss
 
     def recording(*args, **kwargs):
-        calls.append(pointwise_loss(*args, **kwargs))
-        return calls[-1]
+        losses = pointwise_loss(*args, **kwargs)
+        calls.extend(np.atleast_2d(losses))
+        return losses
     with mock.patch.object(models, "pointwise_loss", recording):
         risks = subset_risks(config, d_train, d_eval, loss, subsets)
     apart = [s for s in subsets if not models._on_lattice(config, d_train, d_eval, s)]
@@ -200,8 +211,9 @@ def test_refusals_and_answers_match_the_per_subset_path(distance, case, question
                         mc_permutations=5, seed=1)
     reference, lattice = per_subset_and_lattice(lambda: outcome(run))
     assert lattice == reference
-    if case in ("narrower d_eval", "knn_k above d_train.k"):
-        assert isinstance(reference, tuple)
+    # every case refuses; a d_eval whose features are not d_train's, by its schema
+    assert isinstance(reference, tuple)
+    assert (reference[0] is SchemaMismatch) == (case != "knn_k above d_train.k")
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -219,3 +231,62 @@ def test_sage_and_cpfi_answer_as_on_the_per_subset_path(seed, n, distance, mode,
                [outcome(lambda: cpfi(config, d_train, d_eval, j, MSE)) for j in range(n)]
     reference, lattice = per_subset_and_lattice(run)
     assert lattice == reference
+
+
+def central_row(d):
+    """d's row nearest the middle of its numeric values: inside every
+    quantile band, and a copy of an observed row, so on support."""
+    numeric = [j for j, f in enumerate(d.features) if f.kind != "categorical"]
+    spread = np.abs(d.codes[:, numeric]).sum(axis=1) if numeric else np.zeros(d.k)
+    return list(d.rows[int(np.argmin(spread))])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), distance=st.sampled_from(DISTANCES),
+       loss=st.sampled_from([MSE, ZERO_ONE]), shared=st.booleans(), seed=st.integers(0, 2**16))
+def test_local_questions_answer_as_on_the_per_subset_path(data, n, distance, loss, shared, seed):
+    """One-hot blocks below and across 8 encoded columns, integer features
+    with tied neighbours, knn_k of 1, 3, SCAN_PICKS (whose average sums
+    pairwise), d_train.k and above it, and an instance holding a category
+    the schema does not declare. Regression targets have random fractions,
+    so that the order of a neighbour average's terms shows in its bits."""
+    levels = data.draw(st.lists(st.sampled_from([0, 0, 2, 3, 5]), min_size=n, max_size=n))
+    k_train = data.draw(st.integers(3, 40))
+    knn_k = data.draw(st.sampled_from([1, min(3, k_train), min(models.SCAN_PICKS, k_train),
+                                       k_train, k_train + 1]))
+    classes = 3 if loss == ZERO_ONE else 0
+
+    def fractional(d, stream):
+        fractions = np.random.default_rng(stream).random(d.k)
+        return d if classes else d.replace(targets=d.targets + fractions)
+    d_train = fractional(dataset(seed, levels, k_train, classes), seed)
+    d_eval = d_train if shared else fractional(
+        dataset(seed + 1, levels, data.draw(st.integers(1, 25)), classes), seed + 1)
+    instance = central_row(d_eval)
+    categorical = [j for j, count in enumerate(levels) if count]
+    if categorical and data.draw(st.booleans()):
+        instance[categorical[0]] = "undeclared"
+    config = LearnerConfig(learner="knn", knn_k=knn_k, distance=distance)
+    everything = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+
+    def predictions():
+        try:
+            return np.array(models.subset_predictions(config, d_train, loss, everything,
+                                                      instance)).tobytes()
+        except Exception as exc:  # noqa: BLE001 - the outcome compared is any exception
+            return type(exc), str(exc)
+
+    def run():
+        return [outcome(lambda: shapley_local(config, d_train, d_eval, instance, loss=loss)),
+                outcome(lambda: shapley_local(config, d_train, d_eval, instance,
+                                              mode="permutation_mc", mc_permutations=5,
+                                              seed=seed, loss=loss)),
+                predictions(),
+                # the risks too, whose bits the integer targets above hide
+                outcome(lambda: sage(config, d_train, d_eval, loss))] + \
+               [outcome(lambda j=j: local_conditional_contribution(
+                   config, d_train, d_eval, instance, 1.0, j, loss)) for j in range(n)]
+    reference, lattice = per_subset_and_lattice(run)
+    assert lattice == reference
+    if "undeclared" in instance:
+        assert reference[2][0] is SchemaMismatch or knn_k > k_train

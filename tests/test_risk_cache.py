@@ -107,20 +107,23 @@ def test_clear_empties_both_caches():
 
 def test_cpfi_after_sage_predicts_nothing_again():
     """sage computes each of the 4 columns' distance term once per query block
-    and selects the neighbours of every non-empty subset once; cpfi of every
-    feature then reads its full and reduced risks from the cache."""
+    and selects the neighbours of every non-empty subset at every evaluation
+    row once; cpfi of every feature then reads its full and reduced risks
+    from the cache."""
     d_train, d_eval = dataset(4, 4, k=60), dataset(5, 4, k=50)
     config = LEARNERS[1]
-    # one query block: the workspace holds 4 column terms, 5 partial sums and 2 more rows
-    assert (2 * d_train.n + 3) * d_eval.k * d_train.k <= models.LATTICE_WORK_CELLS
+    # one query block: the workspace holds 4 column terms, 4 stack rows and 15 slots at most
+    assert (2 * d_train.n + 2 ** d_train.n - 1) * d_eval.k * d_train.k <= models.LATTICE_WORK_CELLS
     clear_caches()
     with mock.patch.object(models, "_column_term", wraps=models._column_term) as terms, \
             mock.patch.object(models, "_smallest", wraps=models._smallest) as selections:
+        def work():
+            return terms.call_count, sum(len(c.args[0]) for c in selections.call_args_list)
         sage(config, d_train, d_eval, MSE)
-        assert (terms.call_count, selections.call_count) == (d_train.n, 2 ** d_train.n - 1)
+        assert work() == (d_train.n, (2 ** d_train.n - 1) * d_eval.k)
         for j in range(d_train.n):
             cpfi(config, d_train, d_eval, j, MSE)
-    assert (terms.call_count, selections.call_count) == (d_train.n, 2 ** d_train.n - 1)
+    assert work() == (d_train.n, (2 ** d_train.n - 1) * d_eval.k)
 
 
 def test_an_equal_config_shares_the_refits_and_risks():
