@@ -232,8 +232,7 @@ def _spec(args, d, **fields):
             pass
         feature = d.feature_index(feature)
     return DescriptorSpec(question=args.question, feature=feature, loss=args.loss,
-                          y_rel=args.y_rel, seed=args.seed, max_points=args.max_points,
-                          band=args.band, **fields)
+                          seed=args.seed, max_points=args.max_points, band=args.band, **fields)
 
 
 def _cmd_describe(args):
@@ -248,8 +247,8 @@ def _cmd_describe(args):
         _require_data_features(args, f"--train-data {args.train_data} has features",
                                d_train.features, d_eval)
     instance = None if args.instance is None else _parse_instance(args.instance)
-    spec = _spec(args, d_eval, instance=instance, lam=getattr(args, "lambda"), mode=args.mode,
-                 mc_permutations=args.mc_permutations)
+    spec = _spec(args, d_eval, instance=instance, y_rel=args.y_rel, lam=getattr(args, "lambda"),
+                 mode=args.mode, mc_permutations=args.mc_permutations)
 
     source = handle if question.reads == "model" else config
     result = question.answer(spec, source, d_train, d_eval, args.observed_y)
@@ -511,7 +510,6 @@ def build_parser():
     sub.add_argument("--mode", choices=["ee", "combined"], required=True)
     sub.add_argument("--model", default=None)
     sub.add_argument("--feature", default=None)
-    sub.add_argument("--y-rel", type=float, default=None)
     sub.add_argument("--loss", default="mse")
     sub.add_argument("--alpha", type=float, default=CIConfig.alpha)
     sub.add_argument("--ee-replicates", type=int, default=CIConfig.ee_replicates)
@@ -539,7 +537,7 @@ def build_parser():
 
 # Flags a command no longer takes; a manifest written while it did still holds
 # them, and its replay drops them.
-_RETIRED_FLAGS = {("ingest", "seed")}
+_RETIRED_FLAGS = {("ingest", "seed"), ("uncertainty", "y_rel")}
 
 
 def _expand_config(argv, commands):

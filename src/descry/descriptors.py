@@ -18,17 +18,13 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .data import feature_mismatch, gower_decode, gower_encode
-from .errors import (
-    AllGroupsEmpty,
-    OffSupportInstance,
-    SchemaMismatch,
-    TooManyFeaturesForExact,
-)
+from .data import gower_decode, gower_encode
+from .errors import AllGroupsEmpty, OffSupportInstance, TooManyFeaturesForExact
 from .models import (
     LossFunction,
     gower_distances,
     pointwise_loss,
+    require_same_features,
     row_losses,
     subset_predictions,
     subset_risks,
@@ -119,15 +115,6 @@ class DescriptorResult:
         return {"spec": self.spec.to_dict(), **payload, "diagnostics": self.diagnostics}
 
 
-def _require_same_features(d_train, d_eval, question):
-    """Refuse evaluation data whose features are not the training data's, by
-    `feature_mismatch`'s rule: a refit reads d_eval's columns as d_train's."""
-    mismatch = feature_mismatch(d_train.features, d_eval.features)
-    if mismatch:
-        raise SchemaMismatch(f"the training data has features {mismatch[0]}, but the "
-                             f"evaluation data has {mismatch[1]}", operation=question)
-
-
 def _require_on_support(d_eval, spec):
     if len(spec.instance) != d_eval.n:
         raise ValueError(f"instance has {len(spec.instance)} values, but the data has "
@@ -215,7 +202,7 @@ def cpfi_sets(d, feature):
 def cpfi(config, d_train, d_eval, feature, loss):
     """Conditional feature importance, refit form: how much worse the
     optimally reduced model predicts without the feature (a name or an index)."""
-    _require_same_features(d_train, d_eval, "cpfi")
+    require_same_features(d_train, d_eval, "cpfi")
     j, full_set, reduced_set = cpfi_sets(d_train, feature)
     spec = DescriptorSpec(question="cpfi", feature=j, loss=loss)
     full_epe, reduced_epe = subset_risks(config, d_train, d_eval, loss, [full_set, reduced_set])
@@ -229,7 +216,7 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     """Instance-level analogue of cpfi: the loss paid at this instance by
     not knowing the feature (reduced minus full, helpful features positive)."""
     y = np.array([_finite("observed_y", observed_y)])
-    _require_same_features(d_train, d_eval, "local_conditional_contribution")
+    require_same_features(d_train, d_eval, "local_conditional_contribution")
     j, full_set, reduced_set = _full_and_reduced(d_train, feature)
     spec = DescriptorSpec(question="local_conditional_contribution", feature=j,
                           instance=list(instance), loss=loss)
@@ -310,7 +297,7 @@ def sage(config, d_train, d_eval, loss, mode=DescriptorSpec.mode,
     The coalition value of S is -EPE of the subset refit on S, so a feature's
     score is its Shapley-weighted average EPE reduction; the scores sum to
     EPE(empty) - EPE(full)."""
-    _require_same_features(d_train, d_eval, "sage")
+    require_same_features(d_train, d_eval, "sage")
     spec = DescriptorSpec(question="sage", loss=loss, mode=mode,
                           mc_permutations=mc_permutations, seed=seed)
     return _fair_contribution(
@@ -326,7 +313,7 @@ def shapley_local(config, d_train, d_eval, instance, mode=DescriptorSpec.mode,
     with subset predictions realized as refits evaluated at the instance's
     restriction. In exact mode the scores sum to m(x) minus the best
     constant."""
-    _require_same_features(d_train, d_eval, "shapley_local")
+    require_same_features(d_train, d_eval, "shapley_local")
     spec = DescriptorSpec(question="shapley_local", instance=list(instance), loss=loss,
                           mode=mode, mc_permutations=mc_permutations, seed=seed)
     _require_on_support(d_eval, spec)
@@ -445,7 +432,7 @@ class Question:
     intervals: tuple = ()   # "ee" (the model held fixed), "combined" (refits)
     # an interval reads one model per column set (spec, d), full first, and
     # averages row_values (spec, grid, views, handles): per-row values and a
-    # k x G group membership; without them it answers on each replicate's rows
+    # k x G group membership
     row_values: object = None
     column_sets: object = lambda spec, d: [tuple(range(d.n))]
 
@@ -480,8 +467,7 @@ QUESTIONS = {
         lambda s, c, t, d, y: local_conditional_contribution(c, t, d, s.instance, y,
                                                              s.feature, s.loss)),
     "relevant_value_global": Question(
-        "model", ("y_rel",), lambda s, h, t, d, y: relevant_value_global(h, d, s.y_rel),
-        intervals=("ee", "combined")),
+        "model", ("y_rel",), lambda s, h, t, d, y: relevant_value_global(h, d, s.y_rel)),
     "counterfactual_local": Question(
         "model", ("instance", "y_rel", "lambda"),
         lambda s, h, t, d, y: counterfactual_local(h, d, s.instance, s.y_rel, s.lam)),

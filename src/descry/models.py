@@ -787,9 +787,19 @@ def subset_model(config, d, loss, subset):
                             lambda: _fit_subset(config, d, loss, subset))
 
 
+def require_same_features(d_train, d_eval, operation):
+    """Refuse evaluation data whose features are not the training data's, by
+    `feature_mismatch`'s rule: a refit reads d_eval's columns as d_train's."""
+    mismatch = feature_mismatch(d_train.features, d_eval.features)
+    if mismatch:
+        raise SchemaMismatch(f"the training data has features {mismatch[0]}, but the "
+                             f"evaluation data has {mismatch[1]}", operation=operation)
+
+
 def subset_epe(config, d_train, d_eval, loss, subset):
     """EPE on d_eval's `subset` columns of the refit on d_train's (cached):
     the one-subset case of `subset_risks`."""
+    require_same_features(d_train, d_eval, "subset_epe")
     return subset_risks(config, d_train, d_eval, loss, [subset])[0]
 
 

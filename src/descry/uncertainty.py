@@ -192,19 +192,12 @@ def _curves(spec, grid, views, handles, samples=None):
     group: aligned to the grid, NaN where a point was dropped, or of length
     1 for a one-group question; it equals a Dataset copy's up to summation
     order. Each chunk of at most GROUP_MEAN_CELLS sample x row cells is one
-    bincount (row indices offset by r·k) and one `group_means` call. A
-    question without row values (a search's support check needs a copy's
-    own rows) gives its answer's objective on each sample's copy, or on the
-    data itself for None."""
-    d, question = views[0], QUESTIONS[spec.question]
+    bincount (row indices offset by r·k) and one `group_means` call."""
+    d = views[0]
     samples = iter([None] if samples is None else samples)
-    if question.row_values is None:
-        copies = (d if rows is None else d.take(rows) for rows in samples)
-        return np.array([[question.answer(spec, handles[0], None, copy, None).point["objective"]]
-                         for copy in copies])
     if d.k == 0:
         raise ValueError("evaluation dataset is empty")
-    values, members = question.row_values(spec, grid, views, handles)
+    values, members = QUESTIONS[spec.question].row_values(spec, grid, views, handles)
     groups = "every grid point" if grid is not None else "the evaluation rows"
     every_row, curves = np.arange(d.k), []
     while chunk := [every_row if rows is None else rows

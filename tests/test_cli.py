@@ -387,18 +387,17 @@ class TestDescribeRefusals:
 
 class TestUncertaintyRefusals:
     """A missing flag or an out-of-range feature exits 1 with an error.json
-    naming it, before any report is written."""
+    naming it, before any report is written; a question or flag uncertainty
+    does not take is a usage error."""
 
     @pytest.mark.parametrize("question, mode, dropped, named", [
         ("cpdp", "combined", "--feature", "cpdp needs --feature"),
         ("cpfi", "combined", "--feature", "cpfi needs --feature"),
-        ("relevant_value_global", "combined", "--y-rel", "relevant_value_global needs --y-rel"),
         ("cpdp", "ee", "--model", "--mode ee needs --model"),
         ("cpfi", "ee", "--model", "use --mode combined")])
     def test_missing_input_names_its_flag(self, tmp_path, simulated, trained,
                                           question, mode, dropped, named):
-        flags = {"--model": os.path.join(trained, "model.json"), "--feature": "x1",
-                 "--y-rel": "2.0"}
+        flags = {"--model": os.path.join(trained, "model.json"), "--feature": "x1"}
         del flags[dropped]
         argv = ["uncertainty", "--question", question, "--mode", mode,
                 "--data", os.path.join(simulated, "dataset.json"),
@@ -407,6 +406,45 @@ class TestUncertaintyRefusals:
             argv += [flag, value]
         TestDescribeRefusals.refused(str(tmp_path / question), argv, named)
         assert not os.path.exists(os.path.join(str(tmp_path / question), "report.json"))
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--question", "relevant_value_global"],
+         "argument --question: invalid choice: 'relevant_value_global' "
+         "(choose from 'cpdp', 'cpfi')"),
+        (["--y-rel", "1"], "unrecognized arguments: --y-rel 1")], ids=["question", "y-rel"])
+    def test_relevant_value_intervals_are_usage_errors(self, tmp_path, simulated, trained,
+                                                       capsys, extra, named):
+        """relevant_value_global has no intervals, and no interval reads --y-rel."""
+        out = str(tmp_path / "rvg")
+        with pytest.raises(SystemExit) as err:
+            main(["uncertainty", "--mode", "ee", "--model", os.path.join(trained, "model.json"),
+                  "--data", os.path.join(simulated, "dataset.json"), "--feature", "x1",
+                  "--ee-replicates", "20", *extra, "--out", out])
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("y_rel", [None, 2.0], ids=["null", "number"])
+    def test_a_manifest_that_holds_y_rel_still_replays(self, tmp_path, simulated, trained,
+                                                       y_rel):
+        """An uncertainty manifest written while uncertainty took --y-rel holds
+        "y_rel"; its replay drops the flag and writes the same report."""
+        out, again = str(tmp_path / "first"), str(tmp_path / "again")
+        assert main(["uncertainty", "--question", "cpdp", "--mode", "ee",
+                     "--model", os.path.join(trained, "model.json"),
+                     "--data", os.path.join(simulated, "dataset.json"), "--feature", "x1",
+                     "--ee-replicates", "20", "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert "y_rel" not in manifest["config"]
+        manifest["config"].update(y_rel=y_rel, out=again)
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["--config", str(old)]) == 0
+        written = file_hashes(out)
+        del written["manifest.json"]
+        assert {name: file_hashes(again)[name] for name in written} == written
+        assert "report.json" in written
+        assert "y_rel" not in json.load(open(os.path.join(again, "manifest.json")))["config"]
 
     @pytest.mark.parametrize("mode, flag, named", [
         ("combined", "--me-replicates", "array is too big"),
@@ -935,7 +973,7 @@ def test_question_lists_come_from_one_table():
                for command in ("describe", "uncertainty")}
     assert choices["describe"] == list(QUESTIONS)
     assert choices["uncertainty"] == [q for q in QUESTIONS if QUESTIONS[q].intervals]
-    assert choices["uncertainty"] == ["cpdp", "cpfi", "relevant_value_global"]
+    assert choices["uncertainty"] == ["cpdp", "cpfi"]
 
 
 class TestErrorHandling:

@@ -5,8 +5,8 @@ from descry import (
     DescriptorSpec, Dataset, FeatureSpec, Grid, LearnerConfig, LossFunction, OptimalPredictorSpec,
     Phenomenon, PredictorHandle, build_grid, counterfactual_local, cpdp, cpfi, ice,
     local_conditional_contribution, model_distance, optimal_predictor,
-    relevant_value_global, sage, sample, shapley_local, subset_model, support_check,
-    true_conditional_expectation,
+    relevant_value_global, sage, sample, shapley_local, subset_epe, subset_model,
+    support_check, true_conditional_expectation,
 )
 from descry.errors import (
     AllGroupsEmpty, OffSupportInstance, SchemaMismatch, TooManyFeaturesForExact, UnknownFeature,
@@ -341,9 +341,10 @@ class TestLocalConditionalContribution:
 
 
 class TestEvaluationDataOfOtherFeatures:
-    """A refit question reads d_eval's columns as d_train's features, so it
-    refuses evaluation data whose features differ from the training data's
-    and answers when both sides list them alike."""
+    """A refit question, and the exported subset_epe, read d_eval's columns
+    as d_train's features, so each refuses evaluation data whose features
+    differ from the training data's and answers when both sides list them
+    alike."""
 
     CONFIGS = [OLS, LearnerConfig(learner="knn", knn_k=5),
                LearnerConfig(learner="knn", knn_k=5, distance="gower")]
@@ -361,6 +362,8 @@ class TestEvaluationDataOfOtherFeatures:
             "shapley_local": lambda d: shapley_local(config, d_train, d, instance).attribution,
             "local_conditional_contribution": lambda d: local_conditional_contribution(
                 config, d_train, d, instance, 0.0, "x1", MSE).scalar,
+            "subset_epe": lambda d: subset_epe(config, d_train, d, MSE,
+                                               (d_train.feature_index("x2"),)),
         }
 
     @pytest.mark.parametrize("config", CONFIGS)

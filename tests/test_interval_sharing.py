@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from descry import (
     CIConfig, DescriptorSpec, LearnerConfig, LossFunction, ResamplePlan, ci_combined,
-    ci_estimation, clear_caches, data, descriptors, models, relevant_value_global, sample,
-    train, uncertainty,
+    ci_estimation, clear_caches, data, descriptors, models, sample, train, uncertainty,
 )
 from descry._util import canonical_json
 from descry.data import resample_indices
@@ -38,9 +37,7 @@ def plan_config(method, seed):
 def spec_of(question, d):
     if question == "cpdp":
         return DescriptorSpec(question="cpdp", feature=0, grid=build_grid(d, 0, max_points=5))
-    if question == "cpfi":
-        return DescriptorSpec(question="cpfi", feature=1, loss=MSE)
-    return DescriptorSpec(question="relevant_value_global", y_rel=1.0)
+    return DescriptorSpec(question="cpfi", feature=1, loss=MSE)
 
 
 def run(step, config, datasets):
@@ -59,7 +56,7 @@ def run(step, config, datasets):
 
 
 steps = st.tuples(
-    st.sampled_from(["cpdp", "cpfi", "relevant_value_global"]),
+    st.sampled_from(["cpdp", "cpfi"]),
     st.sampled_from(["combined", "ee"]),
     st.sampled_from([0, 1]),        # the data, or other data of the same row count
     st.sampled_from([3, 4]),        # the plan's seed
@@ -71,14 +68,15 @@ steps = st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 @given(learner=st.sampled_from(sorted(LEARNERS)), k=st.sampled_from([30, 48]),
        sequence=st.lists(steps, min_size=2, max_size=5))
-# cpdp once, cpfi once, cpdp twice, another seed, other data with the same k
+# cpdp once, cpfi once, cpdp twice, another seed, other data with the same k;
+# then mlp, and ee intervals on two datasets of one row count, which share draws
 @example(learner="ols", k=48, sequence=[
     ("cpdp", "combined", 0, 3, "subsample"), ("cpfi", "combined", 0, 3, "subsample"),
     ("cpdp", "combined", 0, 3, "subsample"), ("cpdp", "combined", 0, 3, "subsample"),
     ("cpdp", "combined", 0, 4, "subsample"), ("cpfi", "combined", 1, 3, "subsample")])
 @example(learner="mlp", k=30, sequence=[
     ("cpfi", "combined", 0, 3, "bootstrap"), ("cpdp", "combined", 0, 3, "bootstrap"),
-    ("cpdp", "ee", 1, 3, "bootstrap"), ("relevant_value_global", "ee", 1, 3, "bootstrap")])
+    ("cpdp", "ee", 1, 3, "bootstrap"), ("cpdp", "ee", 0, 3, "bootstrap")])
 def test_a_shared_interval_equals_one_after_a_reset(benchmark_phenomenon, learner, k,
                                                    sequence):
     datasets = [sample(benchmark_phenomenon, k, seed=s) for s in (11, 12)]
@@ -247,27 +245,6 @@ def test_an_estimation_interval_predicts_and_groups_once(d600):
     assert predict.call_args.args[0].shape == (600, 2)
     assert len(grids) == 1
     assert report.replicate_curves.shape == (20, report.point_estimates.size)
-
-
-def test_relevant_value_global_answers_on_the_data_then_on_each_copy(benchmark_phenomenon):
-    d = sample(benchmark_phenomenon, 60, seed=4)
-    h, cfg = train(OLS, d, MSE), plan_config("subsample", 3)
-    spec = spec_of("relevant_value_global", d)
-    seen = []
-
-    def recording(h, d_eval, y_rel):
-        seen.append(d_eval)
-        return relevant_value_global(h, d_eval, y_rel)
-
-    with mock.patch.object(descriptors, "relevant_value_global", recording):
-        report = ci_estimation(h, d, spec, cfg)
-    assert seen[0] is d and len(seen) == 21
-    plan = uncertainty._plan(cfg, 20, "ci-ee")
-    expected = [relevant_value_global(h, d.take(resample_indices(d.k, plan, r)), 1.0)
-                .point["objective"] for r in range(20)]
-    assert report.point_estimates.tolist() == [relevant_value_global(h, d, 1.0)
-                                               .point["objective"]]
-    assert report.replicate_curves[:, 0].tolist() == expected
 
 
 @pytest.mark.parametrize("cells", [uncertainty.KEPT_CELLS, 1], ids=["kept", "not-kept"])

@@ -116,15 +116,11 @@ class TestSupportCheck:
         assert not support_check(d, ["z"])  # declared but never observed
 
     def test_checker_cache_is_bounded(self, benchmark_phenomenon):
-        from descry import (CIConfig, LearnerConfig, LossFunction, ResamplePlan,
-                            ci_estimation, train)
-        from descry.descriptors import DescriptorSpec
         from descry.samplers import CHECKER_CACHE_SIZE, _checker_cache
         d = sample(benchmark_phenomenon, 300, seed=21)
-        handle = train(LearnerConfig(learner="ols"), d, LossFunction.MSE)
-        # one checker per replicate's rows, plus one for the full data
-        cfg = CIConfig(ee_replicates=30,
-                       resample_plan=ResamplePlan(method="bootstrap", replicates=30, seed=2))
-        spec = DescriptorSpec(question="relevant_value_global", y_rel=1.0)
-        ci_estimation(handle, d, spec, cfg)
+        # one checker per copy, each of other rows
+        copies = [d.take(np.arange(i, d.k)) for i in range(CHECKER_CACHE_SIZE + 2)]
+        assert len({copy.fingerprint for copy in copies}) == len(copies)
+        for copy in copies:
+            assert support_check(copy, list(copy.rows[0]))
         assert len(_checker_cache) == CHECKER_CACHE_SIZE

@@ -83,6 +83,8 @@ def test_quantile_has_the_bits_of_scipy_stats(alpha, replicates, family):
      "ci_estimation does not support the question 'shapley_local'"),
     ("ci_estimation", "local_conditional_contribution",
      "ci_estimation does not support the question 'local_conditional_contribution'"),
+    ("ci_estimation", "relevant_value_global",
+     "ci_estimation does not support the question 'relevant_value_global'"),
     ("ci_estimation", "counterfactual_local",
      "ci_estimation does not support the question 'counterfactual_local'"),
     ("ci_combined", "ice", "ci_combined does not support the question 'ice'"),
@@ -90,12 +92,14 @@ def test_quantile_has_the_bits_of_scipy_stats(alpha, replicates, family):
     ("ci_combined", "shapley_local", "ci_combined does not support the question 'shapley_local'"),
     ("ci_combined", "local_conditional_contribution",
      "ci_combined does not support the question 'local_conditional_contribution'"),
+    ("ci_combined", "relevant_value_global",
+     "ci_combined does not support the question 'relevant_value_global'"),
     ("ci_combined", "counterfactual_local",
      "ci_combined does not support the question 'counterfactual_local'")])
 def test_unsupported_question_is_refused_by_name(setup, operation, question, named):
     """Every refused pair of the five operations and the eight questions."""
     from unittest import mock
-    from descry import models
+    from descry import data, models
     p, reference, _, oracle, _ = setup
     spec = DescriptorSpec(question=question, feature=0, instance=[0.0, 0.0], y_rel=1.0,
                           lam=0.5, loss=MSE)
@@ -105,8 +109,9 @@ def test_unsupported_question_is_refused_by_name(setup, operation, question, nam
            "bias_variance_me": lambda: bias_variance_me(OLS, p, 50, 2, spec, 0, 200),
            "ci_estimation": lambda: ci_estimation(oracle, reference, spec, cfg),
            "ci_combined": lambda: ci_combined(OLS, reference, spec, cfg)}[operation]
-    # refused before any refit
-    with mock.patch.object(models, "_train_ols", side_effect=AssertionError("refit")):
+    # refused before any draw or refit
+    with mock.patch.object(data, "_draw", side_effect=AssertionError("draw")), \
+            mock.patch.object(models, "_train_ols", side_effect=AssertionError("refit")):
         with pytest.raises(ValueError) as info:
             run()
     assert str(info.value) == named
@@ -246,18 +251,6 @@ class TestCiEstimation:
         widths = report.ci_ee[:, 1] - report.ci_ee[:, 0]
         assert np.nanmax(widths) < 1e-12
 
-    def test_scalar_question_relevant_value_global(self, setup):
-        # the point is the descriptor's own objective; replicates re-run it
-        from descry import relevant_value_global
-        p, _, _, oracle, _ = setup
-        d_eval = sample(p, 300, seed=804)
-        spec = DescriptorSpec(question="relevant_value_global", y_rel=1.0, loss=MSE)
-        report = ci_estimation(oracle, d_eval, spec, CIConfig(ee_replicates=20))
-        assert report.grid is None and report.ci_me_ee is None
-        (point,), ((lo, hi),) = report.point_estimates, report.ci_ee
-        assert point == relevant_value_global(oracle, d_eval, 1.0).point["objective"]
-        assert np.all(np.isfinite([lo, hi])) and lo <= point <= hi
-
     def test_alpha_monotonicity(self, setup):
         p, _, _, oracle, spec = setup
         d_eval = sample(p, 1200, seed=801)
@@ -358,16 +351,6 @@ class TestCiCombined:
         expected = cpfi(config, d, d, 1, MSE).scalar
         clear_caches()
         assert abs(point - expected) <= 1e-12 * abs(expected)
-
-    def test_scalar_question_relevant_value_global(self, setup):
-        p, _, _, _, _ = setup
-        d = sample(p, 300, seed=905)
-        spec = DescriptorSpec(question="relevant_value_global", y_rel=1.0, loss=MSE)
-        report = ci_combined(OLS, d, spec, self._config())
-        assert report.grid is None
-        (point,), ((lo, hi),) = report.point_estimates, report.ci_me_ee
-        assert np.all(np.isfinite([point, lo, hi]))
-        assert lo <= point <= hi
 
 
 class TestReplicateErrors:
