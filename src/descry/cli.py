@@ -563,6 +563,10 @@ def _expand_config(argv, commands):
     else:
         raw = dict(raw)
         command, flags = raw.pop("command"), raw
+    if not isinstance(command, str):
+        raise ValueError(f'--config file {path}: "command" is not a string')
+    if not isinstance(flags, dict):
+        raise ValueError(f'--config file {path}: "config" is not an object')
     before, after = argv[:at], argv[at + 2:]
     named = None
     if before and not before[0].startswith("-"):      # `descry <command> --config ...`
@@ -577,6 +581,8 @@ def _expand_config(argv, commands):
         if value is None or key in ("command", "func") or (command, key) in _RETIRED_FLAGS:
             continue
         if key == "run_dirs":
+            if not isinstance(value, list):
+                raise ValueError(f'--config file {path}: "run_dirs" is not a list')
             expanded.extend(str(v) for v in value)
         else:
             expanded.extend(["--" + key.replace("_", "-"), str(value)])

@@ -223,9 +223,8 @@ def local_conditional_contribution(config, d_train, d_eval, instance, observed_y
     _require_on_support(d_eval, spec)
     # no learner trains under KL, the one loss that reads y_levels, so the
     # full refit refuses it before any loss is taken
-    preds = subset_predictions(config, d_train, loss, [full_set, reduced_set], instance)
-    loss_full, loss_reduced = (float(pointwise_loss(loss, y, np.array([pred]))[0])
-                               for pred in preds)
+    preds = subset_predictions(config, d_train, loss, [full_set, reduced_set], [instance])
+    loss_full, loss_reduced = (float(pointwise_loss(loss, y, pred)[0]) for pred in preds)
     return DescriptorResult(spec=spec, scalar=loss_reduced - loss_full, diagnostics={
         "loss_full": loss_full, "loss_reduced": loss_reduced})
 
@@ -318,8 +317,8 @@ def shapley_local(config, d_train, d_eval, instance, mode=DescriptorSpec.mode,
                           mode=mode, mc_permutations=mc_permutations, seed=seed)
     _require_on_support(d_eval, spec)
     return _fair_contribution(
-        d_train.n, lambda subsets: subset_predictions(config, d_train, loss, subsets, instance),
-        spec)
+        d_train.n, lambda subsets: [float(pred[0]) for pred in subset_predictions(
+            config, d_train, loss, subsets, [instance])], spec)
 
 
 # -- relevant values and counterfactuals ---------------------------------------

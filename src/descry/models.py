@@ -4,15 +4,15 @@ A PredictorHandle is a deterministic, serializable mapping from feature
 vectors to predictions. Learners (ols, knn, mlp) produce handles; the
 analytic simulator produces oracle handles of the same shape. Subset refits
 and their risks are cached because fair-contribution scores enumerate up to
-2^n of them. knn subset risks are computed together, in one walk of the
-subsets' prefix tree per query block (`subset_risks`): each encoded
-column's distance term is computed once per block and shared by every
-subset, with the same bits as each subset's own refit. The local questions'
-knn subset predictions at one instance take the same walk
-(`subset_predictions`).
+2^n of them. `subset_predictions` is the one place a subset refit is
+evaluated; a subset risk is the mean loss of its predictions at the
+evaluation rows (`subset_risks`). knn subsets share one walk of their
+prefix tree per query block, each encoded column's distance term computed
+once, with the same bits as each subset's own refit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -756,7 +756,7 @@ def train_each(config, datasets, loss):
 # the risks of refits on evaluation data are kept to the same bound
 SUBSET_CACHE_SIZE = 32
 _subset_cache, _risk_cache = new_cache(), new_cache()
-# Cap on subsets x evaluation rows of per-row losses one lattice pass keeps.
+# Cap on subsets x evaluation rows of predictions one `subset_risks` pass keeps.
 LATTICE_LOSS_CELLS = 1 << 18
 # Cap on the cells of the lattice's workspace: its (queries, reference rows) arrays together.
 LATTICE_WORK_CELLS = 1 << 18
@@ -775,13 +775,22 @@ def best_constant(d, loss):
     return levels, counts / counts.sum()
 
 
+def feature_subset(subset, n):
+    """A subset of n features as the sorted tuple of its distinct indices;
+    an index that is not an integer in 0..n-1 is refused."""
+    for j in subset:
+        if not isinstance(j, numbers.Integral) or not 0 <= j < n:
+            raise ValueError(f"feature index {j!r} is not an integer in 0..{n - 1}")
+    return tuple(sorted({int(j) for j in subset}))
+
+
 def subset_model(config, d, loss, subset):
     """Refit the learner on the feature subset only (cached).
 
     The empty subset returns the best constant for the loss; its input
     schema is empty, so it evaluates on zero-column row matrices.
     """
-    subset = tuple(sorted(int(j) for j in subset))
+    subset = feature_subset(subset, d.n)
     return lru_get_or_build(_subset_cache, SUBSET_CACHE_SIZE,
                             (config, d.fingerprint, loss, subset),
                             lambda: _fit_subset(config, d, loss, subset))
@@ -807,25 +816,25 @@ def subset_risks(config, d_train, d_eval, loss, subsets):
     """For each subset S, the EPE on d_eval's S columns of the refit on
     d_train's: sage and cpfi are differences of these risks. Each risk is
     cached under its subset, and the values returned are the ones computed,
-    so a list longer than the cache loses none. knn risks come from one
-    lattice pass (`_knn_lattice`), bit for bit the risks of the subsets' own
-    refits; the empty subset, Euclidean subsets of 8 or more encoded columns
-    and the other learners are refit and evaluated one subset at a time,
-    before the lattice, in the order given."""
-    subsets = [tuple(sorted(int(j) for j in subset)) for subset in subsets]
+    so a list longer than the cache loses none. A missing risk is the mean
+    loss of the refit's `subset_predictions` at d_eval's rows, kept for at
+    most LATTICE_LOSS_CELLS // d_eval.k subsets (2 MiB) at a time."""
+    subsets = [feature_subset(subset, d_train.n) for subset in subsets]
     key = (config, d_train.fingerprint, d_eval.fingerprint, loss)
     risks = {subset: lru_get(_risk_cache, key + (subset,)) for subset in dict.fromkeys(subsets)}
     misses = [subset for subset, risk in risks.items() if risk is None]
-    lattice = {subset for subset in misses if _on_lattice(config, d_train, d_eval, subset)}
-    for subset in misses:
-        if subset not in lattice:
-            risks[subset] = epe(subset_model(config, d_train, loss, subset),
-                                select_features(d_eval, subset), loss)
-    if lattice:
-        risks.update(_lattice_risks(config, d_train, d_eval, loss, lattice))
-    for subset in misses:
-        risks[subset] = lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE, key + (subset,),
-                                         lambda risk=risks[subset]: risk)
+    if misses and d_eval.k == 0:
+        subset_model(config, d_train, loss, misses[0])   # a refit trains before it evaluates
+        raise ValueError("dataset is empty")
+    levels = best_constant(d_train, loss)[0] if loss == LossFunction.KL else None
+    per_pass = max(1, LATTICE_LOSS_CELLS // max(d_eval.k, 1))
+    for first in range(0, len(misses), per_pass):
+        chunk = misses[first:first + per_pass]
+        for subset, preds in zip(chunk, subset_predictions(config, d_train, loss, chunk,
+                                                           d_eval.codes)):
+            risk = float(np.mean(pointwise_loss(loss, d_eval.targets, preds, levels)))
+            risks[subset] = lru_get_or_build(_risk_cache, SUBSET_CACHE_SIZE, key + (subset,),
+                                             lambda risk=risk: risk)
     return [risks[subset] for subset in subsets]
 
 
@@ -834,69 +843,50 @@ def _encoded_widths(features):
     return [len(f.categories) if f.kind == "categorical" else 1 for f in features]
 
 
-def _on_lattice(config, d_train, d_eval, subset):
-    """Whether the lattice computes this subset's risk on d_eval, or its
-    prediction at one instance when d_eval is None: a non-empty knn subset,
-    with a query, below 8 encoded columns under Euclidean, where
-    `_column_sum` adds the columns left to right."""
-    if config.learner != "knn" or not subset or (d_eval is not None and d_eval.k == 0):
+def _on_lattice(config, d_train, subset):
+    """Whether the lattice predicts this subset's refit: a non-empty knn
+    subset, below 8 encoded columns under Euclidean, where `_column_sum`
+    adds the columns left to right."""
+    if config.learner != "knn" or not subset:
         return False
     widths = _encoded_widths(d_train.features)
     return config.distance == "gower" or sum(widths[j] for j in subset) < 8
 
 
-def _lattice_risks(config, d_train, d_eval, loss, subsets):
-    """{subset: risk} for the subsets `_on_lattice` admits, each equal bit
-    for bit to `epe(subset_model(...), select_features(d_eval, S), loss)`.
-    The per-row losses of up to LATTICE_LOSS_CELLS // d_eval.k subsets
-    (2 MiB) are kept, one (group, block) matrix at a time; longer lists
-    take more walks."""
-    evaluated = select_features(d_eval, range(d_train.n))
-    per_pass = max(1, LATTICE_LOSS_CELLS // evaluated.k)
-    subsets = sorted(subsets)
-    losses = np.empty((min(per_pass, len(subsets)), evaluated.k))
-    risks = {}
-    for first in range(0, len(subsets), per_pass):
-        chunk = subsets[first:first + per_pass]
-        for start, g, preds in _knn_lattice(config, d_train, loss, evaluated.codes, chunk):
-            rows = slice(start, start + preds.shape[1])
-            losses[g:g + len(preds), rows] = pointwise_loss(loss, evaluated.targets[rows], preds)
-        risks.update((subset, float(np.mean(row))) for subset, row in zip(chunk, losses))
-    return risks
-
-
-def subset_predictions(config, d_train, loss, subsets, instance):
-    """Each subset refit's prediction at the instance (a value per feature
-    of d_train), as `subset_model(config, d_train, loss, S).predict` gives
-    it at the instance's S values, in the order given. knn subsets that
-    `_on_lattice` admits take one walk of the lattice, the instance its
-    only query; the others are refit and predicted one at a time, first, as
-    is every subset when the instance holds a category d_train does not
-    declare, which a refit that reads it refuses."""
-    subsets = [tuple(sorted(int(j) for j in subset)) for subset in subsets]
-    codes = gower_encode([instance], d_train.features)
-    undeclared = any(f.kind == "categorical" and codes[0, j] < 0
+def subset_predictions(config, d_train, loss, subsets, rows):
+    """Each subset refit's predictions at rows, a (q, n) row or code matrix
+    of d_train's features, as `subset_model(config, d_train, loss,
+    S).predict_batch(rows[:, S])` gives them, in the order given. knn
+    subsets that `_on_lattice` admits come from one walk of the lattice;
+    the others are refit and predicted one at a time, first, as is every
+    subset when rows hold a category d_train does not declare, which a
+    refit that reads it refuses."""
+    subsets = [feature_subset(subset, d_train.n) for subset in subsets]
+    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if rows.ndim != 2 or rows.shape[1] != d_train.n:
+        raise SchemaMismatch(f"expected {d_train.n} features, got shape {rows.shape}",
+                             operation="predict")
+    codes = gower_encode(rows, d_train.features)
+    undeclared = any(f.kind == "categorical" and (codes[:, j] < 0).any()
                      for j, f in enumerate(d_train.features))
     lattice = set() if undeclared else {
-        subset for subset in subsets if _on_lattice(config, d_train, None, subset)}
+        subset for subset in subsets if _on_lattice(config, d_train, subset)}
     values = {}
     for subset in subsets:
         if subset not in values and subset not in lattice:
-            values[subset] = subset_model(config, d_train, loss, subset).predict(
-                [instance[j] for j in subset])
+            values[subset] = subset_model(config, d_train, loss, subset).predict_batch(
+                rows[:, list(subset)])
     if lattice:
         lattice = sorted(lattice)
-        for _, g, preds in _knn_lattice(config, d_train, loss, codes, lattice):
-            values.update(zip(lattice[g:g + len(preds)], preds[:, 0].tolist()))
+        values.update(zip(lattice, _knn_lattice(config, d_train, loss, codes, lattice)))
     return [values[subset] for subset in subsets]
 
 
 def _knn_lattice(config, d_train, loss, codes, subsets):
     """Predictions of knn subset refits at query codes (rows of d_train's
     features), each equal bit for bit to the subset refit's `predict_batch`
-    at the queries' subset columns. `subsets`, non-empty, are given sorted;
-    the walk yields `(start, first, preds)` per query block and group:
-    preds[g, i] is the prediction of subsets[first + g] at query start + i.
+    at the queries' subset columns: a (subsets, queries) array, row g for
+    subsets[g]. `subsets`, non-empty, are given sorted.
 
     A subset refit's encoding, targets and count are the matching column
     blocks of the full-feature refit's, so that refit is trained once and
@@ -923,8 +913,8 @@ def _knn_lattice(config, d_train, loss, codes, subsets):
     is more. As depth is at most the feature count, that is at most twice
     the encoded training matrix and a row: a 500-feature Gower sage on 1 000
     training rows takes one query at a time in 8 MB, beside the (used,
-    d_train.k) copy of the columns read. With G at most A, a block holds at
-    least half the queries it would hold with one slot.
+    d_train.k) copy of the columns read and the result. With G at most A, a
+    block holds at least half the queries it would hold with one slot.
     """
     fit = train(config, d_train, loss).params
     if config.distance == "gower":
@@ -946,6 +936,7 @@ def _knn_lattice(config, d_train, loss, codes, subsets):
     work = np.zeros((fixed, min(step, len(queries)), k))
     terms, sums = work[:len(used)], work[len(used):]   # sums[0] stays 0
     slots = np.empty(size * work.shape[1] * k)
+    out = np.empty((len(subsets), len(queries)))
 
     for start in range(0, len(queries), step):
         block, m = queries[start:start + step], min(step, len(queries) - start)
@@ -975,9 +966,10 @@ def _knn_lattice(config, d_train, loss, codes, subsets):
                 np.sqrt(dist, out=dist)
             order, _ = _smallest(dist.reshape(-1, k), fit["k"])
             preds = _knn_aggregate(fit["train_targets"][order], fit["agg"])
-            yield start, first, preds.reshape(len(group), m)
+            out[first:first + len(group), start:start + m] = preds.reshape(len(group), m)
             # the next group reuses the slots: the path ends below its first level held there
             del path[next((i for i, level in enumerate(path) if level[2]), len(path)):]
+    return out
 
 
 def _fit_subset(config, d, loss, subset):

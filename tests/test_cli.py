@@ -830,6 +830,23 @@ class TestConfigFile:
         assert error == {"error": "ValueError", "module": "cli", "operation": "config",
                          "message": f'--config file {cfg} has no "command" key'}
 
+    @pytest.mark.parametrize("content, key, kind", [
+        ({"command": "train", "config": [1, 2]}, "config", "an object"),
+        ({"command": "train", "config": None}, "config", "an object"),
+        ({"command": 5}, "command", "a string"),
+        ({"command": "report", "run_dirs": 5}, "run_dirs", "a list"),
+        ({"command": "report", "run_dirs": "abc"}, "run_dirs", "a list")],
+        ids=["config list", "config null", "command number", "run_dirs number",
+             "run_dirs string"])
+    def test_config_with_a_key_of_the_wrong_type_is_refused(self, tmp_path, capsys, content,
+                                                            key, kind):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["--config", str(cfg)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ValueError", "module": "cli", "operation": "config",
+                         "message": f'--config file {cfg}: "{key}" is not {kind}'}
+
     def test_config_without_path_is_runtime_error(self, capsys):
         assert main(["--config"]) == 1
         error = json.loads(capsys.readouterr().err)

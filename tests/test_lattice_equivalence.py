@@ -1,16 +1,17 @@
-"""The knn subset-risk lattice against each subset's own refit.
+"""The knn subset lattice against each subset's own refit.
 
-`models.subset_risks` computes knn risks in one walk of the subsets' prefix
-tree per query block, from the full-feature refit's columns. Every risk and
-every per-row loss must equal, bit for bit, those of the subset's own refit
-evaluated on the subset's columns, as `epe(subset_model(...),
-select_features(d_eval, S), loss)` computes them; sage and cpfi must answer
-and refuse as they do when every risk takes that per-subset path.
-
-`models.subset_predictions` walks the same lattice with one instance as
-its only query: shapley_local and local_conditional_contribution must
-answer and refuse as they do when every subset refit predicts the instance
-itself.
+`models.subset_predictions` predicts knn subset refits at a matrix of rows
+in one walk of the subsets' prefix tree per query block, from the
+full-feature refit's columns; every prediction must equal, bit for bit, the
+subset's own refit's `predict_batch` at the rows' subset columns, for every
+learner. `models.subset_risks` takes each risk as the mean loss of those
+predictions at the evaluation rows: every risk and every per-row loss must
+equal those of the subset's own refit evaluated on the subset's columns, as
+`epe(subset_model(...), select_features(d_eval, S), loss)` computes them;
+sage and cpfi must answer and refuse as they do when every risk takes that
+per-subset path. shapley_local and local_conditional_contribution read the
+predictions at one instance, and must answer and refuse as they do when
+every subset refit predicts the instance itself.
 """
 
 import itertools
@@ -58,21 +59,17 @@ def dataset(seed, levels, k, classes=0, shift=0):
 
 def recorded_losses(config, d_train, d_eval, loss, subsets):
     """subset_risks' risks, and the per-row losses of each subset it computed,
-    in the order it computed them: the per-subset path in the order given,
-    then the lattice in sorted order (one query block, as the data is small),
-    a group's (G, m) loss matrix row by row."""
+    one loss call per subset, in the order given."""
     calls, pointwise_loss = [], models.pointwise_loss
 
     def recording(*args, **kwargs):
         losses = pointwise_loss(*args, **kwargs)
-        calls.extend(np.atleast_2d(losses))
+        calls.append(losses)
         return losses
     with mock.patch.object(models, "pointwise_loss", recording):
         risks = subset_risks(config, d_train, d_eval, loss, subsets)
-    apart = [s for s in subsets if not models._on_lattice(config, d_train, d_eval, s)]
-    lattice = sorted(s for s in subsets if models._on_lattice(config, d_train, d_eval, s))
     assert len(calls) == len(subsets)
-    return risks, dict(zip(apart + lattice, calls))
+    return risks, dict(zip(subsets, calls))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -100,12 +97,46 @@ def test_lattice_risks_and_losses_equal_each_refits(data, n, distance, loss, sha
         assert risk == models.epe(refit, evaluated, loss)
 
 
+PREDICTING = {
+    "ols": LearnerConfig(learner="ols"),
+    "mlp": LearnerConfig(learner="mlp", hidden=(4, 3), epochs=4),
+    "knn euclidean": LearnerConfig(learner="knn", knn_k=3),
+    "knn gower": LearnerConfig(learner="knn", knn_k=3, distance="gower"),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), learner=st.sampled_from(sorted(PREDICTING)), seed=st.integers(0, 2**16))
+def test_predictions_at_rows_equal_each_refits(data, learner, seed):
+    """At a matrix of several rows, each subset's predictions are its own
+    refit's `predict_batch` at the rows' subset columns, bit for bit, given
+    as codes or as rows. A 5-level and a 3-level one-hot block together
+    cross 8 encoded columns, so that under Euclidean knn both the lattice
+    and the per-subset refits answer."""
+    levels = [5, 3] + data.draw(st.lists(st.sampled_from([0, 2]), min_size=0, max_size=2))
+    loss = data.draw(st.sampled_from([MSE, ZERO_ONE])) if "knn" in learner else MSE
+    classes = 3 if loss == ZERO_ONE else 0
+    d_train = dataset(seed, levels, data.draw(st.integers(5, 30)), classes)
+    queries = dataset(seed + 1, levels, data.draw(st.integers(2, 12)))
+    config = PREDICTING[learner]
+    n = len(levels)
+    everything = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+    clear_caches()
+    at_codes = models.subset_predictions(config, d_train, loss, everything, queries.codes)
+    at_rows = models.subset_predictions(config, d_train, loss, everything, queries.rows)
+    for subset, codes, rows in zip(everything, at_codes, at_rows):
+        refit = subset_model(config, d_train, loss, subset)
+        expected = refit.predict_batch(queries.codes[:, list(subset)])
+        assert codes.shape == expected.shape == (queries.k,)
+        assert codes.tobytes() == rows.tobytes() == expected.tobytes()
+
+
 def test_the_lattice_crosses_the_pairwise_width():
     """Under Euclidean a categorical feature is a block of one-hot columns, so
     subsets below and at 8 encoded columns meet: those take their own pass."""
     d = dataset(3, [5, 0, 3, 0], 30)
     config = LearnerConfig(learner="knn", knn_k=2)
-    on = {s: models._on_lattice(config, d, d, s) for s in [(0, 1), (0, 1, 3), (0, 2)]}
+    on = {s: models._on_lattice(config, d, s) for s in [(0, 1), (0, 1, 3), (0, 2)]}
     assert on == {(0, 1): True, (0, 1, 3): True, (0, 2): False}
     everything = [s for size in range(5) for s in itertools.combinations(range(4), size)]
     clear_caches()
@@ -272,7 +303,7 @@ def test_local_questions_answer_as_on_the_per_subset_path(data, n, distance, los
     def predictions():
         try:
             return np.array(models.subset_predictions(config, d_train, loss, everything,
-                                                      instance)).tobytes()
+                                                      [instance])).tobytes()
         except Exception as exc:  # noqa: BLE001 - the outcome compared is any exception
             return type(exc), str(exc)
 
