@@ -11,15 +11,15 @@ import numpy as np
 def derive_seed(seed, *parts):
     """Stable 63-bit seed derived by hashing (seed, *parts).
 
-    Guarantees identical per-task seeds regardless of execution order. A
+    Guarantees identical per-task seeds regardless of execution order. The
+    hash is of the text `repr(seed)/repr(p)/...`, in one blake2b call; a
     numpy integer part hashes as the int it holds.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr(int(seed)).encode())
+    text = repr(int(seed))
     for p in parts:
-        h.update(b"/")
-        h.update(repr(int(p) if isinstance(p, np.integer) else p).encode())
-    return int.from_bytes(h.digest(), "big") & (2**63 - 1)
+        text += "/" + repr(int(p) if isinstance(p, np.integer) else p)
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") & (2**63 - 1)
 
 
 def thread_cap():

@@ -9,6 +9,7 @@ import copy
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
@@ -419,12 +420,12 @@ def resample_size(k, plan):
     return k if plan.method == "bootstrap" else int(np.floor(plan.fraction * k))
 
 
-def _draw(rng, k, plan):
+def _draw(rng, k, method, size):
     """One replicate's row indices from rng: k draws with replacement
-    (bootstrap), or the first floor(fraction*k) of a permutation."""
-    if plan.method == "bootstrap":
+    (bootstrap), or the first `size` (resample_size) of a permutation."""
+    if method == "bootstrap":
         return rng.integers(0, k, size=k)
-    return rng.permutation(k)[:resample_size(k, plan)]
+    return rng.permutation(k)[:size]
 
 
 def resample_indices(k, plan, replicate_index):
@@ -438,7 +439,7 @@ def resample_indices(k, plan, replicate_index):
             f"replicate_index {replicate_index} outside [0, {plan.replicates})",
             operation="resample")
     rng = np.random.default_rng(derive_seed(plan.seed, "resample", replicate_index))
-    return _draw(rng, k, plan)
+    return _draw(rng, k, plan.method, resample_size(k, plan))
 
 
 # numpy's SeedSequence hash (on uint32 words, a pool of 4) and PCG64 seeding
@@ -498,9 +499,10 @@ def resample_streams(k, plans):
     rng = np.random.default_rng(0)
 
     def draws(plan, plan_words):
+        size = resample_size(k, plan)
         for w in plan_words:
             rng.bit_generator.state = _pcg64_state(w)
-            yield _draw(rng, k, plan)
+            yield _draw(rng, k, plan.method, size)
 
     return [draws(plan, words[a:b]) for plan, a, b in zip(plans, bounds, bounds[1:])]
 
@@ -510,10 +512,19 @@ def resample(d, plan, replicate_index):
     return d.take(resample_indices(d.k, plan, replicate_index))
 
 
+def feature_subset(subset, n):
+    """A subset of n features as the sorted tuple of its distinct indices;
+    an index that is not an integer in 0..n-1 is refused."""
+    for j in subset:
+        if not isinstance(j, numbers.Integral) or not 0 <= j < n:
+            raise ValueError(f"feature index {j!r} is not an integer in 0..{n - 1}")
+    return tuple(sorted({int(j) for j in subset}))
+
+
 def select_features(d, indices):
-    """Dataset restricted to the given feature columns (targets unchanged);
-    d itself when they are all of its columns."""
-    indices = sorted(int(j) for j in indices)
+    """Dataset restricted to the given feature columns (targets unchanged),
+    read by `feature_subset`'s rule; d itself when they are all of its columns."""
+    indices = list(feature_subset(indices, d.n))
     if indices == list(range(d.n)):
         return d
     return d._slice(slice(None), indices, features=[d.features[j] for j in indices])

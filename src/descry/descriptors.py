@@ -430,9 +430,11 @@ class Question:
     y_label: str = None     # its curve's y axis; None when the answer is no curve
     intervals: tuple = ()   # "ee" (the model held fixed), "combined" (refits)
     # an interval reads one model per column set (spec, d), full first, and
-    # averages row_values (spec, grid, views, handles): per-row values and a
-    # k x G group membership
+    # averages row_values (spec, views, handles), per-row values, over the
+    # groups of members (spec, grid, views), a k x G membership that reads
+    # no model
     row_values: object = None
+    members: object = None
     column_sets: object = lambda spec, d: [tuple(range(d.n))]
 
 
@@ -442,9 +444,9 @@ QUESTIONS = {
         "model", ("feature",),
         lambda s, h, t, d, y: cpdp(h, d, s.feature, s.grid, s.band, s.max_points),
         y_label="estimate", intervals=("ee", "combined"),
-        row_values=lambda s, grid, views, hs: (  # predictions, grouped by grid point
-            hs[0].predict_batch(views[0].codes),
-            grid_membership(views[0], grid, s.band).astype(float))),
+        row_values=lambda s, views, hs: hs[0].predict_batch(views[0].codes),
+        # grouped by grid point
+        members=lambda s, grid, views: grid_membership(views[0], grid, s.band).astype(float)),
     "ice": Question(
         "model", ("feature", "instance"),
         lambda s, h, t, d, y: ice(h, s.instance, s.feature, s.grid, d, s.max_points),
@@ -452,9 +454,9 @@ QUESTIONS = {
     "cpfi": Question(
         "train_data", ("feature",), lambda s, c, t, d, y: cpfi(c, t, d, s.feature, s.loss),
         intervals=("combined",), column_sets=lambda s, d: cpfi_sets(d, s.feature)[1:],
-        row_values=lambda s, grid, views, hs: (  # reduced-minus-full losses, one group
+        row_values=lambda s, views, hs:  # reduced-minus-full losses, one group
             row_losses(hs[1], views[1], s.loss) - row_losses(hs[0], views[0], s.loss),
-            np.ones((views[0].k, 1)))),
+        members=lambda s, grid, views: np.ones((views[0].k, 1))),
     "sage": Question(
         "train_data", (), lambda s, c, t, d, y: sage(c, t, d, s.loss, s.mode,
                                                       s.mc_permutations, s.seed)),

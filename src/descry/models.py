@@ -12,20 +12,21 @@ once, with the same bits as each subset's own refit.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .data import FeatureSpec, feature_mismatch, gower_encode, select_features
+from .data import (FeatureSpec, feature_mismatch, feature_subset, gower_encode,
+                   select_features)
 from .errors import IncompatibleLoss, SchemaMismatch, SingularDesign
 from ._util import derive_seed, lru_get, lru_get_or_build, new_cache
 
 # Cap on queries x reference rows per distance block; bounds its (q, k) temporaries.
 DISTANCE_BLOCK_CELLS = 1 << 15
-# Cap on replicates x rows x widest layer in one stacked mlp fit; bounds its activations.
-MLP_STACK_CELLS = 1 << 18
+# Cap on replicates x rows x widest array in one stacked fit (an ols design,
+# an mlp's activations); bounds its arrays.
+STACK_CELLS = 1 << 18
 # Most nearest rows `_smallest` picks by one argmin scan each; more take the
 # full stable argsort. Each pick costs one more scan: on blocks of 8 to 32
 # rows of 300 to 10 000 columns 64 scans still beat the sort, and on 30 x 60
@@ -94,13 +95,14 @@ class LearnerConfig:
 
 def build_encoder(features, codes, standardize=False):
     """Per-feature encoding plan: numeric passthrough (optionally z-scored),
-    categorical one-hot. Serializable alongside the model parameters."""
+    categorical one-hot. Serializable alongside the model parameters. The
+    codes are read only to standardize; otherwise the plan is the schema's."""
     encoder = []
     for j, spec in enumerate(features):
         if spec.kind == "categorical":
             encoder.append({"type": "onehot", "categories": list(spec.categories)})
         else:
-            col = codes[:, j]
+            col = codes[:, j] if standardize else None
             mean = float(np.mean(col)) if standardize else 0.0
             scale = float(np.std(col)) if standardize else 1.0
             encoder.append({"type": "numeric", "mean": mean, "scale": scale if scale > 0 else 1.0})
@@ -522,50 +524,89 @@ def _check_learner_loss(config, loss):
 
 
 def _solve_normal_equations(gram, rhs):
-    """Exact least squares from the Gram matrix X'X and X'y; adds a 1e-8
-    ridge only on singularity."""
+    """Exact least squares per slice of (R, p, p) Gram matrices X'X and
+    (R, p) right-hand sides X'y; a slice adds a 1e-8 ridge only on
+    singularity. Returns the (R, p) coefficients, which slices took the
+    ridge, and per slice the SingularDesign message of a slice even the
+    ridge cannot solve, or None."""
+    def solve(a, b):
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+
     eigvals = np.linalg.eigvalsh(gram)
-    singular = eigvals[0] <= 1e-10 * max(eigvals[-1], 1.0)
-    if not singular:
-        try:
-            coef = np.linalg.solve(gram, rhs)
-            if np.all(np.isfinite(coef)):
-                return coef, False
-        except np.linalg.LinAlgError:
-            pass
+    ridged = eigvals[:, 0] <= 1e-10 * np.maximum(eigvals[:, -1], 1.0)
+    coef = np.full(rhs.shape, np.nan)
+    regular = np.flatnonzero(~ridged)
     try:
-        coef = np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign(f"normal equations unsolvable even with ridge: {exc}",
-                             operation="train") from None
-    if not np.all(np.isfinite(coef)):
-        raise SingularDesign("ridge fallback produced non-finite coefficients",
-                             operation="train")
-    return coef, True
+        coef[regular] = solve(gram[regular], rhs[regular])
+    except np.linalg.LinAlgError:   # an exactly singular slice: solve each alone
+        for r in regular:
+            try:
+                coef[r] = solve(gram[r:r + 1], rhs[r:r + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+    ridged |= ~np.isfinite(coef).all(axis=1)
+    refusals = [None] * len(gram)
+    for r in np.flatnonzero(ridged):
+        try:
+            coef[r] = solve(gram[r:r + 1] + 1e-8 * np.eye(gram.shape[1]), rhs[r:r + 1])[0]
+        except np.linalg.LinAlgError as exc:
+            refusals[r] = f"normal equations unsolvable even with ridge: {exc}"
+        else:
+            if not np.all(np.isfinite(coef[r])):
+                refusals[r] = "ridge fallback produced non-finite coefficients"
+    return coef, ridged, refusals
 
 
-def _train_ols(config, d):
-    # drop each categorical's first level; the intercept absorbs it
-    encoder = [dict(e, categories=e["categories"][1:]) if e["type"] == "onehot" else e
-               for e in build_encoder(d.features, d.codes)]
-    design = encode(d.codes, encoder, d.features)
-    design = np.concatenate([np.ones((d.k, 1)), design], axis=1)
-    gram = design.T @ design
-    coef, ridged = _solve_normal_equations(gram, design.T @ d.targets)
+def _ols_encoder(features):
+    """The schema's encoding plan, each categorical's first level dropped (the
+    intercept absorbs it); it reads no rows, so a fit on any rows of a
+    dataset takes the matching rows of the dataset's design."""
+    return [dict(e, categories=e["categories"][1:]) if e["type"] == "onehot" else e
+            for e in build_encoder(features, None)]
 
-    residuals = d.targets - design @ coef
-    dof = max(d.k - design.shape[1], 1)
-    sigma2 = float(residuals @ residuals) / dof
-    # inverts the very matrix _solve_normal_equations has just solved
-    cov = sigma2 * np.linalg.inv(gram + (1e-8 * np.eye(design.shape[1]) if ridged else 0))
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    params = {"intercept": float(coef[0]), "coef": coef[1:].copy(), "encoder": encoder}
-    meta = {"learner": "ols", "seed": config.seed, "ridge_fallback": ridged,
-            "intercept_se": float(se[0]), "coef_se": se[1:].tolist(),
-            "residual_variance": sigma2}
-    return PredictorHandle(input_schema=list(d.features), output_kind="scalar",
-                           kind="linear", params=params, metadata=meta)
+def _train_ols(config, fits):
+    """One least-squares handle per (dataset, rows) fit of a stack of one row
+    count and feature list (see train_each), yielded in order. Each fit's
+    design is its rows of its dataset's design (an intercept column, then
+    the encoding), built once per dataset, so the stack is one (R, m, p)
+    array. X'X, X'y, the eigenvalues, the solves, the residual sums of
+    squares and the inverses are batched calls that make each slice's own
+    BLAS and LAPACK call, so every handle equals the slice's fit alone, bit
+    for bit. A singular slice takes its own ridge fallback; a slice even the
+    ridge cannot solve raises SingularDesign when it is reached."""
+    features = fits[0][0].features
+    designs = {}
+    for d, _ in fits:
+        if id(d) not in designs:
+            encoded = encode(d.codes, _ols_encoder(features), features)
+            designs[id(d)] = np.concatenate([np.ones((d.k, 1)), encoded], axis=1)
+    X = np.stack([designs[id(d)] if rows is None else designs[id(d)][rows] for d, rows in fits])
+    y = np.stack([d.targets if rows is None else d.targets[rows] for d, rows in fits])
+    _, k, p = X.shape
+    X_t = X.transpose(0, 2, 1)
+    gram = X_t @ X
+    coef, ridged, refusals = _solve_normal_equations(gram, (X_t @ y[:, :, None])[:, :, 0])
+
+    residuals = y - (X @ coef[:, :, None])[:, :, 0]
+    # a batched matmul keeps each slice's dot product; einsum changes bits
+    sigma2 = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / max(k - p, 1)
+    # inverts the very matrices _solve_normal_equations has just solved
+    gram[ridged] += 1e-8 * np.eye(p)
+    gram[[r for r, refusal in enumerate(refusals) if refusal]] = np.eye(p)
+    se = np.sqrt(np.clip(np.diagonal(sigma2[:, None, None] * np.linalg.inv(gram),
+                                     axis1=1, axis2=2), 0.0, None))
+
+    for r, refusal in enumerate(refusals):
+        if refusal:
+            raise SingularDesign(refusal, operation="train")
+        params = {"intercept": float(coef[r, 0]), "coef": coef[r, 1:].copy(),
+                  "encoder": _ols_encoder(features)}
+        meta = {"learner": "ols", "seed": config.seed, "ridge_fallback": bool(ridged[r]),
+                "intercept_se": float(se[r, 0]), "coef_se": se[r, 1:].tolist(),
+                "residual_variance": float(sigma2[r])}
+        yield PredictorHandle(input_schema=list(features), output_kind="scalar",
+                              kind="linear", params=params, metadata=meta)
 
 
 def _train_knn(config, d, loss):
@@ -585,19 +626,23 @@ def _train_knn(config, d, loss):
                            kind="knn", params=params, metadata=meta)
 
 
-def _train_mlp(config, datasets):
-    """One network per dataset, trained together as (R, ., .) weight stacks
-    under np.matmul. Datasets of one row count share the seed's initial
-    weights and every epoch's shuffle order, so each slice takes the steps a
-    network trained alone on its dataset would take, bit for bit; only the
-    epochs each rejects and its learning rate are its own. Each replicate's
-    weights and biases are views of its row of one (R, P) parameter matrix,
-    so a step updates them all at once and a rejected epoch restores only its
-    own rows; activations, deltas, gradients and saved parameters are
-    allocated once per call and overwritten in every epoch."""
-    encoders = [build_encoder(d.features, d.codes, standardize=True) for d in datasets]
-    X = np.stack([encode(d.codes, enc, d.features) for d, enc in zip(datasets, encoders)])
-    y = np.stack([d.targets for d in datasets])
+def _train_mlp(config, fits):
+    """One network per (dataset, rows) fit of a stack of one row count and
+    feature list (see train_each), trained together as (R, ., .) weight
+    stacks under np.matmul. The fits share the seed's initial weights and
+    every epoch's shuffle order, so each slice takes the steps a network
+    trained alone on its rows would take, bit for bit; only its
+    standardization, the epochs it rejects and its learning rate are its
+    own. Each replicate's weights and biases are views of its row of one
+    (R, P) parameter matrix, so a step updates them all at once and a
+    rejected epoch restores only its own rows; activations, deltas,
+    gradients and saved parameters are allocated once per call and
+    overwritten in every epoch."""
+    features = fits[0][0].features
+    codes = [d.codes if rows is None else d.codes[rows] for d, rows in fits]
+    encoders = [build_encoder(features, c, standardize=True) for c in codes]
+    X = np.stack([encode(c, enc, features) for c, enc in zip(codes, encoders)])
+    y = np.stack([d.targets if rows is None else d.targets[rows] for d, rows in fits])
     replicates, k = y.shape
     rng = np.random.default_rng(derive_seed(config.seed, "mlp-init"))
 
@@ -701,53 +746,68 @@ def _train_mlp(config, datasets):
 
     history = np.stack(history, axis=1)
     handles = []
-    for r, d in enumerate(datasets):
+    for r in range(replicates):
         params = {"weights": [w[r].copy() for w in weights],
                   "biases": [b[r, 0].copy() for b in biases], "encoder": encoders[r]}
         meta = {"learner": "mlp", "seed": config.seed, "hidden": list(config.hidden),
                 "epochs": config.epochs, "final_lr": float(lr[r]),
                 "loss_history": history[r].tolist()}
-        handles.append(PredictorHandle(input_schema=list(d.features), output_kind="scalar",
+        handles.append(PredictorHandle(input_schema=list(features), output_kind="scalar",
                                        kind="mlp", params=params, metadata=meta))
     return handles
 
 
-def _check_training(config, d, loss):
-    if d.k == 0:
+def _check_training(config, k, loss):
+    if k == 0:
         raise ValueError("training dataset is empty")
     _check_learner_loss(config, loss)
 
 
 def train(config, d, loss):
-    """Fit a learner on d; deterministic given config.seed."""
-    _check_training(config, d, loss)
-    if config.learner == "ols":
-        return _train_ols(config, d)
+    """Fit a learner on d; deterministic given config.seed. ols and mlp fit
+    it as a stack of one (train_each)."""
+    if config.learner != "knn":
+        return next(train_each(config, [(d, None)], loss))
+    _check_training(config, d.k, loss)
+    return _train_knn(config, d, loss)
+
+
+def _stack_width(config, features):
+    """The widest array per row of a stacked fit: an ols design's columns,
+    or an mlp's widest layer."""
+    inputs = sum(_encoded_widths(features))
+    return 1 + inputs if config.learner == "ols" else max(inputs, *config.hidden)
+
+
+def train_each(config, fits, loss):
+    """Fit the learner on each (dataset, rows) pair of an iterable, rows a
+    vector of the dataset's row indices (a repeated row counted each time),
+    or None for all of its rows; yields handles equal to `train(config,
+    d.take(rows), loss)`'s, in order, and takes no Dataset copy but knn's.
+
+    The one stacking rule: consecutive ols or mlp fits of one row count and
+    feature list train as one stack of at most STACK_CELLS replicate x row x
+    width (`_stack_width`) cells, each stack when its first handle is asked
+    for; knn fits one at a time. A fit's refusal is raised after the
+    handles of the fits before it."""
     if config.learner == "knn":
-        return _train_knn(config, d, loss)
-    return _train_mlp(config, [d])[0]
-
-
-def train_each(config, datasets, loss):
-    """Fit the learner on each dataset of an iterable, yielding handles equal
-    to `train`'s in order. Consecutive mlp fits on datasets of one row count
-    train as one stack of at most MLP_STACK_CELLS replicate x row x width
-    cells; ols and knn fit one dataset at a time."""
-    if config.learner != "mlp":
-        for d in datasets:
-            yield train(config, d, loss)
+        for d, rows in fits:
+            yield train(config, d if rows is None else d.take(rows), loss)
         return
-    stack = []
-    for d in datasets:
-        _check_training(config, d, loss)
-        cells = d.k * max(sum(_encoded_widths(d.features)), *config.hidden)
-        if stack and ((d.k, d.features) != (stack[0].k, stack[0].features)
-                      or (len(stack) + 1) * cells > MLP_STACK_CELLS):
-            yield from _train_mlp(config, stack)
+    trainer = _train_ols if config.learner == "ols" else _train_mlp
+    stack, shape = [], None
+    for d, rows in fits:
+        k = d.k if rows is None else len(rows)
+        cells = k * _stack_width(config, d.features)
+        if stack and ((k, d.features) != shape or (len(stack) + 1) * cells > STACK_CELLS):
+            yield from trainer(config, stack)
             stack = []
-        stack.append(d)
+        # an empty fit starts its own stack, so the fits before it have been yielded
+        _check_training(config, k, loss)
+        stack.append((d, rows))
+        shape = (k, d.features)
     if stack:
-        yield from _train_mlp(config, stack)
+        yield from trainer(config, stack)
 
 
 # -- subset refits -----------------------------------------------------------
@@ -773,15 +833,6 @@ def best_constant(d, loss):
     if loss == LossFunction.ZERO_ONE:
         return float(levels[np.argmax(counts)])
     return levels, counts / counts.sum()
-
-
-def feature_subset(subset, n):
-    """A subset of n features as the sorted tuple of its distinct indices;
-    an index that is not an integer in 0..n-1 is refused."""
-    for j in subset:
-        if not isinstance(j, numbers.Integral) or not 0 <= j < n:
-            raise ValueError(f"feature index {j!r} is not an integer in 0..{n - 1}")
-    return tuple(sorted({int(j) for j in subset}))
 
 
 def subset_model(config, d, loss, subset):

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, FeatureSpec
 from .errors import UnsupportedCombination
 from .models import (CLASSIFICATION_LOSSES, REGRESSION_LOSSES, LossFunction,
-                     PredictorHandle, _eval_poly_response)
+                     PredictorHandle, _eval_poly_response, feature_subset as subset_indices)
 from ._util import derive_seed
 
 KINDS = ("linear_gaussian", "nonlinear_independent", "discrete_classification")
@@ -399,9 +399,7 @@ def _linear_gaussian_residual_variance(p, subset):
 
 def true_epe(p, loss, feature_subset):
     """Exact expected prediction error of the subset-optimal predictor."""
-    subset = set(int(j) for j in feature_subset)
-    if not all(0 <= j < p.n for j in subset):
-        raise ValueError("feature_subset indices out of range")
+    subset = set(subset_indices(feature_subset, p.n))
     _check_loss(p, loss, "true_epe")
 
     if p.kind == "linear_gaussian":

@@ -156,17 +156,20 @@ def _draws(k, plans):
 
 def _refits(config, d, loss, plans, train_draws, column_sets):
     """Per refit, its handle on each column set: the full-data refit, then
-    one per training draw (of plans[0]). One train_each stream per set, so
-    that each set's mlp refits stack; the sets to train share each draw's
-    copy of d. A kept interval's refits on a set are kept, keyed on the
-    config, d's fingerprint, the loss, the training plan and the set, and
-    the next interval with that key reads them back."""
+    one per training draw (of plans[0]). Each set's refits are one
+    train_each stream of (d's columns of the set, rows) fits, rows None for
+    the full-data refit and then each draw's row indices, so that by its
+    one stacking rule a set's ols and mlp refits train as stacks and no
+    Dataset copy is made; the sets to train share the draws. A kept
+    interval's refits on a set are kept, keyed on the config, d's
+    fingerprint, the loss, the training plan and the set, and the next
+    interval with that key reads them back."""
     keys = [(config, d.fingerprint, loss, plans[0], cols) for cols in column_sets] \
         if _kept(d.k, plans) else [None] * len(column_sets)
     streams = [key and lru_get(_refit_cache, key) for key in keys]
     missing = [i for i, handles in enumerate(streams) if handles is None]
-    for i, copies in zip(missing, tee(chain([d], map(d.take, train_draws)), len(missing))):
-        fits = train_each(config, map(select_features, copies, repeat(column_sets[i])), loss)
+    for i, draws in zip(missing, tee(chain([None], train_draws), len(missing))):
+        fits = train_each(config, zip(repeat(select_features(d, column_sets[i])), draws), loss)
         streams[i] = fits if keys[i] is None else _keeping(fits, keys[i])
     return zip(*streams)
 
@@ -183,21 +186,28 @@ def _keeping(handles, key):
     yield from rest
 
 
-def _curves(spec, grid, views, handles, samples=None):
+def _curves(spec, grid, views, handles, samples=None, members=None):
     """The question on views (the data on each of its column sets, full
     first) and handles (a model per set): one vector per row sample of the
     iterable `samples` (row indices, a repeated row counted each time; None,
     every row once), as the rows of a matrix; samples None is [None] (the
     point estimate). A vector is the question's row values averaged per
-    group: aligned to the grid, NaN where a point was dropped, or of length
-    1 for a one-group question; it equals a Dataset copy's up to summation
-    order. Each chunk of at most GROUP_MEAN_CELLS sample x row cells is one
-    bincount (row indices offset by r·k) and one `group_means` call."""
+    group of `members`, its k x G membership matrix (`Question.members`,
+    computed here when None): aligned to the grid, NaN where a point was
+    dropped, or of length 1 for a one-group question; it equals a Dataset
+    copy's up to summation order. The membership depends only on the data,
+    the grid and the band, so an interval computes it once and passes it to
+    each refit's call. Each chunk of at most GROUP_MEAN_CELLS sample x row
+    cells is one bincount (row indices offset by r·k) and one `group_means`
+    call."""
     d = views[0]
     samples = iter([None] if samples is None else samples)
     if d.k == 0:
         raise ValueError("evaluation dataset is empty")
-    values, members = QUESTIONS[spec.question].row_values(spec, grid, views, handles)
+    question = QUESTIONS[spec.question]
+    values = question.row_values(spec, views, handles)
+    if members is None:
+        members = question.members(spec, grid, views)
     groups = "every grid point" if grid is not None else "the evaluation rows"
     every_row, curves = np.arange(d.k), []
     while chunk := [every_row if rows is None else rows
@@ -272,8 +282,10 @@ def bias_variance_me(config, p, k, replicates, spec, seed, reference_size=50000)
 
     d_trains = (sample_phenomenon(p, k, derive_seed(seed, "bv-train", r))
                 for r in range(replicates))
-    curves = np.concatenate([_curves(spec, grid, [reference], [handle])
-                             for handle in train_each(config, d_trains, spec.loss)])
+    members = QUESTIONS[spec.question].members(spec, grid, [reference])
+    curves = np.concatenate([_curves(spec, grid, [reference], [handle], members=members)
+                             for handle in train_each(config, zip(d_trains, repeat(None)),
+                                                      spec.loss)])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN replicate slices
@@ -336,8 +348,9 @@ def ci_combined(config, d, spec, cfg):
     Each model replicate is a refit on resampled training data; each
     evaluation replicate resamples the evaluation data under the refit
     model. The point estimate's full-data refit leads the one stream of
-    refits, so under bootstrap (replicates of the data's row count) its mlp
-    fit stacks with the replicates'. The combined variance pools all
+    refits, so under bootstrap (replicates of the data's row count) its ols
+    or mlp fit stacks with the replicates'. The grid membership is computed
+    once, after the full-data refit, and serves every refit. The combined variance pools all
     replicate pairs (1/N convention); the estimation-only variance is the
     mean within-refit variance, so the combined variance dominates it
     pointwise by the law of total variance.
@@ -357,9 +370,11 @@ def ci_combined(config, d, spec, cfg):
     plans += [_plan(cfg, cfg.ee_replicates, "ci-me-eval", r) for r in range(cfg.me_replicates)]
     train_draws, *eval_draws = _draws(d.k, plans)
     refits = _refits(config, d, spec.loss, plans, train_draws, column_sets)
-    point = _curves(spec, grid, views, next(refits))[0]
+    handles = next(refits)
+    members = QUESTIONS[spec.question].members(spec, grid, views)
+    point = _curves(spec, grid, views, handles, members=members)[0]
     for r, (handles, draws) in enumerate(zip(refits, eval_draws)):
-        curves[r] = _curves(spec, grid, views, handles, draws)
+        curves[r] = _curves(spec, grid, views, handles, draws, members)
 
     flat = curves.reshape(-1, point.size)
     with warnings.catch_warnings():

@@ -93,23 +93,30 @@ def test_a_shared_interval_equals_one_after_a_reset(benchmark_phenomenon, learne
 
 
 class Work:
-    """Counts the draws (at data._draw) and the refits trained (at models.train,
-    with the columns each was trained on) of what runs inside it."""
+    """Counts the draws (at data._draw) and records the refits trained (at the
+    ols and knn trainers, with the columns each was trained on) and the fits
+    of each ols stack, of what runs inside it."""
 
     def __enter__(self):
-        self.draws, self.refits = 0, []
-        draw, fit = data._draw, models.train
+        self.draws, self.refits, self.ols_stacks = 0, [], []
+        draw, train_ols, train_knn = data._draw, models._train_ols, models._train_knn
 
         def counting_draw(*args):
             self.draws += 1
             return draw(*args)
 
-        def recording_train(config, d, loss):
+        def recording_train_ols(config, fits):
+            self.ols_stacks.append(len(fits))
+            self.refits.extend(tuple(d.feature_names) for d, _ in fits)
+            return train_ols(config, fits)
+
+        def recording_train_knn(config, d, loss):
             self.refits.append(tuple(d.feature_names))
-            return fit(config, d, loss)
+            return train_knn(config, d, loss)
 
         self._patches = [mock.patch.object(data, "_draw", counting_draw),
-                         mock.patch.object(models, "train", recording_train)]
+                         mock.patch.object(models, "_train_ols", recording_train_ols),
+                         mock.patch.object(models, "_train_knn", recording_train_knn)]
         for patch in self._patches:
             patch.start()
         return self
@@ -151,6 +158,25 @@ def test_cpfi_after_cpdp_draws_nothing_and_trains_only_its_reduced_set(d600):
     assert alone.refits.count(("x1", "x2")) == alone.refits.count(("x2",)) == 21
     assert canonical_json(shared.to_dict()) == canonical_json(fresh.to_dict())
     assert shared.replicate_curves.tobytes() == fresh.replicate_curves.tobytes()
+
+
+@pytest.mark.parametrize("method, stacks", [("subsample", [1, 20]), ("bootstrap", [21])])
+def test_an_interval_trains_its_ols_refits_per_column_set_in_one_stack(d600, method, stacks):
+    # the full-data refit has all 600 rows; each subsample has 300, so the 20
+    # replicates of a column set are one stack; a bootstrap has 600 rows, so
+    # the full-data refit leads the stack of 21
+    cfg = plan_config(method, 3)
+    with Work() as cpdp:
+        ci_combined(OLS, d600, cpdp_spec(d600), cfg)
+    with Work() as cpfi:
+        ci_combined(OLS, d600, CPFI, cfg)
+    assert cpdp.ols_stacks == cpfi.ols_stacks == stacks
+    assert cpfi.refits == [("x2",)] * 21
+    clear_caches()
+    # alone, cpfi trains both sets' streams in step: each stack when it is first read
+    with Work() as alone:
+        ci_combined(OLS, d600, CPFI, cfg)
+    assert alone.ols_stacks == [n for n in stacks for _ in range(2)]
 
 
 def test_a_second_estimation_interval_draws_nothing(d600):
@@ -226,7 +252,7 @@ def test_kept_draws_are_read_only_and_compact():
     assert uncertainty._draws(600, plans) is matrices
 
 
-# -- ci_estimation computes the row values once --------------------------------------
+# -- an interval computes its grid membership once ---------------------------------
 
 
 def test_an_estimation_interval_predicts_and_groups_once(d600):
@@ -245,6 +271,16 @@ def test_an_estimation_interval_predicts_and_groups_once(d600):
     assert predict.call_args.args[0].shape == (600, 2)
     assert len(grids) == 1
     assert report.replicate_curves.shape == (20, report.point_estimates.size)
+
+    # a combined interval groups once for its point estimate and 20 refits;
+    # cpfi's one group is no grid membership
+    grids.clear()
+    cfg = plan_config("subsample", 3)
+    with mock.patch.object(descriptors, "grid_membership", counting_membership):
+        ci_combined(OLS, d600, cpdp_spec(d600), cfg)
+        assert len(grids) == 1
+        ci_combined(OLS, d600, CPFI, cfg)
+    assert len(grids) == 1
 
 
 @pytest.mark.parametrize("cells", [uncertainty.KEPT_CELLS, 1], ids=["kept", "not-kept"])

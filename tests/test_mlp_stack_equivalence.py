@@ -128,7 +128,7 @@ def make_dataset(k, seed, categorical, scale):
 
 
 def stack_cells(chunk, datasets, config):
-    """An MLP_STACK_CELLS value that holds exactly `chunk` replicates."""
+    """A STACK_CELLS value that holds exactly `chunk` replicates."""
     d = datasets[0]
     inputs = sum(len(f.categories) if f.kind == "categorical" else 1 for f in d.features)
     return chunk * d.k * max(inputs, *config.hidden)
@@ -157,10 +157,10 @@ def test_stack_matches_one_network_at_a_time(case):
                            lr_decay=case["lr_decay"], seed=case["seed"])
     datasets = [make_dataset(case["k"], 100 * case["seed"] + r, case["categorical"], scale)
                 for r, scale in enumerate(case["scales"])]
-    cells = models.MLP_STACK_CELLS if case["chunk"] is None \
+    cells = models.STACK_CELLS if case["chunk"] is None \
         else stack_cells(case["chunk"], datasets, config)
-    with mock.patch.object(models, "MLP_STACK_CELLS", cells):
-        handles = list(train_each(config, iter(datasets), MSE))
+    with mock.patch.object(models, "STACK_CELLS", cells):
+        handles = list(train_each(config, ((d, None) for d in datasets), MSE))
     assert len(handles) == len(datasets)
     for handle, d in zip(handles, datasets):
         assert_same_fit(handle, reference_fit(config, d))
@@ -173,7 +173,7 @@ def test_replicates_reject_different_epochs():
                            learning_rate=0.3, seed=1)
     datasets = [make_dataset(30, r, True, scale)
                 for r, scale in enumerate([1.0, 300.0, 1.0, 10.0, 300.0])]
-    handles = list(train_each(config, datasets, MSE))
+    handles = list(train_each(config, [(d, None) for d in datasets], MSE))
     final_lrs = {h.metadata["final_lr"] for h in handles}
     assert len(final_lrs) > 1
     for handle, d in zip(handles, datasets):
@@ -189,7 +189,7 @@ def test_single_train_is_a_stack_of_one():
 def test_mixed_row_counts_start_new_stacks():
     config = LearnerConfig(learner="mlp", hidden=(4,), epochs=3, batch_size=5, seed=2)
     datasets = [make_dataset(k, k, False, 1.0) for k in (12, 12, 9, 12)]
-    for handle, d in zip(train_each(config, datasets, MSE), datasets):
+    for handle, d in zip(train_each(config, [(d, None) for d in datasets], MSE), datasets):
         assert_same_fit(handle, reference_fit(config, d))
 
 
@@ -202,8 +202,8 @@ def test_ci_combined_matches_per_replicate_training(chunk, method, nonlinear_phe
     plan = ResamplePlan(method=method, fraction=0.5, replicates=20, seed=9)
     cfg = CIConfig(ee_replicates=20, me_replicates=20, resample_plan=plan)
 
-    def one_at_a_time(config, datasets, loss):
-        return (reference_fit(config, d_r) for d_r in datasets)
+    def one_at_a_time(config, fits, loss):
+        return (reference_fit(config, d if rows is None else d.take(rows)) for d, rows in fits)
 
     # cpfi trains two streams of refits: on all features, and without feature 0;
     # each run starts with no kept refits, so that each trains its own
@@ -216,8 +216,8 @@ def test_ci_combined_matches_per_replicate_training(chunk, method, nonlinear_phe
         # stacks of 3 refits, 6 wide, or all in one: 20 of 40 rows under subsample (20 is
         # no multiple of 3), or under bootstrap 21 of 80 rows, the full-data fit first
         rows = 40 if method == "subsample" else 80
-        cells = models.MLP_STACK_CELLS if chunk is None else chunk * rows * 6
-        with mock.patch.object(models, "MLP_STACK_CELLS", cells):
+        cells = models.STACK_CELLS if chunk is None else chunk * rows * 6
+        with mock.patch.object(models, "STACK_CELLS", cells):
             report = ci_combined(config, d, spec, cfg)
         assert report.replicate_curves.tobytes() == expected.replicate_curves.tobytes()
         assert canonical_json(report.to_dict()) == canonical_json(expected.to_dict())
@@ -235,9 +235,9 @@ def test_ci_combined_trains_the_full_data_fit_in_the_bootstrap_stack(
     sizes = []
     train_mlp = models._train_mlp
 
-    def recording_train_mlp(config, datasets):
-        sizes.append(len(datasets))
-        return train_mlp(config, datasets)
+    def recording_train_mlp(config, fits):
+        sizes.append(len(fits))
+        return train_mlp(config, fits)
 
     with mock.patch.object(models, "_train_mlp", recording_train_mlp):
         ci_combined(config, d, DescriptorSpec(question=question, feature=0, max_points=6), cfg)

@@ -217,7 +217,7 @@ class TestMlp:
         # and editing one network must not change another
         datasets = [linear_dataset(k=30, slope=s, seed=s) for s in (1, 2, 3)]
         config = LearnerConfig(learner="mlp", hidden=(4, 3), epochs=3, seed=0)
-        handles = list(train_each(config, datasets, MSE))
+        handles = list(train_each(config, [(d, None) for d in datasets], MSE))
         arrays = [a for h in handles for key in ("weights", "biases") for a in h.params[key]]
         assert len(arrays) == 3 * 2 * 3
         assert all(a.base is None for a in arrays)
@@ -296,7 +296,7 @@ class TestMlp:
             "def faults(epochs):\n"
             "    config = LearnerConfig(learner='mlp', seed=1, epochs=epochs)\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    list(train_each(config, datasets, LossFunction.MSE))\n"
+            "    list(train_each(config, [(d, None) for d in datasets], LossFunction.MSE))\n"
             "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
             "print(faults(10), faults(100))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(descry.__file__)))

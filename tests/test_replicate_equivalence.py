@@ -67,17 +67,18 @@ def reference_cpfi(config, d_train, d_r, feature, loss):
     return mean_loss(tuple(j for j in full_set if j != feature)) - mean_loss(full_set)
 
 
-def reference_curves(spec, grid, views, handles, draws=None, *, config, d_trains):
+def reference_curves(spec, grid, views, handles, draws=None, members=None, *, config,
+                     d_trains):
     """One curve per resampled copy of d = views[0]; cpfi refits on the next
     training replicate of d_trains, in the order ci_combined asks for them.
     The point estimate (draws None, or a None sample) is the routine's own."""
     if draws is None:
-        return CURVES(spec, grid, views, handles)
+        return CURVES(spec, grid, views, handles, members=members)
     d, d_train = views[0], next(d_trains) if spec.question == "cpfi" else None
     curves = []
     for rows in draws:
         if rows is None:
-            curves.append(CURVES(spec, grid, views, handles)[0])
+            curves.append(CURVES(spec, grid, views, handles, members=members)[0])
             continue
         d_r = d.take(rows)
         if spec.question == "cpdp":

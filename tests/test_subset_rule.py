@@ -1,18 +1,19 @@
 """The one rule for a feature subset, and for the rows a subset refit reads.
 
 A subset is a set of integer feature indices in 0..n-1, duplicates counted
-once, as `phenomenon.true_epe` reads one. `subset_model`, `subset_risks`
-(and so `subset_epe`) and `subset_predictions` all read it through
-`models.feature_subset`, and refuse anything else with a ValueError that
-names the index and n. `subset_predictions` refuses a rows matrix of
-another width, as `predict_batch` does.
+once. `subset_model`, `subset_risks` (and so `subset_epe`),
+`subset_predictions`, `data.select_features` and `phenomenon.true_epe` all
+read it through `feature_subset` (in `data`, re-exported by `models`), and
+refuse anything else with a ValueError that names the index and n.
+`subset_predictions` refuses a rows matrix of another width, as
+`predict_batch` does.
 """
 
 import numpy as np
 import pytest
 
 from descry import LearnerConfig, LossFunction, Phenomenon, sample, subset_epe, subset_model
-from descry import models
+from descry import data, models, select_features, true_epe
 from descry.errors import SchemaMismatch
 
 MSE = LossFunction.MSE
@@ -34,7 +35,8 @@ def test_an_index_outside_the_features_is_refused(learner, subset):
                 lambda: subset_model(config, D_TRAIN, MSE, subset),
                 lambda: models.subset_risks(config, D_TRAIN, D_EVAL, MSE, [(), subset]),
                 lambda: models.subset_predictions(config, D_TRAIN, MSE, [subset],
-                                                  D_EVAL.codes)):
+                                                  D_EVAL.codes),
+                lambda: select_features(D_TRAIN, subset), lambda: true_epe(P, MSE, subset)):
         with pytest.raises(ValueError) as info:
             run()
         assert str(info.value) == message
@@ -62,3 +64,12 @@ def test_rows_of_another_width_are_refused(learner, width):
         models.subset_predictions(LEARNERS[learner], D_TRAIN, MSE, [(), (0,)], rows)
     assert str(info.value) == f"expected 3 features, got shape (5, {width})"
     assert info.value.operation == "predict"
+
+
+def test_select_features_and_true_epe_count_a_repeated_index_once():
+    assert select_features(D_TRAIN, (0, 0)).feature_names == ["x1"]
+    assert select_features(D_TRAIN, [np.int64(2), 0, 2]).feature_names == ["x1", "x3"]
+    assert select_features(D_TRAIN, (2, 1, 0)) is D_TRAIN
+    assert true_epe(P, MSE, (1, 1)) == true_epe(P, MSE, (1,))
+    assert true_epe(P, MSE, [np.int64(2), 0, 2]) == true_epe(P, MSE, (0, 2))
+    assert models.feature_subset is data.feature_subset

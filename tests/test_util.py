@@ -1,8 +1,28 @@
+import hashlib
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descry._util import canonical_json, derive_seed, fmt_number
+
+
+def reference_derive_seed(seed, *parts):
+    """derive_seed as it was first written: one blake2b update per part."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(repr(int(seed)).encode())
+    for p in parts:
+        h.update(b"/")
+        h.update(repr(int(p) if isinstance(p, np.integer) else p).encode())
+    return int.from_bytes(h.digest(), "big") & (2**63 - 1)
+
+
+NUMPY_INTEGERS = st.sampled_from([np.int8, np.uint16, np.int32, np.int64, np.uint64])
+PARTS = st.one_of(
+    st.text(max_size=12), st.integers(-2**70, 2**70), st.floats(allow_nan=False),
+    st.booleans(), st.none(),
+    st.tuples(NUMPY_INTEGERS, st.integers(0, 127)).map(lambda t: t[0](t[1])))
 
 
 class TestDeriveSeed:
@@ -20,6 +40,12 @@ class TestDeriveSeed:
         assert derive_seed(0, "resample", 0) == 5103284808531680771
         assert derive_seed(7, np.uint16(3), "x") == derive_seed(7, 3, "x")
         assert derive_seed(7, 0.5) != derive_seed(7, "0.5")
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**64), NUMPY_INTEGERS.map(lambda t: t(5))),
+           parts=st.lists(PARTS, max_size=4))
+    def test_equals_the_per_part_hash(self, seed, parts):
+        assert derive_seed(seed, *parts) == reference_derive_seed(seed, *parts)
 
 
 class TestCanonicalJson:
