@@ -7,6 +7,7 @@ fabricates feature combinations: a group holds observed rows only.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,7 +144,10 @@ class SupportChecker:
     """Operational proxy for P(X = x) > 0: the point must sit inside every
     per-feature empirical [q, 1-q] band AND within the dataset's typical
     nearest-neighbor (Gower) distance. Positive density is unobservable;
-    this conjunction is the weakest testable stand-in."""
+    this conjunction is the weakest testable stand-in. The distance
+    threshold `nn_threshold` is computed on its first read, when a checked
+    row first reaches the distance scan, so a check of observed rows never
+    computes it."""
 
     def __init__(self, d):
         self.d = d
@@ -154,7 +158,6 @@ class SupportChecker:
         levels = [SUPPORT_QUANTILE_BAND, 1.0 - SUPPORT_QUANTILE_BAND]
         self.bounds = [None if f.kind == "categorical" else np.quantile(self.encoded[:, j], levels)
                        for j, f in enumerate(d.features)]
-        self.nn_threshold = self._self_distance_percentile()
         # each reference row's hash with its index in the low bits, sorted:
         # the exact-copy lookup of check_rows
         self.index_mask = np.uint64((1 << max(d.k - 1, 1).bit_length()) - 1)
@@ -193,6 +196,8 @@ class SupportChecker:
             exact[pending] = True
         return float(np.quantile(values, 0.99))
 
+    nn_threshold = cached_property(_self_distance_percentile)
+
     def _nearest_other(self, queries, rows=None):
         """The distance from each query row to its nearest other row among
         `rows` (all rows when None); inf when `rows` holds no other row."""
@@ -214,7 +219,13 @@ class SupportChecker:
     def check_rows(self, rows):
         """The support check of each row (or code row), as a bool array.
         A row that passes the band test and equals a reference row sits at
-        Gower distance 0 from it, within the threshold, with no scan."""
+        Gower distance 0 from it, within the threshold, with no scan. Rows
+        whose width is not the feature count are refused."""
+        n = self.d.n
+        widths = {rows.shape[-1]} if isinstance(rows, np.ndarray) else set(map(len, rows))
+        if widths - {n}:
+            raise ValueError(f"a row has width {min(widths - {n})}, but the data has "
+                             f"{n} features")
         x = gower_encode(rows, self.d.features)
         ok = np.ones(len(x), dtype=bool)
         for j, bound in enumerate(self.bounds):
@@ -222,8 +233,9 @@ class SupportChecker:
                 else (bound[0] <= x[:, j]) & (x[:, j] <= bound[1])
         scan = np.flatnonzero(ok)
         scan = scan[~self._copies(x[scan])]
-        _, dist = nearest(x[scan], self.encoded, 1, self.ranges)
-        ok[scan] = dist[:, 0] <= self.nn_threshold
+        if len(scan):
+            _, dist = nearest(x[scan], self.encoded, 1, self.ranges)
+            ok[scan] = dist[:, 0] <= self.nn_threshold
         return ok
 
     def check(self, x):

@@ -273,7 +273,7 @@ def test_support_subsample_seed_depends_on_k_and_band_only():
         d = Dataset(features=features, target=TARGET, rows=x, targets=x[:, 0],
                     provenance="observed")
         with mock.patch.object(samplers, "nearest", recording_nearest):
-            SupportChecker(d)
+            SupportChecker(d).nn_threshold
         assert np.array_equal(seen.pop(), d.codes[expected])
 
 
