@@ -227,40 +227,73 @@ def _column_sum(term, start, stop, slots, pairwise=True):
     return acc
 
 
-def _smallest(block, count):
+def _smallest(block, count, root=None):
     """The first `count` columns of each row's stable argsort (smallest first,
     lowest column on ties, NaN last) and the values there, as `(order,
-    values)`, each (rows, count).
+    values)`, each (rows, count). With `root`, a monotone non-decreasing
+    unary ufunc such as `np.sqrt`, `block` holds values before the root, and
+    the result is that of `_smallest(root(block), count)`, bit for bit.
 
     Up to SCAN_PICKS columns are picked one at a time, in place and without
     sorting whole rows: `ndarray.argmin` returns each row's first smallest
     cell, its value is recorded, and each pick but the last then reads +inf
     in `block`, which must be C-contiguous. A row whose first pick is not
     finite (argmin returns a row's first NaN, and -inf sorts first) or whose
-    last pick reads +inf (a cell picked before may be picked again) gets its
-    recorded values back, last pick first, so that a cell picked twice ends
-    as it was; it then takes the full stable argsort, as every row does,
-    untouched, for larger counts. The other rows keep their +inf cells."""
+    last pick reads +inf (a cell picked before may be picked again) is not
+    settled. With `root`, count + 1 cells are picked and only they are
+    rooted. The row is settled when, beyond that, no two adjacent picks of
+    different values share a root (the stable order of the roots may then
+    differ), and the last two picks differ in root, or tie at a value s with
+    no unpicked cell above s of the same root: only when the next value
+    above s roots as s does is the row scanned for one. Unsettled rows get
+    their recorded values back, last pick first, so that a cell picked twice
+    ends as it was. With `root` they are then rooted whole and picked again;
+    without it they take the full stable argsort, as every row does,
+    untouched, for larger counts. Settled rows keep their +inf cells. With
+    `root`, a block where count + 1 exceeds SCAN_PICKS or reaches its width
+    is rooted whole first."""
     width = block.shape[1]
+    if root is not None and (count + 1 >= width or count + 1 > SCAN_PICKS):
+        block, root = root(block, out=block), None
     if count >= width or count > SCAN_PICKS:
         order = np.argsort(block, axis=1, kind="stable")[:, :count]
         return order, np.take_along_axis(block, order, axis=1)
-    starts, cells = np.arange(0, block.size, width), block.reshape(-1)
-    picks = np.empty((count, len(block)), dtype=np.intp)
-    values = np.empty((count, len(block)))
-    for i in range(count):
-        block.argmin(axis=1, out=picks[i])
-        picked = starts + picks[i]
-        cells.take(picked, out=values[i])
-        if i + 1 < count:
-            cells[picked] = np.inf
-    redo = ~(np.isfinite(values[0]) & np.isfinite(values[-1]))
-    order, values = picks.T.copy(), values.T   # C order: a neighbour mean sums pairwise
-    if redo.any():
-        for i in reversed(range(count)):
-            cells[starts[redo] + order[redo, i]] = values[redo, i]
-        order[redo] = np.argsort(block[redo], axis=1, kind="stable")[:, :count]
-        values[redo] = np.take_along_axis(block[redo], order[redo], axis=1)
+    rows = None   # the rows of the caller's block that `block` holds, once not all
+    while True:
+        scans = count + (root is not None)
+        starts, cells = np.arange(0, block.size, width), block.reshape(-1)
+        picks, raw = np.empty((scans, len(block)), dtype=np.intp), np.empty((scans, len(block)))
+        for i in range(scans):
+            block.argmin(axis=1, out=picks[i])
+            picked = starts + picks[i]
+            cells.take(picked, out=raw[i])
+            if i + 1 < scans:
+                cells[picked] = np.inf
+        got = raw if root is None else root(raw)
+        settled = np.isfinite(got[0]) & np.isfinite(got[-1])
+        if root is not None and (same := got[1:] == got[:-1]).any():
+            # adjacent picks of one root must be of one value, which argmin takes by column
+            settled &= (same == (raw[1:] == raw[:-1])).all(axis=0)
+            # a tie at s settles if no unpicked cell (all are above s) roots as s does;
+            # only when the next value above s does is the row scanned
+            tie = np.flatnonzero(settled & same[-1] & (root(np.nextafter(raw[-1], np.inf)) == got[-1]))
+            near, s, r = block[tie], raw[-1, tie, None], got[-1, tie, None]
+            settled[tie] = ~((near != s) & (root(near) == r)).any(axis=1)
+        if rows is None:   # C order: a neighbour mean sums pairwise
+            order, values = picks[:count].T.copy(), got[:count].T
+        else:
+            order[rows], values[rows] = picks[:count].T, got[:count].T
+        redo = ~settled
+        if not redo.any():
+            return order, values
+        for i in reversed(range(scans)):
+            cells[starts[redo] + picks[i, redo]] = raw[i, redo]
+        block, rows = block[redo], np.flatnonzero(redo) if rows is None else rows[redo]
+        if root is None:
+            break
+        block, root = root(block, out=block), None
+    order[rows] = np.argsort(block, axis=1, kind="stable")[:, :count]
+    values[rows] = np.take_along_axis(block, order[rows], axis=1)
     return order, values
 
 
@@ -947,11 +980,12 @@ def _knn_lattice(config, d_train, loss, codes, subsets):
     columns, left to right, as `_column_sum` adds them below 8 columns and
     Gower at any width. The subsets go in groups of G: each one's sum is
     written into its own slot of a (G, m, d_train.k) array, and a stack row
-    is kept only for each prefix the group does not list. One `sqrt` (or
-    one divide by each subset's feature count, under Gower) maps the group
-    to distances, one `_smallest` call selects the neighbours of all G x m
-    rows in place, and one `_knn_aggregate` call predicts them. The path
-    then drops the levels that were held in the group's slots.
+    is kept only for each prefix the group does not list. Under Gower one
+    divide by each subset's feature count maps the group to distances; then
+    one `_smallest` call selects the neighbours of all G x m rows in place
+    (under Euclidean on the squared sums, rooting only each row's picks),
+    and one `_knn_aggregate` call predicts them. The path then drops the
+    levels that were held in the group's slots.
 
     The workspace is allocated once per call. Per query it holds a row of
     d_train.k cells for each encoded column the subsets read, the stack's
@@ -1010,12 +1044,12 @@ def _knn_lattice(config, d_train, loss, codes, subsets):
                     for t in range(lo + 1, ends[f]):
                         acc += terms[t, :m]
                     path.append((f, acc, own))
+            root = np.sqrt
             if config.distance == "gower":
                 counts = np.array([len(subset) for subset in group], dtype=float)
                 np.divide(dist, counts[:, None, None], out=dist)
-            else:
-                np.sqrt(dist, out=dist)
-            order, _ = _smallest(dist.reshape(-1, k), fit["k"])
+                root = None
+            order, _ = _smallest(dist.reshape(-1, k), fit["k"], root)
             preds = _knn_aggregate(fit["train_targets"][order], fit["agg"])
             out[first:first + len(group), start:start + m] = preds.reshape(len(group), m)
             # the next group reuses the slots: the path ends below its first level held there

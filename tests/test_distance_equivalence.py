@@ -13,8 +13,13 @@ not finite or whose last pick reads +inf get their picked values back and
 fall back to the full stable argsort, which every row takes for larger
 counts. The selection test crosses both sides of
 that cutoff and pins those fallback rows by example.
+
+The knn lattice selects on squared Euclidean sums and roots only each row's
+picks (`_smallest` with `root`); its order and values must be those of the
+stable argsort of the rooted block, also where different sums share a root.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -365,6 +370,124 @@ def test_callers_sort_no_whole_distance_row(distance):
     assert widest_sort(checker.check_rows, x[:40] + 0.01)[0] == 0
     assert widest_sort(h.predict_batch, x[:40] + 0.01)[0] == 0
 
+
+def ulps(value, steps):
+    """value moved |steps| doubles up (steps > 0) or down toward 0."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, np.inf if steps > 0 else 0.0)
+    return value
+
+
+# sqrt(UP4) == 2.0 and sqrt(DOWN6) == sqrt(6.0); the two doubles above 7.0 root as it does
+UP4, DOWN6, UP7 = np.nextafter(4.0, np.inf), np.nextafter(6.0, 0.0), ulps(7.0, 2)
+
+
+@st.composite
+def squared_block(draw):
+    """A (rows x width) block of non-negative squared sums: a few bases moved
+    0-3 doubles either way, so that different values share a root, with
+    exact ties, integer values, NaN and +inf; and a count in
+    1..SCAN_PICKS + 1, so that count + 1 crosses the scan cutoff and the
+    width."""
+    q, k = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    bases = st.sampled_from([0.0, 1e-300, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 7.0])
+    cell = st.one_of(st.builds(ulps, bases, st.integers(-3, 3)),
+                     st.integers(0, 12).map(float), st.sampled_from([np.nan, np.inf]))
+    block = np.array(draw(st.lists(cell, min_size=q * k, max_size=q * k))).reshape(q, k)
+    for i in draw(st.lists(st.integers(0, q - 1), max_size=2)):
+        block[i] = block[draw(st.integers(0, q - 1))]
+    for i in draw(st.lists(st.integers(0, q - 1), max_size=2)):
+        block[i, draw(st.integers(0, k)):] = np.inf
+    return block, draw(st.integers(1, models.SCAN_PICKS + 1))
+
+
+# a row of each settle branch, and the most cells of it `_smallest` roots:
+# "picks" (count + 1) when its picks settle it, "row" when a tie scans the
+# row and settles it, "whole" when the row is restored and rooted whole
+ROOT_BRANCHES = [
+    (np.array([[3.0, 1.0, 2.0, 5.0]]), 2, "picks"),       # a strict gap
+    (np.array([[3.0, 1.0, 3.0, 5.0]]), 2, "picks"),       # a tie at 3.0, one value roots to it
+    (np.array([[4.0, 1.0, 4.0, 9.0]]), 2, "row"),         # a tie at 4.0, no cell at UP4
+    (np.array([[UP4, 1.0, 4.0, 4.0]]), 2, "whole"),       # a tie at 4.0 and a cell at UP4
+    (np.array([[UP7, 1.0, 7.0, 7.0]]), 2, "whole"),       # a tie at 7.0, a cell two doubles up
+    (np.array([[6.0, DOWN6, 1.0, 9.0]]), 2, "whole"),     # two picks of one root
+    (np.full((1, 5), np.nan), 2, "whole"),                # all NaN
+    (np.array([[1.0, 2.0, np.inf, np.inf]]), 2, "whole"),  # fewer than count + 1 finite cells
+    (np.array([[1.0, np.inf, np.inf, np.inf]]), 2, "whole"),  # one cell picked twice
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(squared_block())
+@example((np.array([[3.0, 1.0, 2.0, 5.0]]), 2))
+@example((np.array([[3.0, 1.0, 3.0, 5.0]]), 2))
+@example((np.array([[4.0, 1.0, 4.0, 9.0]]), 2))
+@example((np.array([[UP4, 1.0, 4.0, 4.0]]), 2))
+@example((np.array([[UP7, 1.0, 7.0, 7.0]]), 2))
+@example((np.array([[6.0, DOWN6, 1.0, 9.0]]), 2))
+@example((np.full((1, 5), np.nan), 2))
+@example((np.array([[1.0, 2.0, np.inf, np.inf]]), 2))
+@example((np.array([[1.0, np.inf, np.inf, np.inf]]), 2))
+def test_rooted_selection_matches_stable_argsort(problem):
+    block, count = problem
+    index, dist = models._smallest(block.copy(), count, np.sqrt)
+    expected_index, expected_dist = reference_nearest(np.sqrt(block), count)
+    assert np.array_equal(index, expected_index)
+    assert np.array_equal(dist.view(np.int64), expected_dist.view(np.int64))
+
+
+@pytest.mark.parametrize("block, count, branch", ROOT_BRANCHES)
+def test_rooted_selection_branches(block, count, branch):
+    """Each example above takes its branch: a settled row keeps its count
+    picked cells at +inf, and only a scanned tie roots more than its count
+    + 1 picks; an unsettled row gets its values back and is rooted whole."""
+    rooted = []
+
+    def recording_sqrt(a, *args, **kwargs):
+        rooted.append(np.size(a))
+        return sqrt(a, *args, **kwargs)
+
+    sqrt, picked = np.sqrt, block.copy()
+    with mock.patch.object(np, "sqrt", recording_sqrt):
+        index, _ = models._smallest(picked, count, np.sqrt)
+    assert np.array_equal(index, reference_nearest(np.sqrt(block), count)[0])
+    changed = ~((picked == block) | np.isnan(block))
+    assert changed.sum() == (0 if branch == "whole" else count)
+    assert max(rooted) == (count + 1 if branch == "picks" else block.shape[1])
+
+
+@pytest.mark.parametrize("distance", ["euclidean_standardized", "gower"])
+def test_lattice_roots_only_each_rows_picks(distance):
+    """On continuous data the knn lattice picks neighbours on squared sums:
+    every `np.sqrt` call it makes is inside a `_smallest` call and maps at
+    most knn_k + 1 cells per row selected there. Under Gower it divides
+    before selecting and roots nothing."""
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(200, 4))
+    d = Dataset(features=[FeatureSpec(name=f"x{j}", kind="numeric") for j in range(4)],
+                target=FeatureSpec(name="y", kind="numeric"), rows=x,
+                targets=x.sum(axis=1), provenance="observed")
+    config = LearnerConfig(learner="knn", knn_k=5, distance=distance)
+    subsets = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
+    sqrt, smallest = np.sqrt, models._smallest
+    selecting, calls = [], []
+
+    def recording_sqrt(a, *args, **kwargs):
+        calls.append((np.size(a), selecting[-1] if selecting else 0))
+        return sqrt(a, *args, **kwargs)
+
+    def recording_smallest(block, *args):
+        selecting.append(len(block))
+        try:
+            return smallest(block, *args)
+        finally:
+            selecting.pop()
+
+    with mock.patch.object(np, "sqrt", recording_sqrt), \
+            mock.patch.object(models, "_smallest", recording_smallest):
+        models.subset_predictions(config, d, LossFunction.MSE, subsets, x[:60] + 0.01)
+    assert all(0 < cells <= (config.knn_k + 1) * rows for cells, rows in calls)
+    assert bool(calls) == (distance == "euclidean_standardized")
 
 
 def in_band(d, x):
