@@ -13,6 +13,7 @@ the lowest row index, which keeps golden outputs stable.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from math import comb, isfinite
 
@@ -119,6 +120,12 @@ def _require_on_support(d_eval, spec):
     if len(spec.instance) != d_eval.n:
         raise ValueError(f"instance has {len(spec.instance)} values, but the data has "
                          f"{d_eval.n} features")
+    for value, feature in zip(spec.instance, d_eval.features):
+        # a bool or a numeric string would otherwise be read as its float
+        if feature.is_numeric and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Real)):
+            raise ValueError(f"instance value {value!r} of feature {feature.name!r} "
+                             f"is not a number")
     checker = get_support_checker(d_eval)
     if not checker.check(spec.instance):
         raise OffSupportInstance("instance fails the support check", operation=spec.question)

@@ -139,10 +139,11 @@ def _workspace(rows, reference, ranges=None):
     return np.empty((1 + slots, rows, len(reference)))
 
 
-def _distances(queries, reference, ranges=None, work=None):
+def _distances(queries, reference, ranges=None, work=None, squared=False):
     """(q, k) distances from each encoded query to every encoded reference
     row: Gower (range-normalized absolute difference, averaged over
-    features) when `ranges` is given, otherwise Euclidean.
+    features) when `ranges` is given, otherwise Euclidean (its squared sums,
+    before the root, with `squared`).
 
     Both sum one (q, k) term per column. The Euclidean sum takes numpy's
     pairwise order, so it equals `np.sqrt(((reference - queries[:, None]) **
@@ -160,7 +161,7 @@ def _distances(queries, reference, ranges=None, work=None):
         def term(j):
             return _column_term(columns[j], queries[:, j], None, diff)
         total = _column_sum(term, 0, len(columns), slots)
-        return np.sqrt(total, out=total)
+        return total if squared else np.sqrt(total, out=total)
 
     def term(j):
         return _column_term(columns[j], queries[:, j], ranges[j], diff)
@@ -300,7 +301,8 @@ def _smallest(block, count, root=None):
 def nearest(queries, reference, count, ranges=None):
     """Row indices and distances of the `count` reference rows nearest to
     each query, nearest first; ties go to the lowest row index. Each block
-    of distances is selected from in place (`_smallest`)."""
+    of distances is selected from in place (`_smallest`); a Euclidean one
+    on its squared sums, rooting only each row's picks."""
     if not 1 <= count <= len(reference):
         raise ValueError(f"count must be in 1..{len(reference)} reference rows, got {count}")
     index = np.empty((len(queries), count), dtype=np.intp)
@@ -308,9 +310,32 @@ def nearest(queries, reference, count, ranges=None):
     step = max(1, DISTANCE_BLOCK_CELLS // len(reference))
     work = _workspace(min(step, len(queries)), reference, ranges)
     for start in range(0, len(queries), step):
-        block = _distances(queries[start:start + step], reference, ranges, work)
-        index[start:start + step], dist[start:start + step] = _smallest(block, count)
+        block = _distances(queries[start:start + step], reference, ranges, work, squared=True)
+        index[start:start + step], dist[start:start + step] = _smallest(
+            block, count, np.sqrt if ranges is None else None)
     return index, dist
+
+
+def candidate_distances(queries, reference, candidates, ranges):
+    """(q, c) Gower distances from each encoded query to the reference rows
+    its row of `candidates` names, each the cell `_distances` gives that
+    pair, bit for bit: the same terms, summed left to right. Gathers stay
+    under DISTANCE_BLOCK_CELLS cells a block."""
+    q, c = candidates.shape
+    out = np.empty((q, c))
+    step = max(1, DISTANCE_BLOCK_CELLS // max(c, 1))
+    work = np.empty((min(step, q), c))
+    columns = np.ascontiguousarray(reference.T)
+    for start in range(0, q, step):
+        rows, block = candidates[start:start + step], queries[start:start + step]
+        m = len(rows)
+
+        def term(j):   # the term is computed in place over the gathered values
+            np.take(columns[j], rows, out=work[:m])
+            return _column_term(work[:m], block[:, j], ranges[j], work[:m])
+        total = _column_sum(term, 0, len(ranges), out[None, start:start + m], pairwise=False)
+        total /= max(len(ranges), 1)
+    return out
 
 
 def gower_distances(rows, x, features, ranges):

@@ -13,18 +13,22 @@ import numpy as np
 
 from .errors import AllGroupsEmpty
 from .data import gower_encode
-from .models import feature_ranges, nearest
+from .models import DISTANCE_BLOCK_CELLS, candidate_distances, feature_ranges, nearest
 from ._util import derive_seed, lru_get_or_build, new_cache
 
 MIN_GROUP_SIZE = 5
 # the support check's per-feature band: a point must lie in [q, 1 - q] of each numeric feature
 SUPPORT_QUANTILE_BAND = 0.005
 SELF_DISTANCE_SAMPLE = 1000
-# the threshold's build: at most this many reference rows, one in eight,
-# bound every sampled row's nearest-other distance; a scan gives this many
-# rows their exact distance
-SELF_DISTANCE_SUBSET = 256
+# a row's nearest-other distance is at most its smallest distance to the
+# 2W + 1 reference rows nearest its key in Z order (W this window's
+# half-width); the bound settles a checked row within the threshold
+SELF_DISTANCE_WINDOW = 8
+# the threshold's build: a scan gives this many rows their exact distance
 SELF_DISTANCE_BATCH = 32
+# most bits a column's quantized value takes in a Z-order key, so that each
+# level is exact in a float64
+Z_ORDER_BITS = 16
 # support checkers kept for reuse, each holding its dataset and threshold
 CHECKER_CACHE_SIZE = 8
 
@@ -145,9 +149,9 @@ class SupportChecker:
     per-feature empirical [q, 1-q] band AND within the dataset's typical
     nearest-neighbor (Gower) distance. Positive density is unobservable;
     this conjunction is the weakest testable stand-in. The distance
-    threshold `nn_threshold` is computed on its first read, when a checked
-    row first reaches the distance scan, so a check of observed rows never
-    computes it."""
+    threshold `nn_threshold` and the Z-order index of the reference rows
+    are built on their first read, when a checked row first reaches the
+    distance test, so a check of observed rows builds neither."""
 
     def __init__(self, d):
         self.d = d
@@ -160,17 +164,18 @@ class SupportChecker:
                        for j, f in enumerate(d.features)]
         # each reference row's hash with its index in the low bits, sorted:
         # the exact-copy lookup of check_rows
-        self.index_mask = np.uint64((1 << max(d.k - 1, 1).bit_length()) - 1)
+        self.index_mask = _index_mask(d.k)
         self.keys = np.sort(_row_hashes(self.encoded) & ~self.index_mask
                             | np.arange(d.k, dtype=np.uint64))
 
     def _self_distance_percentile(self):
         """The 0.99 quantile of the sampled rows' distances to their nearest
         other row. np.quantile reads only the `need` largest of them, so each
-        starts at an upper bound, its nearest other row among a fixed subset,
-        and the largest bounds are scanned exactly, a batch at a time, until
-        the need-th largest exact distance is at least every bound left: the
-        need largest values are then exact, and the others no larger."""
+        starts at an upper bound, its window bound (`_window_bounds`), exact
+        when the window holds every other row, and the largest bounds are
+        scanned exactly, a batch at a time, until the need-th largest exact
+        distance is at least every bound left: the need largest values are
+        then exact, and the others no larger."""
         k = self.d.k
         if k < 2:
             return 0.0
@@ -180,10 +185,10 @@ class SupportChecker:
             else np.sort(rng.choice(k, size=SELF_DISTANCE_SAMPLE, replace=False))
         # the quantile interpolates sorted positions floor(0.99 (q - 1)) and the next
         need = len(queries) - int(0.99 * (len(queries) - 1))
-        size = min(k, SELF_DISTANCE_SUBSET, max(k // 8, SELF_DISTANCE_BATCH))
-        subset = np.linspace(0, k - 1, size).astype(np.intp)
-        values = self._nearest_other(queries, subset)
-        exact = np.full(len(queries), len(subset) == k)
+        positions = np.empty(k, dtype=np.intp)
+        positions[(self._z_keys & _index_mask(k)).astype(np.intp)] = np.arange(k)
+        values = self._window_bounds(self.encoded[queries], positions[queries], queries)
+        exact = np.full(len(queries), 2 * SELF_DISTANCE_WINDOW + 1 >= k)
         while not exact.all():
             pending = np.flatnonzero(~exact)
             if np.count_nonzero(exact) >= need and \
@@ -198,15 +203,71 @@ class SupportChecker:
 
     nn_threshold = cached_property(_self_distance_percentile)
 
-    def _nearest_other(self, queries, rows=None):
-        """The distance from each query row to its nearest other row among
-        `rows` (all rows when None); inf when `rows` holds no other row."""
-        reference = self.encoded if rows is None else self.encoded[rows]
+    def _nearest_other(self, queries):
+        """The distance from each query row to its nearest other row."""
         # the nearest row other than the query itself is one of the two nearest
-        count = min(2, len(reference))
-        index, dist = nearest(self.encoded[queries], reference, count, self.ranges)
-        first = index[:, 0] if rows is None else rows[index[:, 0]]
-        return np.where(first == queries, dist[:, 1] if count == 2 else np.inf, dist[:, 0])
+        index, dist = nearest(self.encoded[queries], self.encoded, 2, self.ranges)
+        return np.where(index[:, 0] == queries, dist[:, 1], dist[:, 0])
+
+    @cached_property
+    def _z_frame(self):
+        """How `_z_key` reads a code row: the low value and the levels per
+        unit of its first `width` columns, and the key bit that each of the
+        `bits` bits of a level goes to, as a (width, bits) array."""
+        free = 64 - int(_index_mask(self.d.k)).bit_length()
+        width = min(self.d.n, free)
+        bits = min(Z_ORDER_BITS, free // max(width, 1))
+        columns = self.encoded[:, :width]
+        span = np.ptp(columns, axis=0)
+        # bit b of column j goes to key bit b width + width - 1 - j above the
+        # 64 - bits width low ones, which hold the row index
+        position = np.arange(bits, dtype=np.uint64) * np.uint64(width) \
+            + np.arange(width, 0, -1, dtype=np.uint64)[:, None] + np.uint64(63 - bits * width)
+        return columns.min(axis=0), ((1 << bits) - 1) / np.where(span > 0, span, np.inf), position
+
+    def _z_key(self, codes):
+        """Each code row's Z-order key, above the index bits: its columns
+        scaled by their reference ranges and quantized, bits interleaved.
+        The order sets only how tight the window bounds are, never a
+        decision."""
+        low, scale, position = self._z_frame
+        width, bits = position.shape
+        cells = np.clip(np.rint((codes[:, :width] - low) * scale), 0, (1 << bits) - 1)
+        cells = cells.astype(np.uint64)[:, :, None]
+        shifts = np.arange(bits, dtype=np.uint64)
+        keys = np.empty(len(codes), dtype=np.uint64)
+        step = max(1, DISTANCE_BLOCK_CELLS // position.size)
+        for start in range(0, len(codes), step):
+            spread = cells[start:start + step] >> shifts
+            spread &= np.uint64(1)
+            spread <<= position
+            # the bits are disjoint, so their sum is their union
+            spread.sum(axis=(1, 2), dtype=np.uint64, out=keys[start:start + step])
+        return keys
+
+    @cached_property
+    def _z_keys(self):
+        """The reference rows' Z-order keys, each with its row index in the
+        low bits, sorted: the rows in Z order."""
+        return np.sort(self._z_key(self.encoded) | np.arange(self.d.k, dtype=np.uint64))
+
+    def _window_bounds(self, x, positions, own=None):
+        """Each code row's smallest Gower distance to the reference rows of
+        its window, the 2W + 1 (W = SELF_DISTANCE_WINDOW; all k when fewer)
+        around its position in Z order, shifted to lie inside the order, and
+        without the row's own reference row `own` when given (inf when no
+        other is left). Each distance is a cell `nearest` computes, bit for
+        bit, so the bound is never below the row's nearest (other) distance."""
+        k = self.d.k
+        width = min(2 * SELF_DISTANCE_WINDOW + 1, k)
+        starts = np.clip(positions - SELF_DISTANCE_WINDOW, 0, k - width)
+        candidates = self._z_keys[starts[:, None] + np.arange(width)]
+        candidates &= _index_mask(k)
+        candidates = candidates.view(np.int64)
+        dist = candidate_distances(x, self.encoded, candidates, self.ranges)
+        if own is not None:
+            dist[candidates == own[:, None]] = np.inf
+        return dist.min(axis=1, initial=np.inf)
 
     def _copies(self, x):
         """Which code rows equal a reference row. The first reference row of
@@ -219,8 +280,10 @@ class SupportChecker:
     def check_rows(self, rows):
         """The support check of each row (or code row), as a bool array.
         A row that passes the band test and equals a reference row sits at
-        Gower distance 0 from it, within the threshold, with no scan. Rows
-        whose width is not the feature count are refused."""
+        Gower distance 0 from it, within the threshold, with no scan; so does
+        one whose window bound is within the threshold, since its nearest row
+        is no farther. Only the rows left take the full scan. Rows whose
+        width is not the feature count are refused."""
         n = self.d.n
         widths = {rows.shape[-1]} if isinstance(rows, np.ndarray) else set(map(len, rows))
         if widths - {n}:
@@ -234,12 +297,22 @@ class SupportChecker:
         scan = np.flatnonzero(ok)
         scan = scan[~self._copies(x[scan])]
         if len(scan):
+            at = np.searchsorted(self._z_keys, self._z_key(x[scan]))
+            bounds = self._window_bounds(x[scan], at)
+            # a row within the threshold of a row of its window is within it of its nearest
+            scan = scan[~(bounds <= self.nn_threshold)]
+        if len(scan):
             _, dist = nearest(x[scan], self.encoded, 1, self.ranges)
             ok[scan] = dist[:, 0] <= self.nn_threshold
         return ok
 
     def check(self, x):
         return bool(self.check_rows([x])[0])
+
+
+def _index_mask(k):
+    """The low bits that hold a row index of k rows in a sorted key."""
+    return np.uint64((1 << max(k - 1, 1).bit_length()) - 1)
 
 
 def _row_hashes(codes):

@@ -354,6 +354,25 @@ class TestDescribeRefusals:
             "--y-rel", "2.0", "--lambda", "0.5"],
             "instance has 1 values, but the data has 2 features")
 
+    @pytest.mark.parametrize("question", ["ice", "shapley_local",
+                                          "local_conditional_contribution",
+                                          "counterfactual_local"])
+    @pytest.mark.parametrize("instance, named", [
+        ("[true, -0.2]", "instance value True of feature 'x1' is not a number"),
+        ('["0.1", -0.2]', "instance value '0.1' of feature 'x1' is not a number"),
+        ("[null, -0.2]", "instance value None of feature 'x1' is not a number"),
+        ("[0.1, [-0.2]]", "instance value [-0.2] of feature 'x2' is not a number")])
+    def test_instance_cell_that_is_not_a_number(self, tmp_path, simulated, trained,
+                                                question, instance, named):
+        data = os.path.join(simulated, "dataset.json")
+        out = str(tmp_path / question)
+        self.refused(out, [
+            "describe", "--question", question, "--learner", "ols", "--data", data,
+            "--train-data", data, "--model", os.path.join(trained, "model.json"),
+            "--feature", "x1", "--instance", instance, "--observed-y", "0.0",
+            "--y-rel", "2.0", "--lambda", "0.5"], named)
+        assert json.load(open(os.path.join(out, "error.json")))["message"] == named
+
     @pytest.mark.parametrize("command", [
         ["describe", "--question", "cpdp"],
         ["uncertainty", "--question", "cpdp", "--mode", "ee", "--ee-replicates", "20"]])

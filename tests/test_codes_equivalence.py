@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descry import Dataset, FeatureSpec, build_grid, conditional_groups, select_features
-from descry import samplers
 from descry.models import build_encoder, encode, feature_ranges, gower_encode
 from descry.samplers import SELF_DISTANCE_SAMPLE, SupportChecker, grid_membership
 from descry._util import derive_seed
@@ -260,19 +259,20 @@ def test_support_subsample_seed_depends_on_k_and_band_only():
     assert np.setdiff1d(np.arange(k), expected)[:6].tolist() == [10, 26, 32, 35, 36, 44]
 
     seen = []
-    real_nearest = samplers.nearest
+    real_bounds = SupportChecker._window_bounds
 
-    def recording_nearest(queries, reference, count, ranges=None):
-        if len(queries) == SELF_DISTANCE_SAMPLE:
-            seen.append(queries.copy())
-        return real_nearest(queries, reference, count, ranges)
+    def recording_bounds(self, x, positions, own=None):
+        if len(x) == SELF_DISTANCE_SAMPLE:
+            seen.append(x.copy())
+        return real_bounds(self, x, positions, own)
 
     features = [FeatureSpec(name="x", kind="numeric")]
     for seed in (1, 2):
         x = np.random.default_rng(seed).normal(size=(k, 1))
         d = Dataset(features=features, target=TARGET, rows=x, targets=x[:, 0],
                     provenance="observed")
-        with mock.patch.object(samplers, "nearest", recording_nearest):
+        # the sample's rows take their window bounds before any exact scan
+        with mock.patch.object(SupportChecker, "_window_bounds", recording_bounds):
             SupportChecker(d).nn_threshold
         assert np.array_equal(seen.pop(), d.codes[expected])
 

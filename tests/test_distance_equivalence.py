@@ -14,8 +14,8 @@ fall back to the full stable argsort, which every row takes for larger
 counts. The selection test crosses both sides of
 that cutoff and pins those fallback rows by example.
 
-The knn lattice selects on squared Euclidean sums and roots only each row's
-picks (`_smallest` with `root`); its order and values must be those of the
+The knn lattice, and `nearest` on Euclidean data, select on squared sums
+and root only each row's picks (`_smallest` with `root`); its order and values must be those of the
 stable argsort of the rooted block, also where different sums share a root.
 """
 
@@ -183,6 +183,21 @@ def test_support_check_matches_per_query_reference(problem):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
+@given(mixed_problem(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_candidate_distances_are_cells_of_the_full_block(problem, width, seed):
+    """The support check's window bounds read gathered candidate rows; each
+    distance has the bits of its cell in the full Gower block."""
+    d, queries, block_cells = problem
+    ranges = feature_ranges(d.codes, d.features)
+    codes = gower_encode(queries, d.features)
+    candidates = np.random.default_rng(seed).integers(0, d.k, size=(len(codes), width))
+    with mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
+        got = models.candidate_distances(codes, d.codes, candidates, ranges)
+    cells = np.take_along_axis(models._distances(codes, d.codes, ranges), candidates, axis=1)
+    assert np.array_equal(got.view(np.int64), cells.view(np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(mixed_problem(), st.integers(1, 12),
        st.sampled_from(["euclidean_standardized", "gower"]),
        st.sampled_from([LossFunction.MSE, LossFunction.ZERO_ONE]))
@@ -330,11 +345,14 @@ def distance_block(draw):
 @example((np.array([[1.0, 0.0, -np.inf, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0]]), 3), 500)
 def test_selection_matches_stable_argsort(problem, block_cells):
     block, count = problem
-    # query i's distance row is block[i]; the kernel itself is covered above
+    # query i's distance row is block[i]; the kernel itself is covered above.
+    # Gower ranges, since a Euclidean block holds squared sums that are rooted
+    # as they are picked (covered by the rooted selection test below)
     queries, reference = np.arange(len(block), dtype=float)[:, None], np.zeros((block.shape[1], 1))
-    with mock.patch.object(models, "_distances", lambda qs, ref, ranges, work: block[qs[:, 0].astype(int)]), \
+    with mock.patch.object(models, "_distances", lambda qs, ref, ranges, work, squared:
+                           block[qs[:, 0].astype(int)]), \
             mock.patch.object(models, "DISTANCE_BLOCK_CELLS", block_cells):
-        index, dist = nearest(queries, reference, count)
+        index, dist = nearest(queries, reference, count, [1.0])
     expected_index, expected_dist = reference_nearest(block, count)
     assert np.array_equal(index, expected_index)
     assert np.array_equal(dist, expected_dist, equal_nan=True)
@@ -584,8 +602,10 @@ def test_one_row_checker_passes_only_its_own_row():
 
 def test_scan_runs_only_on_rows_that_copy_no_reference_row():
     """A counterfactual's candidates (the instance, every evaluation row and
-    perturbations) send to nearest only the rows that pass the band test
-    and equal no reference row."""
+    perturbations) take a window bound only where they pass the band test
+    and equal no reference row, and go to nearest only where that bound
+    exceeds the threshold. Every bound is at least the row's nearest
+    distance."""
     rng = np.random.default_rng(5)
     features = [FeatureSpec(name="x1", kind="numeric"), FeatureSpec(name="x2", kind="integer"),
                 FeatureSpec(name="c", kind="categorical", categories=CATEGORIES)]
@@ -593,18 +613,34 @@ def test_scan_runs_only_on_rows_that_copy_no_reference_row():
                              rng.integers(0, 3, size=300)])
     d = Dataset(features=features, target=FeatureSpec(name="y", kind="numeric"),
                 rows=gower_decode(codes, features), targets=np.zeros(300), provenance="observed")
-    queries = np.vstack([codes[7] + [0.001, 0.0, 0.0], codes, codes[:40] + [0.05, 1.0, 0.0]])
+    # both numeric columns at their upper band edge: no row is within the threshold
+    far = np.quantile(codes, [1.0 - SUPPORT_QUANTILE_BAND], axis=0) * [1.0, 1.0, 0.0] + [0, 0, 1]
+    queries = np.vstack([codes[7] + [0.001, 0.0, 0.0], codes, codes[:40] + [0.05, 1.0, 0.0], far])
     copies = (queries[:, None] == codes).all(axis=2).any(axis=1)
     assert copies.sum() == 300
     checker = SupportChecker(d)
     checker.nn_threshold   # computed here, so that the one recorded scan is check_rows' own
-    scanned = []
+    scanned, bounded = [], []
+    real_bounds = SupportChecker._window_bounds
 
     def recording_nearest(x, *args):
         scanned.append(x.copy())
         return nearest(x, *args)
-    with mock.patch.object(samplers, "nearest", recording_nearest):
+
+    def recording_bounds(self, x, *args):
+        bounds = real_bounds(self, x, *args)
+        bounded.append((x.copy(), bounds))
+        return bounds
+    with mock.patch.object(samplers, "nearest", recording_nearest), \
+            mock.patch.object(SupportChecker, "_window_bounds", recording_bounds):
         result = checker.check_rows(queries)
     assert result.tolist() == band_then_scan(d, queries).tolist()
+    assert len(bounded) == 1
+    rows, bounds = bounded[0]
+    assert np.array_equal(rows, queries[in_band(d, queries) & ~copies])
+    _, dist = nearest(rows, d.codes, 1, feature_ranges(d.codes, d.features))
+    assert (bounds >= dist[:, 0]).all()
+    settled = bounds <= checker.nn_threshold
+    assert settled.any() and not settled.all()
     assert len(scanned) == 1
-    assert np.array_equal(scanned[0], queries[in_band(d, queries) & ~copies])
+    assert np.array_equal(scanned[0], rows[~settled])

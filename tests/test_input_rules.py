@@ -1,20 +1,23 @@
 """Each input rule is stated once.
 
 A conditioning band, a relevant target value y_rel, a counterfactual's
-lambda and a feature's jitter offsets each have one check. Every operation
+lambda, a feature's jitter offsets and an instance's numeric cells each have
+one check. Every operation
 that takes such a value goes through that check, so for any value each of
 them accepts it, or each raises the same ValueError with the same message.
 """
 
 from math import inf, isfinite, nan
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descry import (
     Dataset, FeatureSpec, LearnerConfig, LossFunction, Phenomenon, build_grid,
-    conditional_groups, counterfactual_local, cpdp, jitter_augment, relevant_value_global,
-    sample, train,
+    conditional_groups, counterfactual_local, cpdp, ice, jitter_augment,
+    local_conditional_contribution, relevant_value_global, sample, shapley_local, train,
 )
 from descry.descriptors import DescriptorSpec
 from descry.samplers import grid_membership
@@ -131,3 +134,29 @@ def test_jitter_offsets(offsets):
         assert FeatureSpec(name="x", kind="numeric",
                            jitter_offsets=offsets).jitter_offsets == tuple(offsets)
         assert jitter_augment(GROUPED, "x", offsets).k == GROUPED.k * (len(offsets) + 1)
+
+
+def instance_questions(instance):
+    """Every question that takes an instance, asked at it."""
+    config = LearnerConfig(learner="ols")
+    return [lambda: ice(SEARCHED_HANDLE, instance, "x1", None, SEARCHED),
+            lambda: counterfactual_local(SEARCHED_HANDLE, SEARCHED, instance, 1.0, 0.5),
+            lambda: shapley_local(config, SEARCHED, SEARCHED, instance),
+            lambda: local_conditional_contribution(config, SEARCHED, SEARCHED, instance,
+                                                   0.0, 0, MSE)]
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("cell", [True, False, np.bool_(True), "0.1", "x", None, [0.1], [[]]])
+def test_instance_cell_that_is_not_a_number(cell, position):
+    """A bool or a numeric string is no number, although numpy would read it as one."""
+    instance = list(INSTANCE)
+    instance[position] = cell
+    message = (f"instance value {cell!r} of feature {SEARCHED.feature_names[position]!r} "
+               f"is not a number")
+    assert [outcome(ask) for ask in instance_questions(instance)] == [(ValueError, message)] * 4
+
+
+def test_instance_cells_of_any_number_type_are_accepted():
+    instance = [np.float64(INSTANCE[0]), float(INSTANCE[1])]
+    assert [outcome(ask) for ask in instance_questions(instance)] == ["accepted"] * 4

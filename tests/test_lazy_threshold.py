@@ -4,9 +4,10 @@
 verbatim: it computes the threshold while it is built and scans every row
 that passes the band test and copies no reference row, also when there is
 none. The lazy checker must give every decision and every threshold read
-the same bits, in any order of checks, and must compute the threshold only
-when a checked row reaches the distance scan: the work is counted at
-`samplers.nearest`, which the threshold and the scan both call.
+the same bits, in any order of checks, and must compute the threshold (and
+the Z-order index its bounds read) only when a checked row reaches the
+distance test: the work is counted at `samplers.nearest`, which the
+threshold's exact batches and the scan both call.
 """
 
 from contextlib import contextmanager
@@ -152,7 +153,7 @@ def test_checks_that_reach_no_scan_compute_no_threshold():
         assert checker.check(list(d.rows[3]))
         assert descry.support_check(d, d.rows[3])
     assert calls == []
-    assert "nn_threshold" not in checker.__dict__
+    assert "nn_threshold" not in checker.__dict__ and "_z_keys" not in checker.__dict__
 
 
 def test_the_first_scan_computes_the_threshold_once():
@@ -161,15 +162,20 @@ def test_the_first_scan_computes_the_threshold_once():
         SupportChecker(d).nn_threshold
     assert len(threshold_calls) >= 1
     near = codes[7:9] + [0.001, 0.0, 0.0]
+    # both numeric columns at their upper band edge: no row of its window,
+    # nor any other, is within the threshold
+    far = np.quantile(codes, [1.0 - SUPPORT_QUANTILE_BAND], axis=0) * [1.0, 1.0, 0.0] + [0, 0, 1]
     checker = SupportChecker(d)
     with counted_nearest() as calls:
-        first = checker.check_rows(np.vstack([codes[:5], near]))
-    # the scan takes only the two nudged rows, then the threshold is built
-    assert calls == [2] + threshold_calls
+        first = checker.check_rows(np.vstack([codes[:5], near, far]))
+    # the threshold is built, the nudged rows settle on their window bounds,
+    # and the scan takes only the far row
+    assert calls == threshold_calls + [1]
+    assert first.tolist() == [True] * 7 + [False]
     with counted_nearest() as calls:
-        assert checker.check_rows(near).tolist() == first[5:].tolist()
+        assert checker.check_rows(np.vstack([near, far])).tolist() == first[5:].tolist()
         checker.nn_threshold
-    assert calls == [2]
+    assert calls == [1]
 
 
 def observed_instance(d):
@@ -197,10 +203,14 @@ def test_an_observed_instance_computes_no_threshold(question):
         ask(list(d_eval.rows[i]))
     assert calls == []
     assert "nn_threshold" not in get_support_checker(d_eval).__dict__
-    # a row the data do not hold reaches the scan and builds the threshold
+    assert "_z_keys" not in get_support_checker(d_eval).__dict__
+    # a row the data do not hold reaches the distance test and builds the
+    # threshold; its window bound then settles it without a scan
+    with counted_nearest() as threshold_calls:
+        SupportChecker(d_eval).nn_threshold
     with counted_nearest() as calls:
         ask(list(d_eval.rows[i] + [1e-3, 0.0, 0.0]))
-    assert calls[0] == 1 and len(calls) > 1
+    assert calls == threshold_calls and len(calls) >= 1
     assert "nn_threshold" in get_support_checker(d_eval).__dict__
 
 

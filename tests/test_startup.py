@@ -56,3 +56,27 @@ def test_knn_and_the_support_checker_load_no_scipy():
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_the_support_threshold_and_a_scan_load_no_scipy():
+    """Computing the support checker's distance threshold (its window bounds
+    and exact batches) and scanning a row whose window bound cannot settle
+    it import no scipy module either."""
+    probe = (
+        "import sys, numpy as np\n"
+        "from descry import Dataset, FeatureSpec, samplers\n"
+        "x = np.random.default_rng(0).normal(size=(1500, 3))\n"
+        "d = Dataset(features=[FeatureSpec(name=f'x{j}', kind='numeric') for j in range(3)],\n"
+        "            target=FeatureSpec(name='y', kind='numeric'), rows=x,\n"
+        "            targets=x.sum(axis=1), provenance='observed')\n"
+        "scans, real = [], samplers.nearest\n"
+        "samplers.nearest = lambda q, *args: scans.append(len(q)) or real(q, *args)\n"
+        "checker = samplers.SupportChecker(d)\n"
+        "checker.nn_threshold\n"
+        "del scans[:]\n"
+        "far = np.quantile(x, 0.995, axis=0)[None]   # every column at its upper band edge\n"
+        "print(checker.check_rows(np.vstack([x[:50] + 0.01, far])).tolist()[-1], scans)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False [1]", "[]"]
